@@ -351,11 +351,10 @@ class GhostDB:
         """Run a SELECT and return its result together with the trace
         spans it produced (optimizer candidates, operators, hardware
         counter attributes) -- the demo's popup view, as data."""
-        mark = len(self.obs.tracer.roots)
+        tracer = self.obs.tracer
+        mark = tracer.mark()
         result = self.query(sql)
-        return QueryTrace(
-            result=result, spans=self.obs.tracer.roots[mark:]
-        )
+        return QueryTrace(result=result, spans=tracer.roots_since(mark))
 
     def metrics_text(self) -> str:
         """Prometheus-style text exposition of the session's metrics:
@@ -411,12 +410,16 @@ class GhostDB:
         return build_scorecard(self)
 
     def session_spans(self) -> list:
-        """Every trace span recorded since load (or the last reset)."""
+        """The retained root spans, oldest first: the last
+        :data:`~repro.obs.ledger.DEFAULT_WINDOW` (512) roots, one per
+        statement, since load or the last reset.  Older trees were
+        evicted, their spans counted in ``obs.tracer.dropped``."""
         return list(self.obs.tracer.roots)
 
     def export_trace(self, path: str) -> None:
-        """Write the whole session's spans as Chrome trace-event JSON
-        (loadable in Perfetto / ``chrome://tracing``)."""
+        """Write the retained spans (see :meth:`session_spans`) as
+        Chrome trace-event JSON (loadable in Perfetto /
+        ``chrome://tracing``)."""
         write_chrome_trace(self.session_spans(), path)
 
     def reset_measurements(self) -> None:

@@ -37,9 +37,10 @@ from repro.obs.log import get_logger
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v3: the session pickles as a DeviceCore + SessionContext graph
-#: (multi-session split); v2 monolithic files are refused.
-VERSION = 3
+#: v4: tracers pickle with a bounded root window, a running span count
+#: and an integer id counter; v3 files (and the v2 monolithic layout
+#: before them) are refused.
+VERSION = 4
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

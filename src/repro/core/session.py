@@ -566,6 +566,7 @@ class DeviceCore:
             raise SessionError("cannot close a session mid-step")
         del self.sessions[session.name]
         session.closed = True
+        session.obs.report_spans(live=False)
         if session.lease.cache in self._peer_caches:
             self._peer_caches.remove(session.lease.cache)
         registry = self.obs.registry
@@ -1089,6 +1090,7 @@ class SessionContext:
         registry -- other sessions' totals live there too)."""
         self.device.reset_measurements()
         self.obs.tracer.clear()
+        self.obs.report_spans()
         self._last_leak_profile = None
 
     def close(self) -> None:

@@ -120,6 +120,10 @@ class Observability:
                 enabled=flight_enabled,
             )
         self.ledger = ResourceLedger()
+        #: This tracer's share of the shared ``ghostdb_trace_spans``
+        #: gauge, as of the registry reset numbered ``_spans_epoch``.
+        self._spans_reported = 0
+        self._spans_epoch = self.registry.resets
         self._register_session_metrics()
 
     def _register_session_metrics(self) -> None:
@@ -177,7 +181,8 @@ class Observability:
             "span attribute tokens scrubbed by the redaction gate",
         )
         reg.gauge(
-            "ghostdb_trace_spans", "spans currently held by the tracer"
+            "ghostdb_trace_spans",
+            "spans currently held by the tracers of all live sessions",
         )
         reg.histogram(
             "ghostdb_optimizer_est_over_meas",
@@ -350,13 +355,29 @@ class Observability:
                 - reg.counter("ghostdb_trace_redactions_total").total(),
             )
         )
-        reg.gauge("ghostdb_trace_spans").set(self.tracer.span_count())
+        self.report_spans()
         self._observe_slo(metrics)
         entry = QueryLedgerEntry.from_metrics(
             self.ledger.next_index, fingerprint, metrics, wall_seconds
         )
         self.ledger.record(entry)
         return entry
+
+    def report_spans(self, live: bool = True) -> None:
+        """Bring this session's share of ``ghostdb_trace_spans`` up to
+        date: its tracer's span count, or zero once it is not ``live``.
+
+        Sessions sharing a registry each own a tracer, so each applies
+        only the change since its last report and the gauge is the total
+        over all live sessions.  A registry reset wipes every share.
+        """
+        reg = self.registry
+        if self._spans_epoch != reg.resets:
+            self._spans_epoch, self._spans_reported = reg.resets, 0
+        count = self.tracer.span_count() if live else 0
+        if count != self._spans_reported:
+            reg.gauge("ghostdb_trace_spans").inc(count - self._spans_reported)
+            self._spans_reported = count
 
     def record_aborted_query(
         self,

@@ -4,9 +4,10 @@ When a query dies under an injected unplug or power cut -- or when an
 operator asks (``.dump``, ``ghostdb doctor``, ``--dump-on-fault``) --
 the session snapshots everything a postmortem needs into one JSON
 bundle: the flight-recorder ring, the full metrics registry, the span
-forest (aborted spans appear exactly as deep as they hung), a summary of
-device/FTL state, and the per-query resource ledger including the
-aborted query's row.
+forest (aborted spans appear exactly as deep as they hung; the tracer
+keeps the trees of its last 512 roots, and ``spans_dropped`` counts the
+spans evicted before them), a summary of device/FTL state, and the
+per-query resource ledger including the aborted query's row.
 
 Bundles are observable execution artefacts, so they pass the same bar as
 traces and bench artifacts: every string goes through the session's
@@ -158,6 +159,8 @@ def build_bundle(session, reason: str = "dump") -> dict:
         "ledger": obs.ledger.to_record(),
         "metrics": _metric_families(obs.registry),
         "spans": span_tree_dicts(obs.tracer.roots),
+        # The forest covers only the tracer's window of recent roots.
+        "spans_dropped": obs.tracer.dropped,
         "device": device_state_summary(device),
         "leak_check": "CLEAN",
     }

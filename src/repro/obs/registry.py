@@ -310,6 +310,9 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        #: How many times :meth:`reset` ran; lets a writer that applies
+        #: deltas to a shared gauge notice its past share was wiped.
+        self.resets = 0
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
         # Hot path first: per-event instrument lookups vastly outnumber
@@ -381,3 +384,4 @@ class MetricsRegistry:
         """Zero every value; registrations and help text survive."""
         for metric in self._metrics.values():
             metric.reset()
+        self.resets += 1

@@ -18,15 +18,21 @@ enter/exit stamps into a nested trace after a query finishes.
 Every span name and attribute passes through the session's
 :class:`~repro.obs.redact.Redactor` before it is stored, so hidden column
 values cannot enter a trace even if instrumentation code tries.
+
+A tracer's memory and its per-statement cost are bounded: it keeps the
+span trees of the most recent :data:`~repro.obs.ledger.DEFAULT_WINDOW`
+root spans (the resource ledger's window), evicting the oldest finished
+tree first, and it counts its spans as they come and go, so
+:meth:`Tracer.span_count` never walks the forest.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.obs.ledger import DEFAULT_WINDOW
 from repro.obs.redact import Redactor
 
 
@@ -102,7 +108,16 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans for one session; one instance per GhostDB."""
+    """Collects spans for one session; one instance per GhostDB.
+
+    :attr:`roots` holds at most :data:`~repro.obs.ledger.DEFAULT_WINDOW`
+    (512) span trees, oldest first.  Opening a root when the list is
+    full evicts the oldest *finished* tree (an open root is never
+    evicted) and adds its spans to :attr:`dropped`, as
+    :class:`~repro.obs.flight.FlightRecorder` counts the events its ring
+    drops.  A long session therefore traces its most recent 512
+    statements, in constant memory.
+    """
 
     def __init__(
         self,
@@ -118,8 +133,12 @@ class Tracer:
         self.redactor = redactor if redactor is not None else Redactor()
         self.enabled = enabled
         self.roots: list[Span] = []
+        #: Spans evicted with their trees (not those forgotten by clear).
+        self.dropped = 0
         self._stack: list[Span] = []
-        self._ids = itertools.count(1)
+        self._next_id = 1
+        #: Spans currently held in :attr:`roots`' trees.
+        self._count = 0
 
     def sim_now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
@@ -132,8 +151,13 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     def _open(self, name: str, category: str, parent: Span | None) -> Span:
+        if parent is None and len(self.roots) >= DEFAULT_WINDOW:
+            self._evict()
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        self._count += 1
         span = Span(
-            span_id=next(self._ids),
+            span_id=span_id,
             name=self.redactor.scrub(str(name)),
             category=self.redactor.scrub(str(category)),
             start_sim=self.sim_now(),
@@ -146,6 +170,18 @@ class Tracer:
         else:
             self.roots.append(span)
         return span
+
+    def _evict(self) -> None:
+        """Drop the oldest finished trees until one more root fits."""
+        roots = self.roots
+        i = 0
+        while len(roots) >= DEFAULT_WINDOW and i < len(roots):
+            if roots[i].finished:
+                size = sum(1 for _ in roots.pop(i).walk())
+                self._count -= size
+                self.dropped += size
+            else:
+                i += 1
 
     @contextmanager
     def span(self, name: str, category: str = "engine", **attrs):
@@ -204,13 +240,31 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def spans(self):
-        """Every recorded span, pre-order across all roots."""
+        """Every retained span, pre-order across all roots."""
         for root in self.roots:
             yield from root.walk()
 
     def span_count(self) -> int:
-        return sum(1 for _ in self.spans())
+        """Spans currently retained -- a running count, not a walk."""
+        return self._count
+
+    def mark(self) -> int:
+        """A position in the span stream for :meth:`roots_since`.
+
+        Span ids only grow, while eviction shifts :attr:`roots`'
+        indexes, so a mark is an id rather than a list length.
+        """
+        return self._next_id
+
+    def roots_since(self, mark: int) -> list[Span]:
+        """The roots opened after :meth:`mark` returned ``mark``."""
+        roots = self.roots
+        i = len(roots)
+        while i and roots[i - 1].span_id >= mark:
+            i -= 1
+        return roots[i:]
 
     def clear(self) -> None:
         """Forget recorded spans (open spans stay on the stack)."""
         self.roots = [s for s in self.roots if not s.finished]
+        self._count = sum(1 for _ in self.spans())

@@ -86,6 +86,20 @@ def test_wrong_version_rejected(tmp_path):
         load_session(str(path))
 
 
+def test_v3_file_refused(saved_path):
+    """A v3 file pickles a tracer without a window or running count;
+    it must be refused, not restored into one that fails on its first
+    query."""
+    from repro.core.persistence import MAGIC
+
+    _original, path = saved_path
+    blob = bytearray(open(path, "rb").read())
+    blob[len(MAGIC):len(MAGIC) + 2] = (3).to_bytes(2, "big")
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(PersistenceError, match="version 3"):
+        load_session(path)
+
+
 def test_truncated_file_rejected_before_unpickling(saved_path):
     _original, path = saved_path
     blob = open(path, "rb").read()
