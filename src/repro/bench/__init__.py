@@ -30,7 +30,6 @@ from repro.bench.artifact import (
     build_artifact,
     load_artifact,
     scenario_record,
-    to_payload,
 )
 from repro.bench.compare import (
     ComparisonReport,
@@ -69,5 +68,4 @@ __all__ = [
     "scenario_record",
     "score_family",
     "select_scenarios",
-    "to_payload",
 ]

@@ -7,18 +7,16 @@ scorecard.  The comparator in :mod:`repro.bench.compare` diffs two
 artifacts; CI commits one as ``benchmarks/baseline.json`` and gates on
 the diff.
 
-Artifacts are observable execution artefacts, so they pass through the
-same :mod:`repro.obs.redact` gate as trace spans before serialization:
-every string is tokenised and out-of-vocabulary tokens scrub to ``?``.
-The runner then verifies the serialized payload CLEAN with the
-adversarial :class:`~repro.privacy.leakcheck.LeakChecker`.
+Artifacts are observable execution artefacts, so the runner serializes
+them through the shared redaction gate of :mod:`repro.obs.vetted`
+(out-of-vocabulary string tokens scrub to ``?``) and verifies the
+payload CLEAN with the adversarial
+:class:`~repro.privacy.leakcheck.LeakChecker`.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.obs.redact import Redactor
+from repro.obs.vetted import load
 
 #: Bump on any incompatible change to the artifact layout.  The
 #: comparator refuses to diff artifacts of different versions.
@@ -51,12 +49,6 @@ GATED_METRICS = (
     "leak_messages",
     "leak_ids_observed",
 )
-
-
-#: Keys whose string values are shape-derived hex signatures (see
-#: :data:`repro.privacy.meter.SIGNATURE_KEYS` for the meter's own
-#: artifact) and therefore pass the redaction gate unscrubbed.
-SIGNATURE_KEYS = frozenset({"leak_request_signature", "request_signature", "signatures"})
 
 
 def scenario_record(
@@ -145,62 +137,6 @@ def build_artifact(
     }
 
 
-def _allow_structure(redactor: Redactor, artifact: dict) -> None:
-    """Register the artifact's *structural* tokens with the gate.
-
-    Dict keys are authored by this code base (scenario names, family
-    slugs, metric names) and are therefore safe vocabulary.  String
-    *values* stay default-deny except the known structural fields
-    (kind / created / profile) and signature hex digests -- which are
-    CRCs of traffic *shape*, computed by the meter, never data; anything
-    else that sneaks in as a string value scrubs to ``?`` and shows up
-    in review instead of leaking.
-    """
-    redactor.allow(
-        artifact.get("kind", ""),
-        artifact.get("created", ""),
-        artifact.get("config", {}).get("profile", ""),
-        artifact.get("leak_check", ""),
-    )
-
-    def _keys(value, parent_key: str = "") -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                redactor.allow(str(key))
-                _keys(sub, str(key))
-        elif isinstance(value, (list, tuple)):
-            for sub in value:
-                _keys(sub, parent_key)
-        elif isinstance(value, str) and parent_key in SIGNATURE_KEYS:
-            redactor.allow(value)
-
-    _keys(artifact)
-
-
-def to_payload(artifact: dict, redactor: Redactor | None = None) -> bytes:
-    """Gate the artifact through redaction and serialize it.
-
-    A fresh default-deny :class:`Redactor` is used unless one is given
-    (the runner passes the session's, which already knows the schema
-    vocabulary).
-    """
-    redactor = redactor or Redactor()
-    _allow_structure(redactor, artifact)
-    scrubbed = redactor.value(artifact)
-    text = json.dumps(scrubbed, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
-
-
 def load_artifact(path: str) -> dict:
     """Read one artifact back, refusing foreign or future JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
-    if not isinstance(artifact, dict) or artifact.get("kind") != KIND:
-        raise ValueError(f"{path}: not a {KIND} artifact")
-    version = artifact.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: artifact schema_version {version!r}, "
-            f"this tool speaks {SCHEMA_VERSION}"
-        )
-    return artifact
+    return load(path, KIND, SCHEMA_VERSION)

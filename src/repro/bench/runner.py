@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import os
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.artifact import build_artifact, scenario_record, to_payload
+from repro.bench.artifact import KIND, build_artifact, scenario_record
 from repro.bench.compare import (
     DEFAULT_TOLERANCE,
     compare_artifacts,
@@ -27,6 +26,7 @@ from repro.bench.scorecard import build_scorecard, render_scorecard
 from repro.core.factory import build_session
 from repro.hardware.profiles import PROFILES
 from repro.obs import get_logger
+from repro.obs.vetted import SIGNATURE_KEYS, serialize, write_atomic
 from repro.privacy.leakcheck import LeakChecker
 from repro.privacy.meter import profile_records
 
@@ -64,11 +64,7 @@ class BenchRun:
     lines: list[str] = field(default_factory=list)
 
     def write(self, path: str) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(self.payload)
+        write_atomic(path, self.payload)
 
 
 def default_artifact_name(
@@ -178,7 +174,12 @@ def run_bench(config: BenchConfig | None = None) -> BenchRun:
         scorecard=card,
         recorder=recorder,
     )
-    payload = to_payload(artifact, session.obs.redactor)
+    payload = serialize(
+        artifact,
+        session.obs.redactor,
+        structural=(KIND, artifact["created"], config.profile, "CLEAN"),
+        signature_keys=SIGNATURE_KEYS,
+    )
     checker = LeakChecker(session.schema, data)
     leak = checker.check_bytes(payload, kind="bench-artifact")
     if not leak.ok:

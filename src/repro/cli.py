@@ -65,6 +65,7 @@ import sys
 from repro.core.factory import build_session
 from repro.engine.executor import QueryResult
 from repro.hardware.profiles import PROFILES
+from repro.obs.vetted import SIGNATURE_KEYS, serialize, write_atomic
 from repro.privacy.leakcheck import LeakChecker
 from repro.privacy.spy import SpyView
 from repro.workload.queries import demo_query
@@ -172,10 +173,7 @@ class Shell:
         elif name == ".top":
             self._top_command(argument)
         elif name == ".dump":
-            path = self.db.dump_bundle(
-                reason="dump", directory=argument or None
-            )
-            self._print(f"wrote postmortem bundle to {path}")
+            self._dump(argument or self.db.config.dump_dir)
         elif name == ".schema":
             self._show_schema()
         elif name == ".storage":
@@ -513,42 +511,48 @@ class Shell:
     def _flush_leakage(self) -> None:
         if not self.leak_out:
             return
-        import json
-
         from repro.privacy.meter import profile_records
 
         profile = profile_records(self.db.usb_log)
-        payload = (
-            json.dumps(
-                {
-                    "kind": "ghostdb-leak-scorecard",
-                    "scorecard": profile.to_record(),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        ).encode("utf-8")
-        # The scorecard is shape-only by construction; the checker
-        # verifies that from the outside before anything hits disk.
-        leak = self.checker.check_bytes(payload, kind="leak-scorecard")
-        if not leak.ok:
-            self._print(f"error: leakage scorecard not written: {leak.summary()}")
-            return
-        parent = os.path.dirname(self.leak_out)
-        try:
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(self.leak_out, "wb") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            self._print(f"error: could not write leakage scorecard: {exc}")
-            return
-        self._print(
-            f"wrote leakage scorecard to {self.leak_out} "
-            f"({profile.messages} messages, "
-            f"{profile.observable_bytes} observable bytes)"
+        kind = "ghostdb-leak-scorecard"
+        payload = serialize(
+            {"kind": kind, "scorecard": profile.to_record()},
+            structural=(kind,),
+            signature_keys=SIGNATURE_KEYS,
         )
+        if self._write_checked(self.leak_out, payload, "leakage scorecard"):
+            self._print(
+                f"wrote leakage scorecard to {self.leak_out} "
+                f"({profile.messages} messages, "
+                f"{profile.observable_bytes} observable bytes)"
+            )
+
+    def _dump(self, directory: str) -> None:
+        from repro.obs.bundle import bundle_filename, bundle_payload
+
+        bundle = self.db.postmortem(reason="dump")
+        path = os.path.join(directory, bundle_filename(bundle))
+        payload = bundle_payload(bundle, self.db.obs.redactor)
+        if self._write_checked(path, payload, "postmortem bundle"):
+            self.db.obs.registry.counter(
+                "ghostdb_postmortem_bundles_total"
+            ).inc(reason="dump")
+            self._print(f"wrote postmortem bundle to {path}")
+
+    def _write_checked(self, path: str, payload: bytes, what: str) -> bool:
+        """Write ``payload`` only if the shell's leak checker, which
+        holds the raw dataset, calls the bytes CLEAN; report either
+        failure instead of raising."""
+        leak = self.checker.check_bytes(payload, kind=what)
+        if not leak.ok:
+            self._print(f"error: {what} not written: {leak.summary()}")
+            return False
+        try:
+            write_atomic(path, payload)
+        except OSError as exc:
+            self._print(f"error: could not write {what}: {exc}")
+            return False
+        return True
 
     def _flush_metrics(self) -> None:
         if not self.metrics_out:

@@ -187,8 +187,7 @@ class GhostDB:
         from repro.engine.maintenance import append_rows
 
         session = self.session
-        session._require_loaded()
-        session._guard_powered()
+        session._require_usable()
         table_def = self.schema.table(table)
         validated = [
             tuple(
@@ -380,7 +379,8 @@ class GhostDB:
 
         Called automatically on fault aborts when the session was
         configured with ``dump_on_fault``; callable any time for an
-        on-demand snapshot (the shell's ``.dump``, ``ghostdb doctor``).
+        on-demand snapshot (``ghostdb doctor``).  The shell's ``.dump``
+        builds the same bundle but leak-checks it before writing.
         """
         from repro.obs.bundle import build_bundle, write_bundle
 

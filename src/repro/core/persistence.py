@@ -11,8 +11,9 @@ session object, written crash-safely:
 
 * the payload is pickled in memory first, then written to a temporary
   file in the target directory, flushed and fsynced, and atomically
-  renamed over the destination -- a crash mid-save leaves either the old
-  file or the new one, never a torn mix;
+  renamed over the destination (:func:`repro.obs.vetted.write_atomic`,
+  which every exported artifact shares) -- a crash mid-save leaves
+  either the old file or the new one, never a torn mix;
 * the header carries the payload length and a CRC32, both verified on
   load *before* any unpickling, so a truncated or bit-flipped file
   raises :class:`PersistenceError` instead of feeding garbage to pickle.
@@ -27,12 +28,11 @@ malice).
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 import zlib
 
 from repro.obs.log import get_logger
+from repro.obs.vetted import write_atomic
 
 log = get_logger(__name__)
 
@@ -64,23 +64,7 @@ def save_session(session, path: str) -> None:
         + len(payload).to_bytes(_LEN_BYTES, "big")
         + zlib.crc32(payload).to_bytes(_CRC_BYTES, "big")
     )
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=".ghostdb-session-", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(header)
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, header + payload, prefix=".ghostdb-session-")
     log.info("saved session to %s (%d B payload)", path, len(payload))
 
 

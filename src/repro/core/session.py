@@ -37,13 +37,13 @@ still shows the spy the full interleaved traffic stream.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.tree import SchemaTree
 from repro.engine.database import HiddenDatabase
-from repro.engine.executor import DmlResult, ExecConfig, Executor, QueryResult
+from repro.engine.executor import ExecConfig, Executor, QueryResult
 from repro.engine.plan import DeletePlan, Project, UpdatePlan
 from repro.faults import (
     FAULT_PROFILES,
@@ -485,11 +485,7 @@ class DeviceCore:
     @property
     def leased_bytes(self) -> int:
         """Secure RAM currently partitioned out to open sessions."""
-        return sum(
-            ctx.lease.capacity
-            for ctx in self.sessions.values()
-            if ctx.lease is not None
-        )
+        return sum(ctx.lease.capacity for ctx in self.sessions.values())
 
     def open_session(
         self,
@@ -742,11 +738,7 @@ class SessionContext:
         core = self.core
         if core.tree is None:
             raise SessionError("load data before attaching sessions")
-        ram_bytes = (
-            core.profile.ram_bytes
-            if self.lease is None
-            else self.lease.capacity
-        )
+        ram_bytes = self.device.ram.capacity
         # Receive buffers are real allocations, so a 16 KB partition
         # cannot afford 64 KB-class batches.
         id_batch = min(self.config.id_batch, max(32, ram_bytes // 256))
@@ -768,37 +760,26 @@ class SessionContext:
         self.executor = Executor(
             self.device, self.link, core.hidden, exec_config, obs=self.obs
         )
-        cost_profile = (
-            core.profile
-            if self.lease is None
-            else replace(core.profile, ram_bytes=ram_bytes)
-        )
         self.optimizer = Optimizer(
             core.hidden,
             core.site,
-            cost_profile,
+            replace(core.profile, ram_bytes=ram_bytes),
             fan_in=self.config.exec_config.max_fan_in,
             bloom_fp_target=self.config.exec_config.bloom_fp_target,
             obs=self.obs,
             cache_pages=self.device.page_cache.capacity_for_costing,
         )
 
-    def _activated(self):
-        return (
-            nullcontext()
-            if self.lease is None
-            else self.core.activated(self.lease)
-        )
-
     def _require_loaded(self) -> None:
         if self.core.tree is None:
             raise SessionError("load data before querying")
 
-    def _require_open(self) -> None:
+    def _require_usable(self) -> None:
+        """Refuse a statement on an unloaded, closed or unpowered
+        session."""
+        self._require_loaded()
         if self.closed:
             raise SessionError(f"session {self.name!r} is closed")
-
-    def _guard_powered(self) -> None:
         if self.core.needs_remount:
             raise SessionError(
                 "device lost power mid-operation; call remount() before "
@@ -830,26 +811,18 @@ class SessionContext:
             return self.core.create_table(statement)
         if isinstance(statement, ast.Insert):
             return self.core.buffer_insert(statement)
-        if isinstance(statement, ast.Select):
-            return self._run_select(statement, sql)
-        if isinstance(statement, (ast.Update, ast.Delete)):
-            return self._run_dml(statement, sql)
+        if isinstance(statement, (ast.Select, ast.Update, ast.Delete)):
+            return self._drain(self._steps(sql, statement))
         raise SessionError(f"unsupported statement {type(statement).__name__}")
 
     def query(self, sql: str) -> QueryResult:
         """Optimize and execute a SELECT; returns rows plus metrics."""
-        result = self.execute(sql)
-        if not isinstance(result, QueryResult):
-            raise SessionError("query() expects a SELECT statement")
-        return result
+        return self._drain(self._steps(sql, self._parse_select(sql, "query")))
 
     def bind(self, sql: str) -> BoundQuery:
         """Parse and bind a SELECT without running it."""
         self._require_loaded()
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise SessionError("bind() expects a SELECT")
-        return Binder(self.core.tree).bind(statement)
+        return Binder(self.core.tree).bind(self._parse_select(sql, "bind"))
 
     def statement_steps(self, sql: str):
         """The statement as a step generator for the scheduler.
@@ -857,112 +830,85 @@ class SessionContext:
         Yields at every batch-window boundary (SELECT) or not at all
         (DML runs as one atomic rebuild transaction); the result object
         is the generator's return value.  The caller owns activation.
+        Parsing happens here, so an unsupported statement fails now.
         """
         statement = parse_statement(sql)
-        if isinstance(statement, ast.Select):
-            return self._select_steps(statement, sql)
-        if isinstance(statement, (ast.Update, ast.Delete)):
-            return self._dml_steps(statement, sql)
-        raise SessionError(
-            "the scheduler runs SELECT, UPDATE and DELETE statements"
-        )
+        if not isinstance(statement, (ast.Select, ast.Update, ast.Delete)):
+            raise SessionError(
+                "the scheduler runs SELECT, UPDATE and DELETE statements"
+            )
+        return self._steps(sql, statement)
 
-    # ------------------------------------------------------------------
-    # SELECT
-    # ------------------------------------------------------------------
-
-    def _announce_query(self, sql: str) -> None:
-        """Ship the query text to the device, as the terminal would.
-
-        The paper accepts that the spy learns "the queries he poses";
-        this makes that observable in the captured traffic.
-        """
-        self.link.announce(sql)
-
-    def _run_select(self, statement: ast.Select, sql: str = "") -> QueryResult:
-        return self._drain(self._select_steps(statement, sql))
+    @staticmethod
+    def _parse_select(sql: str, surface: str) -> ast.Select:
+        statement = parse_statement(sql)
+        if not isinstance(statement, ast.Select):
+            raise SessionError(f"{surface}() expects a SELECT statement")
+        return statement
 
     def _drain(self, steps):
         """Run a step generator to completion under activation."""
-        with self._activated():
+        with self.core.activated(self.lease):
             while True:
                 try:
                     next(steps)
                 except StopIteration as stop:
                     return stop.value
 
-    def _select_steps(self, statement: ast.Select, sql: str = ""):
-        self._require_loaded()
-        self._require_open()
-        self._guard_powered()
-        mark = len(self.device.usb.log)
-        with self.obs.tracer.span("query", category="session") as span:
-            if sql:
-                # The SQL text passes the redaction gate: constants (which
-                # may name hidden values) come out as '?', identifiers stay.
-                span.set("sql", " ".join(sql.split()))
-            try:
-                if sql:
-                    self._announce_query(sql)
-                bound = Binder(self.core.tree).bind(statement)
-                ranked = self.optimizer.optimize(bound)
-                result = yield from self.executor.execute_steps(ranked.plan)
-            except GhostDBFaultError as exc:
-                span.set("aborted", type(exc).__name__)
-                self._abort_on_fault(exc)
-                raise
-            span.set("result_rows", result.row_count)
-            self._meter_leakage(mark, span)
-        return result
+    def _steps(self, sql: str, statement, strategy: Strategy | None = None):
+        """The one statement pipeline, as a step generator.
 
-    # ------------------------------------------------------------------
-    # DML
-    # ------------------------------------------------------------------
-
-    def _run_dml(
-        self, statement: ast.Update | ast.Delete, sql: str = ""
-    ) -> DmlResult:
-        with self._activated():
-            return self._run_dml_inner(statement, sql)
-
-    def _dml_steps(self, statement, sql: str = ""):
-        return self._run_dml_inner(statement, sql)
-        # A rebuild transaction is not preemptible: the scheduler gets
-        # exactly one (atomic) step.  The unreachable yield makes this
-        # function a generator like _select_steps.
-        yield  # pragma: no cover
-
-    def _run_dml_inner(
-        self, statement: ast.Update | ast.Delete, sql: str = ""
-    ) -> DmlResult:
-        """Run one UPDATE or DELETE as an atomic rebuild transaction.
-
-        DML travels the secure channel like appends do -- its text may
-        name hidden values, so unlike SELECT it is *not* announced over
-        the spied USB link; read-scenario leak signatures are untouched.
+        Guards, then one ``query`` (SELECT) or ``dml`` root span around
+        the whole statement: the query-text announcement, binding, the
+        plan source, execution, fault bookkeeping and leak metering.
+        The plan comes from the optimizer, from ``strategy`` (the demo's
+        hand-picked Pre/Post assignment) or, for DML, from the bound
+        UPDATE/DELETE.  A SELECT yields at every batch window; DML runs
+        as one atomic rebuild transaction, so it finishes in the first
+        step.  The result is the generator's return value.
         """
-        self._require_loaded()
-        self._require_open()
-        self._guard_powered()
-        with self.obs.tracer.span("dml", category="session") as span:
-            if sql:
-                # Same redaction bar as queries: constants come out as
-                # '?' on export, identifiers stay.
-                span.set("sql", " ".join(sql.split()))
+        self._require_usable()
+        select = isinstance(statement, ast.Select)
+        mark = len(self.device.usb.log)
+        binder = Binder(self.core.tree)
+        name = "query" if select else "dml"
+        with self.obs.tracer.span(name, category="session") as span:
+            # The SQL text passes the redaction gate: constants (which
+            # may name hidden values) come out as '?', identifiers stay.
+            span.set("sql", " ".join(sql.split()))
             try:
-                if isinstance(statement, ast.Update):
-                    bound = Binder(self.core.tree).bind_update(statement)
-                    plan = UpdatePlan(bound)
+                if select:
+                    # The paper accepts that the spy learns "the queries
+                    # he poses": the terminal ships the text to the
+                    # device.  DML text may name hidden values, so it
+                    # travels the secure channel like appends do.
+                    self.link.announce(sql)
+                    bound = binder.bind(statement)
+                    if strategy is None:
+                        plan = self.optimizer.optimize(bound).plan
+                    else:
+                        span.set("strategy", strategy.label(bound))
+                        plan = PlanBuilder(self.core.hidden, bound).build(
+                            strategy
+                        )
+                        self.optimizer.annotate(plan)
+                    result = yield from self.executor.execute_steps(plan)
+                elif isinstance(statement, ast.Update):
+                    plan = UpdatePlan(binder.bind_update(statement))
+                    result = self.executor.execute_dml(plan, self.core.site)
                 else:
-                    bound = Binder(self.core.tree).bind_delete(statement)
-                    plan = DeletePlan(bound)
-                result = self.executor.execute_dml(plan, self.core.site)
+                    plan = DeletePlan(binder.bind_delete(statement))
+                    result = self.executor.execute_dml(plan, self.core.site)
             except GhostDBFaultError as exc:
                 span.set("aborted", type(exc).__name__)
                 self._abort_on_fault(exc)
                 raise
-            span.set("matched", result.matched)
-            span.set("changed", result.changed)
+            if select:
+                span.set("result_rows", result.row_count)
+                self._meter_leakage(mark, span)
+            else:
+                span.set("matched", result.matched)
+                span.set("changed", result.changed)
         return result
 
     # ------------------------------------------------------------------
@@ -972,30 +918,14 @@ class SessionContext:
     def query_with_strategy(self, sql: str, strategy: Strategy) -> QueryResult:
         """Execute with an explicit PRE/POST assignment (the demo GUI's
         ad-hoc plan building)."""
-        self._guard_powered()
-        with self._activated():
-            mark = len(self.device.usb.log)
-            with self.obs.tracer.span("query", category="session") as span:
-                span.set("sql", " ".join(sql.split()))
-                try:
-                    self._announce_query(sql)
-                    bound = self.bind(sql)
-                    span.set("strategy", strategy.label(bound))
-                    builder = PlanBuilder(self.core.hidden, bound)
-                    plan = builder.build(strategy)
-                    self.optimizer.annotate(plan)
-                    result = self.executor.execute(plan)
-                except GhostDBFaultError as exc:
-                    span.set("aborted", type(exc).__name__)
-                    self._abort_on_fault(exc)
-                    raise
-                self._meter_leakage(mark, span)
-        return result
+        statement = self._parse_select(sql, "query_with_strategy")
+        return self._drain(self._steps(sql, statement, strategy))
 
     def execute_plan(self, plan: Project) -> QueryResult:
-        """Execute a hand-built plan (demo phase 2/3)."""
-        self._require_loaded()
-        with self._activated():
+        """Execute a hand-built plan (demo phase 2/3).  There is no
+        query text to announce, so the run is not metered either."""
+        self._require_usable()
+        with self.core.activated(self.lease):
             return self.executor.execute(plan)
 
     def rank_plans(self, sql: str) -> list[RankedPlan]:
@@ -1016,22 +946,13 @@ class SessionContext:
         statistics per node (plus the result itself)."""
         from repro.optimizer.explain import explain_analyze
 
-        self._guard_powered()
-        with self._activated():
-            mark = len(self.device.usb.log)
-            try:
-                self._announce_query(sql)
-                bound = self.bind(sql)
-                best = self.optimizer.optimize(bound)
-                result = self.executor.execute(best.plan)
-            except GhostDBFaultError as exc:
-                self._abort_on_fault(exc)
-                raise
-            self._meter_leakage(mark)
-        report = explain_analyze(best.plan, self.optimizer.cost_model)
+        statement = self._parse_select(sql, "explain_analyze")
+        result = self._drain(self._steps(sql, statement))
+        cost_model = self.optimizer.cost_model
+        report = explain_analyze(result.plan, cost_model)
         measured = result.metrics.elapsed_seconds
         if measured > 1e-9:
-            estimated = self.optimizer.cost_model.estimate(best.plan).seconds
+            estimated = cost_model.estimate(result.plan).seconds
             self.obs.registry.histogram(
                 "ghostdb_optimizer_est_over_meas"
             ).observe(estimated / measured)
@@ -1041,7 +962,7 @@ class SessionContext:
     # Leakage
     # ------------------------------------------------------------------
 
-    def _meter_leakage(self, mark: int, span=None) -> None:
+    def _meter_leakage(self, mark: int, span) -> None:
         """Profile the boundary traffic one query generated.
 
         ``mark`` is the USB log length before the query started.  The
@@ -1056,14 +977,11 @@ class SessionContext:
         profile = profile_records(records)
         self._last_leak_profile = profile
         self.obs.record_leakage(profile)
-        if span is not None:
-            span.set("leak_messages", profile.messages)
-            span.set("leak_bytes", profile.observable_bytes)
-            span.set("leak_ids", profile.ids_observed)
-            span.set(
-                "leak_entropy_bits", round(profile.shape_entropy_bits, 3)
-            )
-            span.set("leak_signature", profile.signature_int)
+        span.set("leak_messages", profile.messages)
+        span.set("leak_bytes", profile.observable_bytes)
+        span.set("leak_ids", profile.ids_observed)
+        span.set("leak_entropy_bits", round(profile.shape_entropy_bits, 3))
+        span.set("leak_signature", profile.signature_int)
 
     def leak_scorecard(self) -> TrafficProfile | None:
         """The :class:`~repro.privacy.meter.TrafficProfile` of the last

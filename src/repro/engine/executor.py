@@ -171,26 +171,10 @@ class Executor:
             except GhostDBFaultError as exc:
                 # A clean abort: operator close (plus generator
                 # unwinding) releases every RAM allocation; the caller
-                # decides whether a remount is needed.  The span records
-                # what killed the query; the ledger keeps the aborted
-                # query's (real) consumption up to the fault, and the
-                # flight recorder journals the abort for the postmortem.
-                span.set("aborted", type(exc).__name__)
-                after = self.device.counters()
-                consumed = ExecutionMetrics.from_counters(
-                    before, after, ctx.operators, 0
-                )
-                self.obs.record_aborted_query(
-                    consumed,
-                    fingerprint,
-                    time.perf_counter() - wall_start,
-                    reason=type(exc).__name__,
-                )
-                flight.record(
-                    "query_abort",
-                    query=query_index,
-                    fingerprint=fingerprint,
-                    reason=type(exc).__name__,
+                # decides whether a remount is needed.
+                self._record_abort(
+                    exc, span, before, ctx.operators, fingerprint,
+                    wall_start, "query_abort", query=query_index,
                 )
                 raise
             after = self.device.counters()
@@ -267,23 +251,9 @@ class Executor:
                         self.db, site, root.bound
                     )
             except GhostDBFaultError as exc:
-                span.set("aborted", type(exc).__name__)
-                after = self.device.counters()
-                consumed = ExecutionMetrics.from_counters(
-                    before, after, [], 0
-                )
-                self.obs.record_aborted_query(
-                    consumed,
-                    fingerprint,
-                    time.perf_counter() - wall_start,
-                    reason=type(exc).__name__,
-                )
-                flight.record(
-                    "dml_abort",
-                    statement=kind,
-                    table=root.bound.table,
-                    fingerprint=fingerprint,
-                    reason=type(exc).__name__,
+                self._record_abort(
+                    exc, span, before, [], fingerprint, wall_start,
+                    "dml_abort", statement=kind, table=root.bound.table,
                 )
                 raise
             after = self.device.counters()
@@ -317,6 +287,26 @@ class Executor:
             changed=changed,
             metrics=metrics,
             plan=root,
+        )
+
+    def _record_abort(
+        self, exc, span, before, operators, fingerprint, wall_start,
+        event: str, **fields,
+    ) -> None:
+        """Book a fault-aborted statement: the span records what killed
+        it, the ledger keeps its (real) consumption up to the fault, and
+        the flight recorder journals ``event`` for the postmortem."""
+        reason = type(exc).__name__
+        span.set("aborted", reason)
+        consumed = ExecutionMetrics.from_counters(
+            before, self.device.counters(), operators, 0
+        )
+        self.obs.record_aborted_query(
+            consumed, fingerprint, time.perf_counter() - wall_start,
+            reason=reason,
+        )
+        self.obs.flight.record(
+            event, **fields, fingerprint=fingerprint, reason=reason
         )
 
     def _effective_batch(self, root: lp.PlanNode) -> int:

@@ -25,11 +25,11 @@ The bundle is built from a *duck-typed* session (anything with ``obs``,
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 
 from repro.obs.export import span_tree_dicts
 from repro.obs.redact import Redactor
+from repro.obs.vetted import load, serialize, write_atomic
 
 #: Bump on any incompatible change to the bundle layout.
 SCHEMA_VERSION = 1
@@ -166,49 +166,28 @@ def build_bundle(session, reason: str = "dump") -> dict:
     }
 
 
-def _allow_structure(redactor: Redactor, bundle: dict) -> None:
-    """Register the bundle's *structural* tokens with the gate.
-
-    Dict keys (event kinds' field names, metric sample lines, ledger
-    columns) are authored by this code base and therefore safe; string
-    values stay default-deny except the known structural fields below --
-    anything else that sneaks in as a string value scrubs to ``?`` and
-    shows up in review instead of leaking.
-    """
-    redactor.allow(
-        bundle.get("kind", ""),
-        bundle.get("reason", ""),
-        bundle.get("leak_check", ""),
-        bundle.get("config", {}).get("profile", ""),
-        bundle.get("config", {}).get("fault_profile") or "",
-        bundle.get("device", {}).get("profile", ""),
-    )
-
-    def _keys(value) -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                redactor.allow(str(key))
-                _keys(sub)
-        elif isinstance(value, (list, tuple)):
-            for sub in value:
-                _keys(sub)
-
-    _keys(bundle)
-
-
 def bundle_payload(bundle: dict, redactor: Redactor | None = None) -> bytes:
     """Gate the bundle through redaction and serialize it.
 
-    A fresh default-deny :class:`Redactor` is used unless one is given
-    (the session passes its own, which already knows the schema
-    vocabulary -- table and column *names* are part of the accepted
-    revelation; values never are).
+    Dict keys (event kinds' field names, metric sample lines, ledger
+    columns) and the structural fields below pass; every other string
+    value stays default-deny.  A fresh :class:`Redactor` is used unless
+    one is given (the session passes its own, which knows the schema
+    vocabulary).
     """
-    redactor = redactor or Redactor()
-    _allow_structure(redactor, bundle)
-    scrubbed = redactor.value(bundle)
-    text = json.dumps(scrubbed, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
+    config = bundle.get("config", {})
+    return serialize(
+        bundle,
+        redactor,
+        structural=(
+            bundle.get("kind", ""),
+            bundle.get("reason", ""),
+            bundle.get("leak_check", ""),
+            config.get("profile", ""),
+            config.get("fault_profile") or "",
+            bundle.get("device", {}).get("profile", ""),
+        ),
+    )
 
 
 def bundle_filename(bundle: dict) -> str:
@@ -221,24 +200,11 @@ def write_bundle(
     redactor: Redactor | None = None,
 ) -> str:
     """Serialize one bundle into ``directory``; returns the path."""
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, bundle_filename(bundle))
-    payload = bundle_payload(bundle, redactor)
-    with open(path, "wb") as handle:
-        handle.write(payload)
+    write_atomic(path, bundle_payload(bundle, redactor))
     return path
 
 
 def load_bundle(path: str) -> dict:
     """Read one bundle back, refusing foreign or future JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        bundle = json.load(handle)
-    if not isinstance(bundle, dict) or bundle.get("kind") != KIND:
-        raise ValueError(f"{path}: not a {KIND} bundle")
-    version = bundle.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: bundle schema_version {version!r}, "
-            f"this tool speaks {SCHEMA_VERSION}"
-        )
-    return bundle
+    return load(path, KIND, SCHEMA_VERSION, "bundle")

@@ -50,6 +50,9 @@ ENGINE_VOCAB = frozenset(
         "rank", "candidate", "choose", "optimize", "plan", "plans",
         "hardware", "flash", "usb", "ram", "cpu", "engine", "session",
         "trace", "load", "append", "maintenance",
+        # DML span / event / attribute names
+        "dml", "update", "delete", "set", "matched", "changed", "table",
+        "statement",
         # common attribute words
         "est", "ms", "sim", "wall", "seconds", "bytes", "count", "date",
         "key", "index", "heap", "fan", "batch", "recheck", "residual",

@@ -40,6 +40,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.hardware.usb import Direction, TrafficRecord
+from repro.obs.vetted import SIGNATURE_KEYS, load, serialize, write_atomic
 from repro.privacy.spy import ID_KINDS, IdStats, SpyView
 from repro.visible.frame import payload_of
 
@@ -539,13 +540,7 @@ class LeakRun:
     lines: list[str] = field(default_factory=list)
 
     def write(self, path: str) -> None:
-        import os
-
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(self.payload)
+        write_atomic(path, self.payload)
 
 
 def default_artifact_name(today: datetime.date | None = None) -> str:
@@ -575,58 +570,9 @@ def build_leak_artifact(
     }
 
 
-#: Keys whose string values are shape-derived (hex signatures), never
-#: data, and therefore safe through the redaction gate.
-SIGNATURE_KEYS = frozenset({"request_signature", "signatures", "leak_request_signature"})
-
-
-def leak_payload(artifact: dict, redactor=None) -> bytes:
-    """Gate the scorecard through redaction and serialize it.
-
-    Dict keys (family/band labels, metric names) and signature values
-    are authored by this module from traffic *shape*; every other string
-    value stays default-deny and scrubs to ``?``.
-    """
-    from repro.obs.redact import Redactor
-
-    redactor = redactor or Redactor()
-    redactor.allow(
-        artifact.get("kind", ""), artifact.get("leak_check", ""),
-        artifact.get("config", {}).get("profile", ""),
-    )
-
-    def _walk(value, parent_key: str = "") -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                redactor.allow(str(key))
-                _walk(sub, str(key))
-        elif isinstance(value, (list, tuple)):
-            for sub in value:
-                _walk(sub, parent_key)
-        elif isinstance(value, str) and (
-            parent_key in SIGNATURE_KEYS or parent_key in ("labels",)
-        ):
-            redactor.allow(value)
-
-    _walk(artifact)
-    scrubbed = redactor.value(artifact)
-    text = json.dumps(scrubbed, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
-
-
 def load_leak_artifact(path: str) -> dict:
     """Read one scorecard back, refusing foreign or future JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
-    if not isinstance(artifact, dict) or artifact.get("kind") != KIND:
-        raise ValueError(f"{path}: not a {KIND} artifact")
-    version = artifact.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: artifact schema_version {version!r}, "
-            f"this tool speaks {SCHEMA_VERSION}"
-        )
-    return artifact
+    return load(path, KIND, SCHEMA_VERSION)
 
 
 def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
@@ -695,7 +641,13 @@ def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
         families=families,
         classifier=classifier,
     )
-    payload = leak_payload(artifact, session.obs.redactor)
+    # Family and band labels are authored here, like the dict keys.
+    payload = serialize(
+        artifact,
+        session.obs.redactor,
+        structural=(KIND, "CLEAN", config.profile),
+        signature_keys=SIGNATURE_KEYS | {"labels"},
+    )
     checker = LeakChecker(session.schema, data)
     leak = checker.check_bytes(payload, kind="leakage-artifact")
     if not leak.ok:

@@ -35,16 +35,15 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import random
 from dataclasses import dataclass
 
-from repro.bench.artifact import to_payload
 from repro.core.factory import build_session
 from repro.core.ghostdb import GhostDB
 from repro.faults import FAULT_PROFILES, GhostDBFaultError
 from repro.obs import get_logger
+from repro.obs.vetted import serialize, write_atomic
 from repro.privacy.leakcheck import LeakChecker
 from repro.reference import evaluate_reference, same_rows
 from repro.sql import ast
@@ -139,12 +138,10 @@ class SoakRun:
         return not self.violations
 
     def write(self, directory: str = ".") -> str:
-        os.makedirs(directory, exist_ok=True)
         path = os.path.join(
             directory, f"SOAK_{self.report['config']['seed']}.json"
         )
-        with open(path, "wb") as handle:
-            handle.write(self.payload)
+        write_atomic(path, self.payload)
         return path
 
 
@@ -512,14 +509,15 @@ def run_soak(config: SoakConfig | None = None) -> SoakRun:
     # The artifact is an observable execution artefact: it passes the
     # default-deny redaction gate, then the adversarial leak checker
     # (with the *final* hidden corpus) must call the bytes CLEAN.
-    redactor = db.obs.redactor
-    redactor.allow(
-        KIND, "ok", "violated", "CLEAN",
-        report["config"]["fault_profile"],
+    payload = serialize(
+        report,
+        db.obs.redactor,
+        structural=(
+            KIND, "ok", "violated", "CLEAN",
+            report["config"]["fault_profile"],
+            *(violation["invariant"] for violation in violations),
+        ),
     )
-    for violation in violations:
-        redactor.allow(violation["invariant"])
-    payload = to_payload(report, redactor)
     checker = LeakChecker(db.schema, ref)
     leak = checker.check_bytes(payload, kind="soak-artifact")
     if not leak.ok:

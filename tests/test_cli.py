@@ -153,6 +153,40 @@ class TestMetricsOut:
         assert "error: could not write metrics" in out.getvalue()
 
 
+class TestDump:
+    def test_dump_is_leak_checked_before_it_reaches_disk(self, tmp_path):
+        from repro.obs.bundle import load_bundle
+        from repro.privacy.leakcheck import LeakChecker
+
+        out = io.StringIO()
+        sh = Shell(scale=300, out=out)
+        sh.handle("SELECT Country FROM Doctor LIMIT 1")
+        real_checker = sh.checker
+        # A corpus whose hidden Patient.Name is a word every bundle
+        # carries: the shell must refuse to write the bundle.
+        table = sh.db.schema.table("Patient")
+        rows = list(sh.data["patient"])
+        first = list(rows[0])
+        first[table.column_index("Name")] = "postmortem"
+        rows[0] = tuple(first)
+        sh.checker = LeakChecker(sh.db.schema, {**sh.data, "patient": rows})
+        refused = tmp_path / "refused"
+        sh.handle(f".dump {refused}")
+        assert "error: postmortem bundle not written" in out.getvalue()
+        assert "VIOLATIONS" in out.getvalue()
+        assert not refused.exists()
+
+        sh.checker = real_checker
+        written = tmp_path / "written"
+        sh.handle(f".dump {written}")
+        (path,) = written.iterdir()
+        assert f"wrote postmortem bundle to {path}" in out.getvalue()
+        assert real_checker.check_bytes(path.read_bytes()).ok
+        assert load_bundle(str(path))["reason"] == "dump"
+        bundles = sh.db.obs.registry.counter("ghostdb_postmortem_bundles_total")
+        assert bundles.value(reason="dump") == 1
+
+
 class TestExplainAnalyze:
     def test_session_api(self, demo_session):
         demo_session.reset_measurements()

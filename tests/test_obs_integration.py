@@ -19,6 +19,8 @@ import json
 import pytest
 
 from repro.cli import Shell
+from repro.obs.bundle import build_bundle, bundle_payload
+from repro.obs.export import chrome_trace_json
 from repro.privacy.leakcheck import LeakChecker
 from repro.workload.queries import demo_query, query_purpose_only
 
@@ -166,6 +168,64 @@ class TestRedaction:
         assert "Sclerosis" not in query_span.attrs["sql"]
         # structure survives: table/column names are accepted revelation
         assert "Purpose" in query_span.attrs["sql"]
+
+
+# ----------------------------------------------------------------------
+# Every statement surface traces through the one statement pipeline
+# ----------------------------------------------------------------------
+
+
+class TestStatementSpans:
+    @pytest.mark.parametrize(
+        "surface", ["explain_analyze", "query_with_strategy"]
+    )
+    def test_plan_surfaces_trace_like_queries(self, obs_session, surface):
+        sql = demo_query()
+        best = obs_session.rank_plans(sql)[0]
+        tracer = obs_session.obs.tracer
+        mark = tracer.mark()
+        if surface == "explain_analyze":
+            _report, result = obs_session.explain_analyze(sql)
+        else:
+            result = obs_session.query_with_strategy(sql, best.strategy)
+        (root,) = tracer.roots_since(mark)
+        assert root.name == "query"
+        assert "Prescription" in root.attrs["sql"]
+        assert root.attrs["result_rows"] == result.row_count
+        assert isinstance(root.attrs["leak_signature"], int)
+        names = {span.name for span in root.walk()}
+        assert "executor.execute" in names
+
+    def test_dml_spans_and_events_are_readable(self, fresh_session, demo_data):
+        db = fresh_session
+        tracer = db.obs.tracer
+        mark = tracer.mark()
+        results = [
+            db.execute("UPDATE Prescription SET Quantity = 9 WHERE Quantity = 7"),
+            db.execute("DELETE FROM Prescription WHERE Quantity = 3"),
+        ]
+        roots = tracer.roots_since(mark)
+        assert [root.name for root in roots] == ["dml", "dml"]
+        assert roots[0].attrs["sql"].startswith("UPDATE Prescription SET")
+        for root, result in zip(roots, results):
+            assert result.matched > 0
+            (child,) = [s for s in root.walk() if s.name == "executor.dml"]
+            for span in (root, child):
+                assert span.attrs["matched"] == result.matched
+                assert span.attrs["changed"] == result.changed
+            assert child.attrs["kind"] == result.kind
+
+        payload = bundle_payload(build_bundle(db), db.obs.redactor)
+        events = json.loads(payload)["flight"]["events"]
+        begins = [e for e in events if e["kind"] == "dml_begin"]
+        assert [e["data"]["statement"] for e in begins] == ["update", "delete"]
+        assert [e["data"]["table"] for e in begins] == ["prescription"] * 2
+        assert sum(e["kind"] == "dml_end" for e in events) == 2
+
+        checker = LeakChecker(db.schema, demo_data)
+        trace = chrome_trace_json(roots).encode("utf-8")
+        assert checker.check_bytes(trace, kind="chrome-trace").ok
+        assert checker.check_bytes(payload, kind="postmortem").ok
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ghostdb import AdmissionError, GhostDB, SessionConfig, SessionError
 from repro.core.scheduler import Scheduler
 from repro.engine.executor import ExecConfig
+from repro.faults import PowerCutError
 from repro.privacy.meter import profile_records
 from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
 from repro.workload.queries import (
@@ -316,3 +317,42 @@ def test_cannot_close_session_mid_step():
         with pytest.raises(SessionError):
             db.close_session(ctx)
     db.close_session(ctx)
+
+
+# ---------------------------------------------------------------------------
+# Every statement surface refuses a closed or unpowered session.
+# ---------------------------------------------------------------------------
+
+#: The statement surfaces, each called with the session and a ranked
+#: plan built while the session was still usable.
+SURFACES = {
+    "query": lambda ctx, best: ctx.query(demo_query()),
+    "execute": lambda ctx, best: ctx.execute(demo_query()),
+    "query_with_strategy": lambda ctx, best: ctx.query_with_strategy(
+        demo_query(), best.strategy
+    ),
+    "explain_analyze": lambda ctx, best: ctx.explain_analyze(demo_query()),
+    "execute_plan": lambda ctx, best: ctx.execute_plan(best.plan),
+}
+
+
+@pytest.mark.parametrize("state", ["closed", "needs_remount"])
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_statement_surfaces_refuse_unusable_session(surface, state):
+    db = build_db()
+    ctx = db.open_session("tenant")
+    best = ctx.rank_plans(demo_query())[0]
+    if state == "closed":
+        db.close_session(ctx)
+    else:
+        injector = db.set_faults("none", 0)
+        injector.schedule_power_cut(at_flash_op=injector.flash_ops + 1)
+        with pytest.raises(PowerCutError):
+            ctx.query("SELECT Pre.Quantity, Pre.Frequency FROM Prescription Pre")
+        db.clear_faults()
+        assert db.needs_remount
+    traffic = len(db.usb_log)
+    with pytest.raises(SessionError):
+        SURFACES[surface](ctx, best)
+    # Refused before anything reached the device or the spied link.
+    assert len(db.usb_log) == traffic
