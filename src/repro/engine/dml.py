@@ -5,8 +5,8 @@ name hidden values, so they are never announced on the spied USB link)
 and run as a rebuild transaction: matching rows are found by a
 device-charged heap scan, the survivors are streamed through
 :func:`repro.engine.maintenance.rebuild_table`'s build-all-then-swap
-discipline, and only after the flash-free commit is the visible site
-re-synchronised.  A power cut at any flash operation therefore leaves
+discipline (an UPDATE scoped to its assigned device columns), and only
+after the flash-free commit is the visible site re-synchronised.  A power cut at any flash operation therefore leaves
 the statement either fully applied or not at all -- never a torn mix.
 
 DELETE enforces RESTRICT semantics: deleting rows still referenced by a
@@ -75,8 +75,13 @@ def run_update(
     device_idx = [
         table_def.column_index(c.name) for c in table_def.device_columns()
     ]
+    # Assignments never touch keys (the binder refuses them), so only
+    # the assigned device columns' structures need rebuilding.
     rebuild_table(
-        db, table, (tuple(r[i] for i in device_idx) for r in out_rows)
+        db,
+        table,
+        (tuple(r[i] for i in device_idx) for r in out_rows),
+        columns=[c.name for _, c, _ in assign_idx if c.on_device],
     )
     # Only after the flash-free commit: a power cut during the rebuild
     # must leave the public side in step with the (old) device state.

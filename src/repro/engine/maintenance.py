@@ -8,9 +8,16 @@ model we have: NAND flash forbids in-place writes, so a mutation
 *rebuilds* each affected structure.  All of that cost is charged to the
 device, making maintenance measurable (the T6 extension bench).
 
-Rebuild scope is minimal per table: its heap, every SKT whose subtree
-contains it, and every climbing/key index with the table among its
-levels.
+Rebuild scope follows what the statement changed.  A batch append or a
+DELETE changes the table's key set, so it rebuilds the heap, every SKT
+whose subtree contains the table and every climbing/key index with the
+table among its levels.  An UPDATE may only assign non-key columns, and
+SKTs and key indexes hold only keys, so it is *column-scoped*: the heap,
+the climbing indexes keyed on the assigned device columns and those
+columns' statistics are rebuilt; every other structure is kept as is.
+An UPDATE that assigns visible columns only has an empty device scope:
+its rebuild is skipped and does no flash I/O (only the UPDATE's WHERE
+scan reads the heap).
 
 Crash atomicity (:func:`rebuild_table`) follows a strict build-all-then-
 swap discipline.  Every flash write happens while the catalog still
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.catalog.statistics import StatisticsCollector
+from repro.catalog.statistics import StatisticsCollector, TableStats
 from repro.engine.database import HiddenDatabase
 from repro.index.climbing import ClimbingIndex
 from repro.index.skt import SubtreeKeyTable
@@ -111,34 +118,67 @@ def append_rows(
 
 
 def rebuild_table(
-    db: HiddenDatabase, table: str, device_rows
+    db: HiddenDatabase, table: str, device_rows, columns=None
 ) -> tuple[list[str], list[str]]:
     """Atomically replace ``table``'s device extents with ``device_rows``.
 
     ``device_rows`` is an iterable of *device* rows (device-column
-    order, primary key first, sorted ascending).  The heap, every SKT
-    containing the table and every climbing/key index over it are built
-    into fresh extents first -- the catalog untouched, the old pages
-    still live -- and only then swapped in during a flash-free commit.
-    On any build failure the freshly written pages are freed and the
-    exception re-raised: the old state stays fully intact.
+    order, primary key first, sorted ascending).  ``columns`` is the
+    rebuild scope: ``None`` (appends, DELETE) means the key set may have
+    changed, so the heap, every SKT containing the table and every
+    climbing/key index over it are rebuilt, with the table's full
+    statistics.  A collection of device column names (UPDATE) promises
+    the same keys in the same order with only those columns changed:
+    the heap, the climbing indexes keyed on those columns and their
+    column statistics are rebuilt, and everything else is kept.  An
+    empty scope rebuilds nothing and touches no flash; a key column in
+    the scope raises :class:`MaintenanceError` (a ``ValueError``).
+
+    Everything in scope is built into fresh extents first -- the catalog
+    untouched, the old pages still live -- and only then swapped in
+    during a flash-free commit.  On any build failure the freshly
+    written pages are freed and the exception re-raised: the old state
+    stays fully intact.
 
     Returns ``(rebuilt_skts, rebuilt_indexes)`` labels for reporting.
     """
     table_def = db.tree.table(table)
     device_cols = table_def.device_columns()
+    if columns is None:
+        stats_cols = device_cols
+    else:
+        scope = {name.lower() for name in columns}
+        stats_cols = [c for c in device_cols if c.name.lower() in scope]
+        misfits = scope - {
+            c.name.lower() for c in stats_cols
+            if not c.primary_key and c.references is None
+        }
+        if misfits:
+            raise MaintenanceError(
+                f"{table}: a column-scoped rebuild takes non-key device "
+                f"columns only, not {sorted(misfits)}"
+            )
+        if not scope:
+            return [], []
     device = db.device
     ftl = device.ftl
+    positions = [table_def.device_column_index(c.name) for c in stats_cols]
     collector = StatisticsCollector(
         table=table,
-        column_names=[c.name for c in device_cols],
-        dtypes=[c.dtype for c in device_cols],
+        column_names=[c.name for c in stats_cols],
+        dtypes=[c.dtype for c in stats_cols],
     )
 
     def collected():
         for row in device_rows:
-            collector.add(row)
+            collector.add([row[i] for i in positions])
             yield row
+
+    def in_scope(index: ClimbingIndex) -> bool:
+        # A key index is keyed on a primary key, never in a column scope.
+        if columns is None:
+            return table in index.levels
+        return index.table == table and index.column in scope
 
     before = ftl.mapped_lpages()
     try:
@@ -152,7 +192,7 @@ def rebuild_table(
 
         new_skts = {}
         for root, skt in db.skts.items():
-            if table in skt.tables:
+            if columns is None and table in skt.tables:
                 new_skts[root] = SubtreeKeyTable.build(
                     device, db.tree, root, heaps_view
                 )
@@ -160,13 +200,13 @@ def rebuild_table(
         edge_cache: dict = {}
         new_climbing = {}
         for key, index in db.climbing.items():
-            if table in index.levels:
+            if in_scope(index):
                 new_climbing[key] = ClimbingIndex.build(
                     device, db.tree, heaps_view, key[0], key[1], edge_cache
                 )
         new_key_indexes = {}
         for name, index in db.key_indexes.items():
-            if table in index.levels:
+            if in_scope(index):
                 new_key_indexes[name] = ClimbingIndex.build(
                     device, db.tree, heaps_view, name,
                     db.tree.table(name).pk.name, edge_cache,
@@ -185,7 +225,16 @@ def rebuild_table(
     # fault decision can interleave; the statement is atomic.
     _free_heap(db, db.heaps[table])
     db.heaps[table] = new_heap
-    db.stats[table] = collector.finish()
+    stats = collector.finish()
+    if columns is not None:
+        # Same rows, same keys: only the scoped columns' stats moved.
+        old = db.stats[table]
+        stats = TableStats(
+            table=table,
+            row_count=old.row_count,
+            columns={**old.columns, **stats.columns},
+        )
+    db.stats[table] = stats
     rebuilt_skts = []
     for root, skt in new_skts.items():
         _free_pages(db, db.skts[root].pages)

@@ -24,7 +24,10 @@ Wire protocol (one JSON object per line, UTF-8)::
     <- {"ok": true}
 
 Errors come back as ``{"ok": false, "error": "...", "kind": "..."}``;
-the connection survives statement errors and dies on framing errors.
+the connection survives statement errors and malformed ``hello`` fields
+(``name`` must be a string, ``ram`` a positive integer), and dies on
+framing errors: a line that is not a JSON object, or one longer than
+:data:`MAX_FRAME_BYTES`.
 ``hello`` blocks while the device's session cap or RAM budget is
 exhausted and is admitted when a slot frees (queued admission).
 
@@ -54,6 +57,9 @@ from repro.obs import get_logger
 log = get_logger(__name__)
 
 DEFAULT_PORT = 8707
+
+#: Longest accepted request line, newline included.
+MAX_FRAME_BYTES = 1 << 20
 
 
 class _Command:
@@ -240,6 +246,22 @@ def _json_value(value):
     return value if isinstance(value, (int, float, str, bool, type(None))) else str(value)
 
 
+def _hello_problem(message: dict) -> str | None:
+    """Why a ``hello``'s fields cannot open a session, or ``None``.
+
+    Checked on the handler thread: a bad value reaching
+    ``open_session`` would raise on the pump and stall every client.
+    """
+    name, ram = message.get("name"), message.get("ram")
+    if name is not None and not isinstance(name, str):
+        return "hello name must be a string"
+    if ram is not None and (
+        not isinstance(ram, int) or isinstance(ram, bool) or ram <= 0
+    ):
+        return "hello ram must be a positive integer"
+    return None
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: line-framed JSON in, line-framed JSON out."""
 
@@ -247,8 +269,12 @@ class _Handler(socketserver.StreamRequestHandler):
         server: GhostDBServer = self.server.ghostdb  # type: ignore[attr-defined]
         session_name: str | None = None
         try:
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_FRAME_BYTES + 1):
                 try:
+                    if len(raw) > MAX_FRAME_BYTES:
+                        raise ValueError(
+                            f"line longer than {MAX_FRAME_BYTES} bytes"
+                        )
                     message = json.loads(raw)
                     if not isinstance(message, dict):
                         raise ValueError("message must be a JSON object")
@@ -257,6 +283,10 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 op = message.get("op")
                 if op == "hello":
+                    problem = _hello_problem(message)
+                    if problem is not None:
+                        self._send(_error(problem, "protocol"))
+                        continue
                     reply = server.call("hello", message)
                     if reply.get("ok"):
                         session_name = reply["session"]

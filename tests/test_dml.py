@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog.statistics import StatisticsCollector
 from repro.core.ghostdb import GhostDB, SessionError
 from repro.engine.dml import DmlError
 from repro.engine.executor import DmlResult
+from repro.engine.maintenance import rebuild_table
+from repro.index.climbing import ClimbingIndex
+from repro.index.skt import SubtreeKeyTable
 from repro.reference import evaluate_reference, same_rows
 from repro.sql.errors import BindError
 from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
@@ -217,6 +221,112 @@ class TestDelete:
             == session.hidden.referenced_pages()
         )
         assert session.hidden.row_count("prescription") == 0
+
+
+def postings(index: ClimbingIndex) -> dict:
+    """Every posting list of a climbing index, by (value, level)."""
+    lists = {}
+    for value in index._sorted_keys:
+        for level in index.levels:
+            ids, close = index.stream_eq(value, level)()
+            lists[(value, level)] = list(ids)
+            close()
+    return lists
+
+
+def skt_rows(skt: SubtreeKeyTable) -> list[tuple]:
+    with skt.reader("test") as reader:
+        return [skt.decode(raw) for raw in reader.scan()]
+
+
+class TestColumnScopedUpdate:
+    """An UPDATE rebuilds the heap and the assigned columns' indexes and
+    statistics; SKTs, key indexes and other indexes hold only keys or
+    untouched values, so they are kept as they are."""
+
+    SQL = "UPDATE Prescription SET Quantity = 8 WHERE Quantity = 6"
+
+    def test_structures_outside_the_scope_are_kept(self, session):
+        hidden = session.hidden
+        skts = dict(hidden.skts)
+        key_indexes = dict(hidden.key_indexes)
+        climbing = dict(hidden.climbing)
+        heap = hidden.heaps["prescription"]
+        assert session.execute(self.SQL).changed > 0
+        assert hidden.heaps["prescription"] is not heap
+        for root, skt in skts.items():
+            assert hidden.skts[root] is skt
+        for name, index in key_indexes.items():
+            assert hidden.key_indexes[name] is index
+        for key, index in climbing.items():
+            if key == ("prescription", "quantity"):
+                assert hidden.climbing[key] is not index
+            else:
+                assert hidden.climbing[key] is index, key
+
+    def test_every_index_matches_a_rebuild_from_the_new_heaps(
+        self, session
+    ):
+        session.execute(self.SQL)
+        hidden = session.hidden
+        device, tree = hidden.device, hidden.tree
+        for (table, column), index in hidden.climbing.items():
+            fresh = ClimbingIndex.build(
+                device, tree, hidden.heaps, table, column
+            )
+            assert postings(index) == postings(fresh), (table, column)
+        for name, index in hidden.key_indexes.items():
+            fresh = ClimbingIndex.build(
+                device, tree, hidden.heaps, name, tree.table(name).pk.name
+            )
+            assert postings(index) == postings(fresh), name
+        for root, skt in hidden.skts.items():
+            fresh = SubtreeKeyTable.build(device, tree, root, hidden.heaps)
+            assert skt_rows(skt) == skt_rows(fresh), root
+        quantity = hidden.climbing[("prescription", "quantity")]
+        values = {value for value, _ in postings(quantity)}
+        assert 6 not in values and 8 in values
+
+    def test_stats_equal_a_full_pass_over_the_new_heap(self, session):
+        session.execute(self.SQL)
+        hidden = session.hidden
+        columns = session.tree.table("prescription").device_columns()
+        collector = StatisticsCollector(
+            table="prescription",
+            column_names=[c.name for c in columns],
+            dtypes=[c.dtype for c in columns],
+        )
+        for row in hidden.heaps["prescription"].scan():
+            collector.add(row)
+        assert hidden.stats["prescription"] == collector.finish()
+        assert 6 not in hidden.stats["prescription"].column(
+            "quantity"
+        ).frequencies
+
+    def test_visible_only_update_writes_no_flash(self, session):
+        hidden = session.hidden
+        heap = hidden.heaps["patient"]
+        stats = hidden.stats["patient"]
+        result = session.execute(
+            "UPDATE Patient SET Age = 55 WHERE PatID = 1"
+        )
+        assert result.changed == 1
+        assert result.metrics.flash_page_writes == 0
+        assert hidden.heaps["patient"] is heap
+        assert hidden.stats["patient"] is stats
+
+    @pytest.mark.parametrize("column", ["PreID", "VisID"])
+    def test_key_column_in_scope_rejected(self, session, column):
+        hidden = session.hidden
+        pages = hidden.device.ftl.mapped_lpages()
+        with pytest.raises(ValueError, match="non-key"):
+            rebuild_table(
+                hidden,
+                "prescription",
+                hidden.heaps["prescription"].scan(),
+                columns=[column],
+            )
+        assert hidden.device.ftl.mapped_lpages() == pages
 
 
 class TestBindingErrors:

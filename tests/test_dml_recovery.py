@@ -21,6 +21,7 @@ from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
 from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
 from repro.workload.queries import DEMO_SCHEMA_DDL
+from tests.test_dml import postings, skt_rows
 
 TINY = DatasetConfig(n_prescriptions=12)
 
@@ -187,7 +188,10 @@ class TestDmlFaultSession:
     def test_queries_blocked_until_remount(self, tiny_data):
         db = build_session(tiny_data)
         injector = db.set_faults("none", seed=0)
-        injector.schedule_power_cut(at_flash_op=10)
+        # Cut halfway through statement 0, wherever its ops end.
+        injector.schedule_power_cut(
+            at_flash_op=statement_boundaries(tiny_data)[0] // 2
+        )
         with pytest.raises(PowerCutError):
             db.execute(STATEMENTS[0])
         from repro.core.ghostdb import SessionError
@@ -203,10 +207,48 @@ class TestDmlFaultSession:
     def test_aborted_dml_counted(self, tiny_data):
         db = build_session(tiny_data)
         injector = db.set_faults("none", seed=0)
-        injector.schedule_power_cut(at_flash_op=10)
+        # Cut halfway through statement 0, wherever its ops end.
+        injector.schedule_power_cut(
+            at_flash_op=statement_boundaries(tiny_data)[0] // 2
+        )
         with pytest.raises(PowerCutError):
             db.execute(STATEMENTS[0])
         aborted = db.obs.registry.counter(
             "ghostdb_recovery_aborted_queries_total"
         )
         assert aborted.total() == 1
+
+
+class TestScopedUpdatePowerCut:
+    def test_cut_leaves_every_structure_readable(self, tiny_data):
+        """A cut anywhere in a column-scoped UPDATE (statement 0) leaves
+        the catalog on the old structures, and the orphan sweep frees
+        only the new pages: every index, SKT and statistic still reads
+        back exactly as before the statement."""
+        clean = build_session(tiny_data).hidden
+        indexes = {
+            key: postings(index)
+            for key, index in (
+                *clean.climbing.items(), *clean.key_indexes.items()
+            )
+        }
+        skts = {root: skt_rows(skt) for root, skt in clean.skts.items()}
+        for cut_at in range(statement_boundaries(tiny_data)[0]):
+            db = build_session(tiny_data)
+            injector = db.set_faults("none", seed=0)
+            injector.schedule_power_cut(at_flash_op=cut_at)
+            with pytest.raises(PowerCutError):
+                db.execute(STATEMENTS[0])
+            db.set_faults("none", seed=0)
+            db.remount()
+            hidden = db.hidden
+            assert indexes == {
+                key: postings(index)
+                for key, index in (
+                    *hidden.climbing.items(), *hidden.key_indexes.items()
+                )
+            }, f"cut at op {cut_at}"
+            assert skts == {
+                root: skt_rows(skt) for root, skt in hidden.skts.items()
+            }
+            assert hidden.stats == clean.stats

@@ -7,6 +7,8 @@ another way to drive the deterministic scheduler.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 from contextlib import contextmanager
 
@@ -14,6 +16,7 @@ import pytest
 
 from repro.privacy.leakcheck import LeakChecker
 from repro.serve import (
+    MAX_FRAME_BYTES,
     ServeClient,
     _json_value,
     run_smoke,
@@ -86,6 +89,54 @@ def test_unknown_op_is_a_protocol_error(db):
         assert not reply["ok"]
         assert reply["kind"] == "protocol"
         client.close()
+
+
+def client_with_timeout(host, port) -> ServeClient:
+    """A client that fails a test instead of hanging it."""
+    client = ServeClient(host, port)
+    client._sock.settimeout(5)
+    return client
+
+
+def assert_serves_another_client(host, port, want):
+    """A fresh client can still open a session and run a statement."""
+    other = client_with_timeout(host, port)
+    assert other.hello(name="bystander")["ok"]
+    reply = other.sql(STATEMENTS[1])
+    assert reply["ok"] and sorted(reply["rows"]) == want
+    assert other.bye()["ok"]
+
+
+def test_bad_hello_fields_are_protocol_errors(db):
+    """Refused on the handler thread: a bad ``name`` or ``ram`` reaching
+    the pump would kill it and hang every client."""
+    want = expected_rows(db, STATEMENTS[1])
+    with serving(db) as (host, port):
+        client = client_with_timeout(host, port)
+        for bad in ({"ram": "lots"}, {"ram": 0}, {"ram": True},
+                    {"name": ["x"]}):
+            reply = client.call(op="hello", **bad)
+            assert not reply["ok"] and reply["kind"] == "protocol", bad
+        # The connection stays open and can still say a good hello.
+        assert client.hello(name="fixed")["ok"]
+        assert client.bye()["ok"]
+        assert_serves_another_client(host, port, want)
+    assert not db.core.sessions
+
+
+def test_oversized_frame_is_a_protocol_error(db):
+    """A line past MAX_FRAME_BYTES is a framing error: the server
+    replies ``protocol`` and closes instead of buffering it."""
+    want = expected_rows(db, STATEMENTS[1])
+    with serving(db) as (host, port):
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))  # no newline yet
+            replies = sock.makefile("rb")
+            reply = json.loads(replies.readline())
+            assert not reply["ok"] and reply["kind"] == "protocol"
+            assert replies.readline() == b""  # closed
+        assert_serves_another_client(host, port, want)
+    assert not db.core.sessions
 
 
 def test_statement_error_keeps_the_connection_alive(db):
