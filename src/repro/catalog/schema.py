@@ -105,6 +105,18 @@ class TableDef:
                 return i
         raise SchemaError(f"{self.name} has no column {name!r}")
 
+    def validate_row(self, row) -> tuple:
+        """``row`` checked against the columns (arity, then each value's
+        type) and normalised; raises before the caller stores anything."""
+        if len(row) != len(self.columns):
+            raise SchemaError(
+                f"{self.name}: row arity {len(row)} != "
+                f"{len(self.columns)} columns"
+            )
+        return tuple(
+            col.dtype.validate(value) for col, value in zip(self.columns, row)
+        )
+
     @property
     def pk(self) -> ColumnDef:
         return next(c for c in self.columns if c.primary_key)

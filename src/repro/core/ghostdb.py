@@ -1,4 +1,4 @@
-"""The GhostDB facade: one device core plus its default session.
+"""GhostDB: one device core, driven through its default session.
 
 A :class:`GhostDB` spans both sides of the boundary -- the simulated
 smart USB device (hidden side), the visible site (PC / public server),
@@ -13,13 +13,15 @@ The API mirrors how the paper describes use:
   plan, and the result comes back via the secure rendering path, never
   over the observable link.
 
-Since the multi-session split, the facade is thin: everything shared
-(hardware, loaded data, device-wide observability, fault state, session
-admission) lives in a :class:`~repro.core.session.DeviceCore`, and
-everything per-caller (executor/optimizer wiring, leak scorecards,
-traces) lives in a :class:`~repro.core.session.SessionContext`.  The
-facade binds a core to its *default session* -- the classic
-single-caller wiring, bit-identical to the pre-split engine -- and
+Since the multi-session split, everything shared (hardware, loaded
+data, device-wide observability, fault state, session admission) lives
+in a :class:`~repro.core.session.DeviceCore`, and everything per-caller
+(executor/optimizer wiring, leak scorecards, traces, postmortems) lives
+in a :class:`~repro.core.session.SessionContext`.  A :class:`GhostDB`
+*is* its core's default session -- the classic single-caller wiring,
+bit-identical to the pre-split engine -- so it inherits the whole
+statement surface and adds the owner's operations: loading, appends,
+faults, the buffer pool, persistence and the device-wide exports.
 :meth:`open_session` admits additional leased sessions that the
 cooperative scheduler can interleave.
 
@@ -47,11 +49,8 @@ from repro.engine.executor import QueryResult
 from repro.faults import FaultInjector, FaultProfile, GhostDBFaultError
 from repro.hardware.device import default_cache_pages
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
-from repro.obs import get_logger
 from repro.obs.export import chrome_trace_json, render_tree, write_chrome_trace
 from repro.obs.tracer import Span
-from repro.optimizer.space import Strategy
-from repro.privacy.meter import TrafficProfile
 
 __all__ = [
     "AdmissionError",
@@ -60,8 +59,6 @@ __all__ = [
     "SessionConfig",
     "SessionError",
 ]
-
-log = get_logger(__name__)
 
 
 @dataclass
@@ -83,38 +80,29 @@ class QueryTrace:
         write_chrome_trace(self.spans, path)
 
 
-class GhostDB:
-    """A complete GhostDB instance over a simulated device."""
+class GhostDB(SessionContext):
+    """A complete GhostDB instance over a simulated device.
+
+    The instance is its device's default session (``lease=None``):
+    full-RAM, un-leased, and neither schedulable nor closable.
+    """
 
     def __init__(
         self,
         profile: HardwareProfile = DEMO_DEVICE,
         config: SessionConfig | None = None,
     ):
-        self.config = config or SessionConfig()
-        self.core = DeviceCore(profile, self.config)
-        self.core.owner = self
-        #: The default session: full-RAM, un-leased, bit-identical to
-        #: the pre-split single-caller engine.
-        self.session = SessionContext(
-            core=self.core, name="default", config=self.config, lease=None
+        config = config or SessionConfig()
+        super().__init__(
+            core=DeviceCore(profile, config),
+            name="default",
+            config=config,
+            lease=None,
         )
 
     # ------------------------------------------------------------------
     # Shared state (owned by the core)
     # ------------------------------------------------------------------
-
-    @property
-    def profile(self) -> HardwareProfile:
-        return self.core.profile
-
-    @property
-    def obs(self):
-        return self.core.obs
-
-    @property
-    def device(self):
-        return self.core.device
 
     @property
     def schema(self):
@@ -137,33 +125,8 @@ class GhostDB:
         return self.core.fault_injector
 
     # ------------------------------------------------------------------
-    # Default-session state
+    # Loading
     # ------------------------------------------------------------------
-
-    @property
-    def link(self):
-        return self.session.link
-
-    @property
-    def executor(self):
-        return self.session.executor
-
-    @property
-    def optimizer(self):
-        return self.session.optimizer
-
-    @property
-    def _last_leak_profile(self) -> TrafficProfile | None:
-        return self.session._last_leak_profile
-
-    # ------------------------------------------------------------------
-    # DDL / loading
-    # ------------------------------------------------------------------
-
-    def execute(self, sql: str):
-        """Execute one statement: CREATE TABLE, INSERT, SELECT, UPDATE
-        or DELETE."""
-        return self.session.execute(sql)
 
     def load(self, rows_by_table: dict[str, list] | None = None) -> None:
         """Split and load the database onto both sides; build indexes.
@@ -172,34 +135,28 @@ class GhostDB:
         order, sorted by primary key.  Buffered INSERTs are merged in.
         """
         total = self.core.load_data(rows_by_table)
-        self.session.attach()
+        self.attach()
         self.core.finish_load(total)
 
     def append(self, table: str, rows: list[tuple]):
         """Append rows after the initial load (a re-synchronisation
         session over the secure channel).
 
-        Splits each full row like the loader does, rebuilds the affected
-        device structures (an out-of-place, GC-feeding operation whose
-        cost shows up in the device counters), and updates the visible
-        site.  Returns the maintenance report.
+        Every row is checked against the schema before anything is
+        written.  Splits each full row like the loader does, rebuilds
+        the affected device structures (an out-of-place, GC-feeding
+        operation whose cost shows up in the device counters), and
+        updates the visible site.  Returns the maintenance report.
         """
         from repro.engine.maintenance import append_rows
 
-        session = self.session
-        session._require_usable()
+        self._require_usable()
         table_def = self.schema.table(table)
-        validated = [
-            tuple(
-                col.dtype.validate(value)
-                for col, value in zip(table_def.columns, row)
-            )
-            for row in rows
-        ]
+        validated = [table_def.validate_row(row) for row in rows]
         try:
             report = append_rows(self.hidden, table, validated)
         except GhostDBFaultError as exc:
-            session._abort_on_fault(exc)
+            self._abort_on_fault(exc)
             raise
         self.site.append(table, validated)
         return report
@@ -285,46 +242,6 @@ class GhostDB:
         return self.device.page_cache.enabled
 
     # ------------------------------------------------------------------
-    # Queries (default session)
-    # ------------------------------------------------------------------
-
-    def bind(self, sql: str):
-        """Parse and bind a SELECT without running it."""
-        return self.session.bind(sql)
-
-    def query(self, sql: str) -> QueryResult:
-        """Optimize and execute a SELECT; returns rows plus metrics."""
-        return self.session.query(sql)
-
-    def query_with_strategy(self, sql: str, strategy: Strategy) -> QueryResult:
-        """Execute with an explicit PRE/POST assignment (the demo GUI's
-        ad-hoc plan building)."""
-        return self.session.query_with_strategy(sql, strategy)
-
-    def execute_plan(self, plan) -> QueryResult:
-        """Execute a hand-built plan (demo phase 2/3)."""
-        return self.session.execute_plan(plan)
-
-    def rank_plans(self, sql: str):
-        """All candidate plans, cheapest estimate first."""
-        return self.session.rank_plans(sql)
-
-    def explain(self, sql: str) -> str:
-        """The chosen plan with per-node estimates."""
-        return self.session.explain(sql)
-
-    def explain_analyze(self, sql: str) -> tuple[str, QueryResult]:
-        """Execute the chosen plan and report estimated vs measured
-        statistics per node (plus the result itself)."""
-        return self.session.explain_analyze(sql)
-
-    def leak_scorecard(self) -> TrafficProfile | None:
-        """The :class:`~repro.privacy.meter.TrafficProfile` of the last
-        metered query, or of the whole captured log when no query ran
-        since the last reset.  ``None`` with nothing captured."""
-        return self.session.leak_scorecard()
-
-    # ------------------------------------------------------------------
     # Persistence (unplug / replug the key)
     # ------------------------------------------------------------------
 
@@ -362,40 +279,6 @@ class GhostDB:
         device-lifetime ``ghostdb_device_*`` families."""
         return self.obs.registry.expose_text()
 
-    def postmortem(self, reason: str = "dump") -> dict:
-        """The full postmortem bundle dict (pre-redaction): the flight
-        ring, the registry, the span forest, device/FTL state summaries
-        and the per-query resource ledger.  See
-        :mod:`repro.obs.bundle`."""
-        from repro.obs.bundle import build_bundle
-
-        return build_bundle(self, reason=reason)
-
-    def dump_bundle(
-        self, reason: str = "dump", directory: str | None = None
-    ) -> str:
-        """Write a redaction-gated ``DUMP_<seed>.json`` postmortem
-        bundle; returns its path.
-
-        Called automatically on fault aborts when the session was
-        configured with ``dump_on_fault``; callable any time for an
-        on-demand snapshot (``ghostdb doctor``).  The shell's ``.dump``
-        builds the same bundle but leak-checks it before writing.
-        """
-        from repro.obs.bundle import build_bundle, write_bundle
-
-        bundle = build_bundle(self, reason=reason)
-        path = write_bundle(
-            bundle,
-            directory=directory if directory is not None else self.config.dump_dir,
-            redactor=self.obs.redactor,
-        )
-        self.obs.registry.counter("ghostdb_postmortem_bundles_total").inc(
-            reason=reason
-        )
-        log.info("postmortem bundle written: %s", path)
-        return path
-
     def bench_report(self) -> dict:
         """Grade the optimizer's estimates on this loaded session.
 
@@ -409,28 +292,17 @@ class GhostDB:
 
         return build_scorecard(self)
 
-    def session_spans(self) -> list:
-        """The retained root spans, oldest first: the last
+    def export_trace(self, path: str) -> None:
+        """Write the retained root spans as Chrome trace-event JSON
+        (loadable in Perfetto / ``chrome://tracing``): the last
         :data:`~repro.obs.ledger.DEFAULT_WINDOW` (512) roots, one per
         statement, since load or the last reset.  Older trees were
         evicted, their spans counted in ``obs.tracer.dropped``."""
-        return list(self.obs.tracer.roots)
-
-    def export_trace(self, path: str) -> None:
-        """Write the retained spans (see :meth:`session_spans`) as
-        Chrome trace-event JSON (loadable in Perfetto /
-        ``chrome://tracing``)."""
-        write_chrome_trace(self.session_spans(), path)
+        write_chrome_trace(list(self.obs.tracer.roots), path)
 
     def reset_measurements(self) -> None:
         """Zero clock/traffic/counters/metrics/trace between measured
-        queries."""
-        self.device.reset_measurements()
+        queries: the session's measurement plane, then the whole shared
+        registry (after the cache clear, which counts invalidations)."""
+        super().reset_measurements()
         self.obs.registry.reset()
-        self.obs.tracer.clear()
-        self.session._last_leak_profile = None
-
-    @property
-    def usb_log(self):
-        """The captured trust-boundary traffic (what a spy sees)."""
-        return self.device.usb.records()

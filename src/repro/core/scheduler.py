@@ -136,6 +136,9 @@ class Scheduler:
             raise SessionError(
                 f"session {session.name!r} belongs to a different device"
             )
+        # Parse/validate first so an unsupported statement fails at
+        # submit, not mid-schedule, and takes no ticket.
+        gen = session.statement_steps(sql)
         ticket = QueryTicket(
             index=len(self.tickets),
             session=session.name,
@@ -143,9 +146,6 @@ class Scheduler:
             submitted_at=self.core.device.clock.now,
         )
         self.tickets.append(ticket)
-        # Parse/validate now so an unsupported statement fails at
-        # submit, not mid-schedule.
-        gen = session.statement_steps(sql)
         self._runners.append(_Runner(ticket=ticket, session=session, gen=gen))
         self.core.obs.flight.record(
             "sched_submit", ticket=ticket.index, session=session.name
@@ -247,10 +247,10 @@ class Scheduler:
             session=ticket.session
         )
 
-    def _abort_survivors(self, cause: PowerCutError, now: float) -> None:
-        """Power loss killed the device under every in-flight query:
-        tear each one down (releasing its reservations into its own
-        lease) and mark its ticket aborted."""
+    def _abort_survivors(self, cause: BaseException, now: float) -> None:
+        """Power loss (or a failed serve round) killed every in-flight
+        query: tear each one down (releasing its reservations into its
+        own lease) and mark its ticket aborted."""
         for other in list(self._runners):
             try:
                 with self.core.activated(other.session.lease):

@@ -18,7 +18,8 @@ that story implies:
 
 The **default session** (``lease=None``) runs against the real device
 objects with no indirection at all -- it is bit-for-bit the
-single-caller engine every committed baseline was measured on.  Leased
+single-caller engine every committed baseline was measured on, and a
+:class:`~repro.core.ghostdb.GhostDB` is exactly that session.  Leased
 sessions get a partition of the secure RAM and a private measurement
 plane; the cooperative scheduler (:mod:`repro.core.scheduler`)
 interleaves them at batch-window boundaries by *activating* one lease at
@@ -40,7 +41,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from repro.catalog.schema import Schema, SchemaError
+from repro.catalog.schema import Schema
 from repro.catalog.tree import SchemaTree
 from repro.engine.database import HiddenDatabase
 from repro.engine.executor import ExecConfig, Executor, QueryResult
@@ -324,8 +325,6 @@ class DeviceCore:
         self._peer_caches: list[PageCache] = [self.device.page_cache]
         self.device.ftl.peer_caches = self._peer_caches
         self.active_lease: HardwareLease | None = None
-        #: Facade backref (set by GhostDB) for postmortem bundles.
-        self.owner = None
 
     # ------------------------------------------------------------------
     # Shared database lifecycle
@@ -349,18 +348,9 @@ class DeviceCore:
             )
         table = self.schema.table(statement.table)
         for row in statement.values:
-            if len(row) != len(table.columns):
-                raise SchemaError(
-                    f"{table.name}: INSERT arity {len(row)} != "
-                    f"{len(table.columns)} columns"
-                )
-            normalised = tuple(
-                col.dtype.validate(value)
-                for col, value in zip(table.columns, row)
-            )
             self._pending_inserts.setdefault(
                 table.name.lower(), []
-            ).append(normalised)
+            ).append(table.validate_row(row))
         return len(statement.values)
 
     def load_data(self, rows_by_table: dict[str, list] | None = None) -> int:
@@ -683,13 +673,13 @@ class DeviceCore:
 class SessionContext:
     """One session's private state and statement surface.
 
-    The default session (``lease=None``) shares the device-wide
-    observability bundle and talks to the real device -- the classic
-    single-caller wiring.  Leased sessions own a tracer and resource
-    ledger (sharing the registry, flight recorder and redactor), talk
-    to the device through a :class:`SessionDevice` view, and must run
-    under :meth:`DeviceCore.activated` -- which :meth:`execute` does
-    itself, and the scheduler does per step.
+    The default session (``lease=None``, the :class:`GhostDB` subclass)
+    shares the device-wide observability bundle and talks to the real
+    device -- the classic single-caller wiring.  Leased sessions own a
+    tracer and resource ledger (sharing the registry, flight recorder
+    and redactor), talk to the device through a :class:`SessionDevice`
+    view, and must run under :meth:`DeviceCore.activated` -- which
+    :meth:`execute` does itself, and the scheduler does per step.
     """
 
     def __init__(
@@ -793,11 +783,8 @@ class SessionContext:
         ).inc(reason=type(exc).__name__)
         if isinstance(exc, PowerCutError):
             self.core.needs_remount = True
-        if self.config.dump_on_fault and self.core.owner is not None:
-            self.core.owner.dump_bundle(
-                reason=type(exc).__name__,
-                directory=self.config.dump_dir,
-            )
+        if self.config.dump_on_fault:
+            self.dump_bundle(reason=type(exc).__name__)
 
     # ------------------------------------------------------------------
     # Statement surface
@@ -998,6 +985,43 @@ class SessionContext:
         if self.lease is None:
             return self.core.device.usb.records()
         return list(self.lease.usb_log)
+
+    # ------------------------------------------------------------------
+    # Postmortems
+    # ------------------------------------------------------------------
+
+    def postmortem(self, reason: str = "dump") -> dict:
+        """The full postmortem bundle dict (pre-redaction): the shared
+        flight ring and registry, this session's span forest and
+        per-query resource ledger, and device/FTL state summaries.  See
+        :mod:`repro.obs.bundle`."""
+        from repro.obs.bundle import build_bundle
+
+        return build_bundle(self, reason=reason)
+
+    def dump_bundle(
+        self, reason: str = "dump", directory: str | None = None
+    ) -> str:
+        """Write a redaction-gated ``DUMP_<seed>.json`` postmortem
+        bundle; returns its path.
+
+        Called automatically on fault aborts when the session was
+        configured with ``dump_on_fault``; callable any time for an
+        on-demand snapshot (``ghostdb doctor``).  The shell's ``.dump``
+        builds the same bundle but leak-checks it before writing.
+        """
+        from repro.obs.bundle import write_bundle
+
+        path = write_bundle(
+            self.postmortem(reason),
+            directory=directory if directory is not None else self.config.dump_dir,
+            redactor=self.obs.redactor,
+        )
+        self.obs.registry.counter("ghostdb_postmortem_bundles_total").inc(
+            reason=reason
+        )
+        log.info("postmortem bundle written: %s", path)
+        return path
 
     # ------------------------------------------------------------------
     # Housekeeping

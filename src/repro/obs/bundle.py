@@ -18,8 +18,11 @@ adversarial :class:`~repro.privacy.leakcheck.LeakChecker` across the
 whole chaos sweep to prove every bundle CLEAN.
 
 The bundle is built from a *duck-typed* session (anything with ``obs``,
-``device``, ``config``, ``fault_injector``) so this module never imports
-:mod:`repro.core` -- core imports obs, not the other way around.
+``device`` and ``config``) so this module never imports
+:mod:`repro.core` -- core imports obs, not the other way around.  The
+flight ring and the registry are device-wide; the span forest and the
+ledger are the dumping session's own, so a leased session's bundle
+holds the statement that aborted it.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def build_bundle(session, reason: str = "dump") -> dict:
     """
     obs = session.obs
     device = session.device
-    injector = session.fault_injector
+    injector = device.faults
     seed = (
         injector.seed if injector is not None
         else session.config.fault_seed

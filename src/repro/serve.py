@@ -34,9 +34,10 @@ exhausted and is admitted when a slot frees (queued admission).
 Concurrency model: socket handler threads only do I/O and enqueue
 commands; a single pump thread owns the device, drains the queue,
 submits each round's statements to one :class:`Scheduler` and runs
-them to completion.  The engine itself stays single-threaded -- client
-concurrency becomes deterministic cooperative interleaving on the
-simulated clock, journalled to the flight recorder.
+them to completion; a round that raises is torn down and answered
+``internal``, and the pump goes on.  The engine stays single-threaded
+-- client concurrency becomes deterministic cooperative interleaving on
+the simulated clock, journalled to the flight recorder.
 """
 
 from __future__ import annotations
@@ -136,7 +137,21 @@ class GhostDBServer:
                 for command in batch:
                     command.resolve(_error("server shutting down", "shutdown"))
                 continue
-            self._round(batch)
+            try:
+                self._round(batch)
+            except Exception as exc:  # noqa: BLE001 - the pump must live
+                # A dead pump would leave every client blocked in call():
+                # tear down the round's queries and answer the rest.
+                log.exception("serve round failed")
+                self.scheduler._abort_survivors(
+                    exc, self.db.core.device.clock.now
+                )
+                for command in batch:
+                    if not command.done.is_set():
+                        command.resolve(_error(
+                            f"internal error ({type(exc).__name__})",
+                            "internal",
+                        ))
 
     def _round(self, batch: list[_Command]) -> None:
         """One scheduling round: session admin first, then every SQL
@@ -173,6 +188,8 @@ class GhostDBServer:
             self.scheduler.run()
             for command, ticket in statements:
                 command.resolve(self._ticket_reply(ticket))
+                # Replied: keep the ticket (numbering) but not its rows.
+                ticket.result = ticket.error = None
 
     def _admit(self, command: _Command) -> None:
         payload = command.payload

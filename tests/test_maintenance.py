@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from repro.catalog.schema import SchemaError
 from repro.engine.maintenance import MaintenanceError
 from repro.reference import evaluate_reference, same_rows
 from repro.workload.queries import demo_query
@@ -110,6 +111,25 @@ class TestAppendValidation:
     def test_unknown_table_rejected(self, session):
         with pytest.raises(Exception):
             session.append("nothing", [(1,)])
+
+    def test_bad_rows_are_refused_before_any_write(self, session, demo_data):
+        """Every row is checked before anything is written: a Patient
+        row missing its visible-only last column (Country), or carrying
+        one value too many, leaves the device and the site untouched
+        even behind a good row."""
+        next_pat = len(demo_data["patient"]) + 1
+        good = (next_pat, "New Name", 40, 22.5, "France")
+        short = (next_pat + 1, "New Name", 40, 22.5)
+        long = (next_pat + 1, "New Name", 40, 22.5, "France", "extra")
+        for bad in (short, long):
+            heap_rows = session.hidden.row_count("patient")
+            visible_rows = session.site.row_count("patient")
+            page_writes = session.device.flash.stats.page_writes
+            with pytest.raises(SchemaError, match="arity"):
+                session.append("patient", [good, bad])
+            assert session.hidden.row_count("patient") == heap_rows
+            assert session.site.row_count("patient") == visible_rows
+            assert session.device.flash.stats.page_writes == page_writes
 
     def test_empty_append_is_a_noop(self, session):
         before = session.device.counters()

@@ -86,17 +86,18 @@ def test_wrong_version_rejected(tmp_path):
         load_session(str(path))
 
 
-def test_v3_file_refused(saved_path):
-    """A v3 file pickles a tracer without a window or running count;
-    it must be refused, not restored into one that fails on its first
-    query."""
+@pytest.mark.parametrize("version", [3, 4])
+def test_v3_file_refused(saved_path, version):
+    """A v3 file pickles a tracer without a window or running count,
+    and a v4 file a facade wrapping a separate default session; both
+    must be refused, not restored into one that fails on first use."""
     from repro.core.persistence import MAGIC
 
     _original, path = saved_path
     blob = bytearray(open(path, "rb").read())
-    blob[len(MAGIC):len(MAGIC) + 2] = (3).to_bytes(2, "big")
+    blob[len(MAGIC):len(MAGIC) + 2] = version.to_bytes(2, "big")
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(PersistenceError, match="version 3"):
+    with pytest.raises(PersistenceError, match=f"version {version}"):
         load_session(path)
 
 

@@ -158,17 +158,22 @@ class TestBundle:
         with pytest.raises(ValueError):
             load_bundle(str(stale))
 
-    def test_dump_on_fault_writes_clean_bundle(self, demo_data, tmp_path):
+    @pytest.mark.parametrize("leased", [False, True], ids=["default", "leased"])
+    def test_dump_on_fault_writes_clean_bundle(
+        self, demo_data, tmp_path, leased
+    ):
         """The acceptance path: power cut mid-query -> typed abort ->
-        bundle on disk with the aborted query's full ledger entry."""
+        bundle on disk with the aborted query's full ledger entry.  A
+        leased session dumps its own ledger, which holds that query."""
         session = build_session(
             demo_data, dump_on_fault=True, dump_dir=str(tmp_path),
             fault_seed=11,
         )
+        runner = session.open_session("client") if leased else session
         injector = session.set_faults("none", 11)
         injector.schedule_power_cut(at_flash_op=injector.flash_ops + 2)
         with pytest.raises(PowerCutError):
-            session.query(demo_query())
+            runner.query(demo_query())
         path = tmp_path / "DUMP_11.json"
         assert path.exists()
         checker = LeakChecker(session.schema, demo_data)

@@ -42,7 +42,7 @@ def test_submit_refuses_the_default_session():
     db = build_db()
     sched = Scheduler(db.core)
     with pytest.raises(SessionError):
-        sched.submit(db.session, STATEMENTS[0])
+        sched.submit(db, STATEMENTS[0])
 
 
 def test_submit_refuses_sessions_from_another_device():
@@ -61,6 +61,9 @@ def test_unsupported_statement_fails_at_submit():
     with pytest.raises(SessionError):
         sched.submit(ctx, "CREATE TABLE Nope (A INTEGER)")
     assert sched.pending == 0
+    # A rejected statement takes no ticket: numbering starts at 0.
+    assert sched.tickets == []
+    assert sched.submit(ctx, STATEMENTS[0]).index == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.scheduler import Scheduler
 from repro.privacy.leakcheck import LeakChecker
 from repro.serve import (
     MAX_FRAME_BYTES,
@@ -175,6 +176,59 @@ def test_disconnect_without_bye_releases_the_lease(db):
             if not db.core.sessions:
                 break
             threading.Event().wait(0.01)
+    assert not db.core.sessions
+    assert db.core.leased_bytes == 0
+
+
+# ---------------------------------------------------------------------------
+# A long-running pump: bounded retention, survives a failed round.
+# ---------------------------------------------------------------------------
+
+
+def test_served_tickets_drop_their_results(db):
+    """Replied tickets keep their numbering but not their rows, metrics
+    or plan, so a long-running server does not grow per statement."""
+    tcp, ghost = start_server(db, port=0)
+    try:
+        host, port = tcp.server_address
+        client = client_with_timeout(host, port)
+        assert client.hello(name="lean")["ok"]
+        for sql in STATEMENTS:
+            assert client.sql(sql)["ok"]
+        assert not client.sql("SELECT Nope.Missing FROM Nowhere Nope")["ok"]
+        assert client.bye()["ok"]
+    finally:
+        shutdown_server(tcp, ghost)
+    tickets = ghost.scheduler.tickets
+    assert [t.index for t in tickets] == list(range(len(STATEMENTS) + 1))
+    assert all(t.done for t in tickets)
+    assert all(t.result is None and t.error is None for t in tickets)
+
+
+def test_failed_round_answers_internal_and_keeps_pumping(db, monkeypatch):
+    """An exception escaping a round must not kill the pump: the round's
+    commands are answered ``internal`` and the next statement runs."""
+    want = expected_rows(db, STATEMENTS[1])
+    real_run = Scheduler.run
+    failures = []
+
+    def run_failing_once(self):
+        if not failures:
+            failures.append("injected")
+            raise RuntimeError("injected round failure")
+        return real_run(self)
+
+    monkeypatch.setattr(Scheduler, "run", run_failing_once)
+    with serving(db) as (host, port):
+        client = client_with_timeout(host, port)
+        assert client.hello(name="survivor")["ok"]
+        reply = client.sql(STATEMENTS[1])
+        assert not reply["ok"] and reply["kind"] == "internal"
+        reply = client.sql(STATEMENTS[1])
+        assert reply["ok"] and sorted(reply["rows"]) == want
+        bye = client.bye()
+        assert bye["ok"] and bye["closed"] and not bye["leaked_ram"]
+    assert failures == ["injected"]
     assert not db.core.sessions
     assert db.core.leased_bytes == 0
 
