@@ -15,9 +15,11 @@ spy already sees all visible data.
 from __future__ import annotations
 
 import datetime
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from repro.storage.types import CharType, DataType, date_to_days
+from repro.storage.types import date_to_days
 
 #: Columns with at most this many distinct values keep exact frequencies.
 EXACT_THRESHOLD = 64
@@ -95,16 +97,25 @@ class ColumnStats:
                 high is None or _as_number(high) >= hi_n
             )
             return 1.0 if within else 0.0
-        span = (hi_n - lo_n) / len(self.histogram)
+        buckets = len(self.histogram)
+        span = (hi_n - lo_n) / buckets
+        q_lo = _as_number(low) if low is not None else -math.inf
+        q_hi = _as_number(high) if high is not None else math.inf
+        # Bucket edges rise with i, so the buckets the range overlaps
+        # are one run: those ending above q_lo and starting below q_hi.
+        # Every other bucket adds nothing, and the run is summed in
+        # bucket order, so skipping the rest leaves the estimate exact.
+        first = bisect_right(
+            range(buckets), q_lo, key=lambda i: lo_n + i * span + span
+        )
+        end = bisect_left(range(buckets), q_hi, key=lambda i: lo_n + i * span)
         total = 0.0
-        for i, count in enumerate(self.histogram):
+        for i in range(first, end):
             b_lo = lo_n + i * span
             b_hi = b_lo + span
-            q_lo = _as_number(low) if low is not None else b_lo
-            q_hi = _as_number(high) if high is not None else b_hi
             overlap = max(0.0, min(b_hi, q_hi) - max(b_lo, q_lo))
             if overlap > 0:
-                total += count * (overlap / span)
+                total += self.histogram[i] * (overlap / span)
         return min(1.0, total / self.row_count)
 
 
@@ -128,14 +139,12 @@ class TableStats:
 class StatisticsCollector:
     """Single-pass stats builder: feed rows, then :meth:`finish`."""
 
-    def __init__(self, table: str, column_names: list[str], dtypes: list[DataType]):
+    def __init__(self, table: str, column_names: list[str]):
         self.table = table
         self.names = [n.lower() for n in column_names]
-        self.dtypes = dtypes
         self._counts: list[dict] = [{} for _ in column_names]
         self._minmax: list[tuple | None] = [None] * len(column_names)
         self._row_count = 0
-        self._overflowed = [False] * len(column_names)
 
     def add(self, row) -> None:
         self._row_count += 1
@@ -152,14 +161,6 @@ class StatisticsCollector:
                 self._minmax[i] = (lo, hi)
             counts = self._counts[i]
             counts[value] = counts.get(value, 0) + 1
-            if (
-                not self._overflowed[i]
-                and not isinstance(self.dtypes[i], CharType)
-                and len(counts) > max(EXACT_THRESHOLD, 4096)
-            ):
-                # Keep big numeric maps from eating host memory: sample
-                # down to min/max + a reservoir for the histogram.
-                self._overflowed[i] = True
 
     def finish(self) -> TableStats:
         stats = TableStats(table=self.table, row_count=self._row_count)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from repro.catalog.schema import Schema
+from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.tree import SchemaTree
 from repro.engine.database import HiddenDatabase
 from repro.engine.executor import ExecConfig, Executor, QueryResult
@@ -357,7 +357,11 @@ class DeviceCore:
         """Split and load the database onto both sides; build indexes.
 
         Returns the total row count.  Sessions wire their executors
-        afterwards via :meth:`SessionContext.attach`.
+        afterwards via :meth:`SessionContext.attach`.  An unknown table,
+        a short row or a primary key given twice raises
+        :class:`SchemaError` before anything is built, so a corrected
+        load can follow; the refused load's buffered INSERTs are
+        dropped with it.
         """
         if self.tree is not None:
             raise SessionError("data is already loaded")
@@ -375,6 +379,22 @@ class DeviceCore:
         self._pending_inserts.clear()
         for table in self.schema:
             rows_by_table.setdefault(table.name.lower(), [])
+        for name, rows in rows_by_table.items():
+            table = self.schema.table(name)
+            pk_index = table.column_index(table.pk.name)
+            seen: set = set()
+            for row in rows:
+                if len(row) != len(table.columns):
+                    raise SchemaError(
+                        f"{table.name}: row has {len(row)} values, "
+                        f"expected {len(table.columns)}"
+                    )
+                if row[pk_index] in seen:
+                    raise SchemaError(
+                        f"{table.name}: primary key {row[pk_index]} is "
+                        f"loaded twice"
+                    )
+                seen.add(row[pk_index])
 
         self.tree = SchemaTree(self.schema)
         self.site = VisibleSite(self.schema)

@@ -103,7 +103,6 @@ class HiddenDatabase:
             collector = StatisticsCollector(
                 table=name,
                 column_names=[c.name for c in device_cols],
-                dtypes=[c.dtype for c in device_cols],
             )
 
             def device_rows(rows=rows_by_table[name], idx=source_idx,

@@ -166,7 +166,6 @@ def rebuild_table(
     collector = StatisticsCollector(
         table=table,
         column_names=[c.name for c in stats_cols],
-        dtypes=[c.dtype for c in stats_cols],
     )
 
     def collected():

@@ -8,7 +8,6 @@ stream back over USB in sorted order, ready for merging.
 
 from __future__ import annotations
 
-from repro.columns import IdColumn
 from repro.engine.operators.base import ExecContext, Operator
 from repro.sql.binder import Predicate
 
@@ -35,13 +34,12 @@ class VisibleSelectOp(Operator):
             yield from chunk
 
     def _produce_batches(self, cap: int):
-        """Vectorized: each USB message's IDs become one typed column
-        (sliced to ``cap``).  Message timing is unchanged -- a message
-        is requested when its first ID is demanded either way."""
+        """Vectorized: each USB message arrives as one typed column,
+        sliced to ``cap``.  Message timing is unchanged -- a message is
+        requested when its first ID is demanded either way."""
         link = self.ctx.link
-        for chunk in link.select_id_batches(
+        for column in link.select_id_batches(
             self.predicate.table, self.predicate
         ):
-            column = IdColumn.from_ids(chunk)
             for start in range(0, len(column), cap):
                 yield column[start : start + cap]

@@ -98,6 +98,13 @@ ENGINE_VOCAB = frozenset(
 )
 
 
+#: Distinct input strings :meth:`Redactor.scrub` remembers before it
+#: starts over.  Span names, categories, attribute keys and operator
+#: details repeat from statement to statement, so a small memo answers
+#: nearly every scrub.
+SCRUB_MEMO_SIZE = 4096
+
+
 class Redactor:
     """Token-level scrubber with a registered safe vocabulary."""
 
@@ -108,16 +115,34 @@ class Redactor:
         #: How many tokens were redacted so far (a health signal: a
         #: spike means instrumentation is trying to log raw text).
         self.redacted_tokens = 0
+        #: text -> (scrubbed text, tokens redacted), valid for the
+        #: current vocabulary; never pickled.
+        self._memo: dict[str, tuple[str, int]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._memo = {}
 
     # ------------------------------------------------------------------
     # Vocabulary management
     # ------------------------------------------------------------------
 
     def allow(self, *tokens: str) -> None:
-        """Register structural tokens (identifiers, not values)."""
+        """Register structural tokens (identifiers, not values).
+
+        A token new to the vocabulary drops the scrub memo, whose
+        entries were gated against the smaller vocabulary."""
+        size = len(self._vocab)
         for token in tokens:
             for part in _TOKEN.findall(str(token)):
                 self._vocab.add(part.lower())
+        if len(self._vocab) != size:
+            self._memo.clear()
 
     def allow_schema(self, schema) -> None:
         """Register every table and column *name* of a schema.
@@ -138,16 +163,31 @@ class Redactor:
     # ------------------------------------------------------------------
 
     def scrub(self, text: str) -> str:
-        """Replace every out-of-vocabulary token with ``?``."""
+        """Replace every out-of-vocabulary token with ``?``.
 
-        def _gate(match: re.Match) -> str:
-            token = match.group(0)
-            if token.lower() in self._vocab:
-                return token
-            self.redacted_tokens += 1
-            return REDACTED
+        Each distinct ``text`` is gated once per vocabulary: a repeat
+        returns the memoized result and counts its redacted tokens
+        again, so :attr:`redacted_tokens` is what gating every call
+        would give.
+        """
+        entry = self._memo.get(text)
+        if entry is None:
+            redacted = 0
 
-        return _TOKEN.sub(_gate, text)
+            def _gate(match: re.Match) -> str:
+                nonlocal redacted
+                token = match.group(0)
+                if token.lower() in self._vocab:
+                    return token
+                redacted += 1
+                return REDACTED
+
+            entry = (_TOKEN.sub(_gate, text), redacted)
+            if len(self._memo) >= SCRUB_MEMO_SIZE:
+                self._memo.clear()
+            self._memo[text] = entry
+        self.redacted_tokens += entry[1]
+        return entry[0]
 
     def value(self, value):
         """Gate one attribute value.

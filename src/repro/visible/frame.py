@@ -25,8 +25,8 @@ _HEADER = struct.Struct(">2sII")
 FRAME_OVERHEAD = _HEADER.size
 
 #: Bytes per packed row ID in ``ids`` / ``fetch_ids`` payloads (big-endian
-#: 32-bit, see :data:`repro.visible.link._PACK`).  Observers -- the spy,
-#: the leak meter -- divide payload sizes by this to recover ID-list
+#: 32-bit, the :class:`repro.columns.IdColumn` layout).  Observers -- the
+#: spy, the leak meter -- divide payload sizes by this to recover ID-list
 #: cardinalities, so the constant lives here with the rest of the wire
 #: format instead of being a magic ``// 4`` in every observer.
 ID_WIDTH_BYTES = 4

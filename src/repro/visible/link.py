@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import datetime
 import json
-import struct
 
+from repro.columns import ID_WIDTH, IdColumn
 from repro.faults.errors import UsbTransferError
 from repro.hardware.device import SmartUsbDevice
 from repro.hardware.usb import Direction, UsbDroppedError
@@ -30,8 +30,7 @@ from repro.sql.binder import EQ, IN, NEQ, RANGE, Predicate
 from repro.visible.frame import ID_WIDTH_BYTES, FrameError, frame, unframe
 from repro.visible.site import VisibleSite
 
-_PACK = struct.Struct(">I")
-assert _PACK.size == ID_WIDTH_BYTES, "wire ID width drifted from frame.py"
+assert ID_WIDTH == ID_WIDTH_BYTES, "wire ID width drifted from frame.py"
 
 #: IDs per host->device batch message (1 KiB of payload at 4 B/ID).
 DEFAULT_ID_BATCH = 256
@@ -202,7 +201,7 @@ class DeviceLink:
 
     def select_id_batches(self, table: str, predicate: Predicate):
         """Yield the sorted PKs satisfying a visible predicate, one
-        list per host->device batch message.
+        :class:`~repro.columns.IdColumn` per host->device batch message.
 
         The request crosses to the host; the host evaluates the predicate
         on its copy of the data (free of device cost) and streams the IDs
@@ -221,21 +220,20 @@ class DeviceLink:
         )
         ids = self.site.select_ids(table, predicate)
         with self.device.ram.allocate(
-            self.id_batch * _PACK.size, f"usb-rx:{table}"
+            self.id_batch * ID_WIDTH, f"usb-rx:{table}"
         ):
             for start in range(0, len(ids), self.id_batch):
                 batch = ids[start : start + self.id_batch]
-                payload = b"".join(_PACK.pack(i) for i in batch)
                 delivered = self._send(
-                    Direction.TO_DEVICE, "ids", payload,
+                    Direction.TO_DEVICE, "ids",
+                    IdColumn.from_ids(batch).to_be_bytes(),
                     description=f"{len(batch)} ids of {table}",
                 )
-                if len(delivered) % _PACK.size:
+                if len(delivered) % ID_WIDTH:
                     raise ProtocolError("truncated ID batch")
-                yield [
-                    _PACK.unpack_from(delivered, off)[0]
-                    for off in range(0, len(delivered), _PACK.size)
-                ]
+                yield IdColumn.from_be_bytes(
+                    delivered, len(delivered) // ID_WIDTH
+                )
         end = json.dumps({"op": "ids_end", "count": len(ids)}).encode("utf-8")
         self._send(
             Direction.TO_DEVICE, "ids_end", end,
@@ -293,9 +291,9 @@ class DeviceLink:
                 Direction.TO_HOST, "request", header,
                 description=f"fetch {len(batch)} rows of {table}",
             )
-            id_payload = b"".join(_PACK.pack(i) for i in batch)
             self._send(
-                Direction.TO_HOST, "fetch_ids", id_payload,
+                Direction.TO_HOST, "fetch_ids",
+                IdColumn.from_ids(batch).to_be_bytes(),
                 description=f"ids to fetch from {table}",
             )
             rows = self.site.fetch_values(table, batch, columns, recheck)

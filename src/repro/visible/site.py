@@ -6,16 +6,24 @@ work as possible to the PC and the server"), serves value fetches for
 projections, and computes visible-column statistics that it shares with
 the device's optimizer at plug-in time.
 
+Selections are answered from a value-ordered index per (table, column):
+the column's values and their PKs, sorted by value.  An index is built
+on the first selection that needs it and dropped by every write (load,
+append, update, delete), so it never holds stale rows.  It is host
+bookkeeping only: the IDs it yields, and so every byte on the link,
+are the ones a row scan would give.
+
 Nothing here is trusted: the spy is assumed to read all of it anyway.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.catalog.schema import Schema, SchemaError, TableDef
 from repro.catalog.statistics import StatisticsCollector, TableStats
-from repro.sql.binder import Predicate
+from repro.sql.binder import EQ, IN, NEQ, Predicate
 
 
 @dataclass
@@ -25,13 +33,56 @@ class _VisibleTable:
     columns: list[str]
     #: pk -> tuple of public column values.
     rows: dict[int, tuple] = field(default_factory=dict)
-    #: pks in sorted order (rebuilt lazily after loads).
-    _sorted_pks: list[int] | None = None
+    #: column position -> (values, pks), both in (value, pk) order.
+    #: Built on first use, dropped by every write, never pickled.
+    indexes: dict[int, tuple[list, list[int]]] = field(default_factory=dict)
 
-    def sorted_pks(self) -> list[int]:
-        if self._sorted_pks is None:
-            self._sorted_pks = sorted(self.rows)
-        return self._sorted_pks
+    def index(self, col: int) -> tuple[list, list[int]]:
+        built = self.indexes.get(col)
+        if built is None:
+            order = sorted(
+                self.rows.items(), key=lambda item: (item[1][col], item[0])
+            )
+            built = (
+                [row[col] for _pk, row in order],
+                [pk for pk, _row in order],
+            )
+            self.indexes[col] = built
+        return built
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["indexes"]
+        return state
+
+    def __setstate__(self, state):
+        # Files saved before the indexes existed carry a sorted-PK cache.
+        state.pop("_sorted_pks", None)
+        self.__dict__.update(state)
+        self.indexes = {}
+
+
+def _runs(values: list, predicate: Predicate) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` runs of the sorted ``values`` that ``predicate``
+    matches.  NEQ matches the two sides of its EQ run."""
+    kind = predicate.kind
+    if kind in (EQ, NEQ):
+        lo = bisect_left(values, predicate.value)
+        hi = bisect_right(values, predicate.value, lo)
+        return [(lo, hi)] if kind == EQ else [(0, lo), (hi, len(values))]
+    if kind == IN:
+        return [
+            (bisect_left(values, v), bisect_right(values, v))
+            for v in set(predicate.values)
+        ]
+    lo, hi = 0, len(values)
+    if predicate.low is not None:
+        cut = bisect_left if predicate.low_inclusive else bisect_right
+        lo = cut(values, predicate.low)
+    if predicate.high is not None:
+        cut = bisect_right if predicate.high_inclusive else bisect_left
+        hi = cut(values, predicate.high)
+    return [(lo, max(lo, hi))]
 
 
 class VisibleSite:
@@ -57,66 +108,26 @@ class VisibleSite:
         ``full_rows`` are tuples in schema column order.  The hidden
         columns are dropped here -- in a real deployment they would never
         have reached this machine; the loader splits before shipping.
+        A short row or a key already present (or given twice) raises
+        :class:`SchemaError` before any row is stored.
         """
         vtable = self._table(table_name)
-        tdef = vtable.definition
-        pk_index = next(
-            i for i, c in enumerate(tdef.columns) if c.primary_key
-        )
-        keep = [
-            i for i, c in enumerate(tdef.columns) if c.on_public
-        ]
-        collector = StatisticsCollector(
-            table=tdef.name.lower(),
-            column_names=[tdef.columns[i].name for i in keep],
-            dtypes=[tdef.columns[i].dtype for i in keep],
-        )
-        for row in full_rows:
-            if len(row) != len(tdef.columns):
-                raise SchemaError(
-                    f"{tdef.name}: row has {len(row)} values, expected "
-                    f"{len(tdef.columns)}"
-                )
-            pk = row[pk_index]
-            public = tuple(row[i] for i in keep)
-            vtable.rows[pk] = public
-            collector.add(public)
-        vtable._sorted_pks = None
-        self._stats[tdef.name.lower()] = collector.finish()
+        vtable.rows.update(self._split(vtable, full_rows))
+        self._rows_changed(vtable)
 
     def append(self, table_name: str, full_rows) -> None:
         """Add rows after the initial load (re-synchronisation session).
 
-        The visible side is an ordinary store: appending is cheap, and
-        statistics are recomputed from the stored public rows.
+        The visible side is an ordinary store: appending is a load onto
+        the stored rows, and statistics are recomputed from all of them.
         """
-        vtable = self._table(table_name)
-        tdef = vtable.definition
-        pk_index = next(
-            i for i, c in enumerate(tdef.columns) if c.primary_key
-        )
-        keep = [i for i, c in enumerate(tdef.columns) if c.on_public]
-        for row in full_rows:
-            if len(row) != len(tdef.columns):
-                raise SchemaError(
-                    f"{tdef.name}: row has {len(row)} values, expected "
-                    f"{len(tdef.columns)}"
-                )
-            pk = row[pk_index]
-            if pk in vtable.rows:
-                raise SchemaError(
-                    f"{tdef.name}: key {pk} already exists"
-                )
-            vtable.rows[pk] = tuple(row[i] for i in keep)
-        vtable._sorted_pks = None
-        self._recompute_stats(vtable)
+        self.load(table_name, full_rows)
 
     def update_rows(self, table_name: str, full_rows: dict[int, tuple]) -> None:
         """Replace the public part of existing rows (DML re-sync).
 
         ``full_rows`` maps pk -> full row tuple in schema column order;
-        hidden values are dropped here, like :meth:`load`.  Keys keep
-        their position in the sort order, so ``_sorted_pks`` survives.
+        hidden values are dropped here, like :meth:`load`.
         """
         vtable = self._table(table_name)
         tdef = vtable.definition
@@ -125,7 +136,7 @@ class VisibleSite:
             if pk not in vtable.rows:
                 raise SchemaError(f"{tdef.name}: key {pk} does not exist")
             vtable.rows[pk] = tuple(row[i] for i in keep)
-        self._recompute_stats(vtable)
+        self._rows_changed(vtable)
 
     def delete_rows(self, table_name: str, pks) -> None:
         """Remove rows by primary key (DML re-sync)."""
@@ -135,16 +146,39 @@ class VisibleSite:
             if pk not in vtable.rows:
                 raise SchemaError(f"{tdef.name}: key {pk} does not exist")
             del vtable.rows[pk]
-        vtable._sorted_pks = None
-        self._recompute_stats(vtable)
+        self._rows_changed(vtable)
 
-    def _recompute_stats(self, vtable: _VisibleTable) -> None:
+    @staticmethod
+    def _split(vtable: _VisibleTable, full_rows) -> dict[int, tuple]:
+        """pk -> public part of each new row, all checked first."""
+        tdef = vtable.definition
+        pk_index = next(
+            i for i, c in enumerate(tdef.columns) if c.primary_key
+        )
+        keep = [i for i, c in enumerate(tdef.columns) if c.on_public]
+        public_rows: dict[int, tuple] = {}
+        for row in full_rows:
+            if len(row) != len(tdef.columns):
+                raise SchemaError(
+                    f"{tdef.name}: row has {len(row)} values, expected "
+                    f"{len(tdef.columns)}"
+                )
+            pk = row[pk_index]
+            if pk in vtable.rows or pk in public_rows:
+                raise SchemaError(
+                    f"{tdef.name}: key {pk} already exists"
+                )
+            public_rows[pk] = tuple(row[i] for i in keep)
+        return public_rows
+
+    def _rows_changed(self, vtable: _VisibleTable) -> None:
+        """Drop the table's stale indexes and recompute its statistics."""
+        vtable.indexes.clear()
         tdef = vtable.definition
         keep = [i for i, c in enumerate(tdef.columns) if c.on_public]
         collector = StatisticsCollector(
             table=tdef.name.lower(),
             column_names=[tdef.columns[i].name for i in keep],
-            dtypes=[tdef.columns[i].dtype for i in keep],
         )
         for public in vtable.rows.values():
             collector.add(public)
@@ -156,16 +190,16 @@ class VisibleSite:
 
     def select_ids(self, table_name: str, predicate: Predicate) -> list[int]:
         """All PKs whose row satisfies a visible predicate, sorted."""
-        vtable = self._table(table_name)
-        col_idx = self._public_index(vtable, predicate.column)
-        return [
-            pk
-            for pk in vtable.sorted_pks()
-            if predicate.matches(vtable.rows[pk][col_idx])
-        ]
+        values, pks = self._index(table_name, predicate.column)
+        matched: list[int] = []
+        for lo, hi in _runs(values, predicate):
+            matched += pks[lo:hi]
+        matched.sort()
+        return matched
 
     def count_ids(self, table_name: str, predicate: Predicate) -> int:
-        return len(self.select_ids(table_name, predicate))
+        values, _pks = self._index(table_name, predicate.column)
+        return sum(hi - lo for lo, hi in _runs(values, predicate))
 
     def fetch_values(
         self,
@@ -204,6 +238,10 @@ class VisibleSite:
 
     def row_count(self, table_name: str) -> int:
         return len(self._table(table_name).rows)
+
+    def _index(self, table_name: str, column: str) -> tuple[list, list[int]]:
+        vtable = self._table(table_name)
+        return vtable.index(self._public_index(vtable, column))
 
     # ------------------------------------------------------------------
 

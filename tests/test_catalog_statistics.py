@@ -3,18 +3,19 @@
 import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog.statistics import (
     EXACT_THRESHOLD,
+    HISTOGRAM_BUCKETS,
+    ColumnStats,
     StatisticsCollector,
+    _as_number,
 )
-from repro.storage.types import CharType, DateType, IntegerType
 
 
-def collect(values, dtype=None, name="c"):
-    dtype = dtype or IntegerType()
-    collector = StatisticsCollector("t", [name], [dtype])
+def collect(values, name="c"):
+    collector = StatisticsCollector("t", [name])
     for value in values:
         collector.add((value,))
     return collector.finish().column(name)
@@ -22,13 +23,13 @@ def collect(values, dtype=None, name="c"):
 
 class TestExactFrequencies:
     def test_low_cardinality_keeps_exact_counts(self):
-        col = collect(["a", "b", "a", "a"], CharType(4))
+        col = collect(["a", "b", "a", "a"])
         assert col.frequencies == {"a": 3, "b": 1}
         assert col.n_distinct == 2
         assert col.row_count == 4
 
     def test_eq_selectivity_exact(self):
-        col = collect(["a"] * 30 + ["b"] * 70, CharType(4))
+        col = collect(["a"] * 30 + ["b"] * 70)
         assert col.selectivity_eq("a") == pytest.approx(0.3)
         assert col.selectivity_eq("b") == pytest.approx(0.7)
         assert col.selectivity_eq("missing") == 0.0
@@ -65,7 +66,7 @@ class TestHistogram:
             datetime.date(2006, 1, 1) + datetime.timedelta(days=i)
             for i in range(365)
         ]
-        col = collect(values, DateType())
+        col = collect(values)
         estimated = col.selectivity_range(
             datetime.date(2006, 10, 1), None
         )
@@ -122,3 +123,98 @@ def test_eq_selectivities_sum_to_one(values):
     if col.frequencies is not None:
         total = sum(col.selectivity_eq(v) for v in set(values))
         assert total == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# The histogram path equals the per-bucket loop it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_histogram_range(col: ColumnStats, low, high) -> float:
+    """``selectivity_range``'s former histogram path, kept as the
+    reference: every bucket visited, both bounds converted per bucket."""
+    if col.row_count == 0:
+        return 0.0
+    lo_n = _as_number(col.min_value)
+    hi_n = _as_number(col.max_value)
+    if hi_n <= lo_n:
+        within = (low is None or _as_number(low) <= lo_n) and (
+            high is None or _as_number(high) >= hi_n
+        )
+        return 1.0 if within else 0.0
+    span = (hi_n - lo_n) / len(col.histogram)
+    total = 0.0
+    for i, count in enumerate(col.histogram):
+        b_lo = lo_n + i * span
+        b_hi = b_lo + span
+        q_lo = _as_number(low) if low is not None else b_lo
+        q_hi = _as_number(high) if high is not None else b_hi
+        overlap = max(0.0, min(b_hi, q_hi) - max(b_lo, q_lo))
+        if overlap > 0:
+            total += count * (overlap / span)
+    return min(1.0, total / col.row_count)
+
+
+_DAY0 = datetime.date(2000, 1, 1)
+_HISTOGRAM_VALUES = {
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(-1e9, 1e9, allow_nan=False),
+    "date": st.integers(0, 20_000).map(
+        lambda d: _DAY0 + datetime.timedelta(days=d)
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_HISTOGRAM_VALUES)), data=st.data())
+def test_histogram_range_equals_the_bucket_loop(kind, data):
+    """Collected histograms: estimates are bit-identical (``==``) to the
+    reference loop, for open, closed, inverted and out-of-range bounds."""
+    values = data.draw(
+        st.lists(
+            _HISTOGRAM_VALUES[kind], min_size=EXACT_THRESHOLD + 1,
+            max_size=300, unique=True,
+        )
+    )
+    col = collect(values)
+    assert col.histogram is not None
+    bound = st.none() | st.sampled_from(values) | _HISTOGRAM_VALUES[kind]
+    for _ in range(8):
+        low, high = data.draw(bound), data.draw(bound)
+        assert col.selectivity_range(low, high) == reference_histogram_range(
+            col, low, high
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-1e18, 1e18, allow_nan=False),
+    width=st.floats(0, 1e18, allow_nan=False) | st.floats(0, 1e-6),
+    histogram=st.lists(st.integers(0, 50), min_size=1, max_size=40),
+    bounds=st.lists(
+        st.none() | st.floats(-2e18, 2e18, allow_nan=False), min_size=2,
+        max_size=2,
+    ),
+)
+def test_histogram_range_exact_at_float_edges(lo, width, histogram, bounds):
+    """Hand-built histograms over huge magnitudes, hair-thin spans and
+    ``min == max``: the bucket run never drops a contributing bucket."""
+    col = ColumnStats(
+        column="c", row_count=sum(histogram) or 1, n_distinct=100,
+        min_value=lo, max_value=lo + width, histogram=histogram,
+    )
+    low, high = bounds
+    assert col.selectivity_range(low, high) == reference_histogram_range(
+        col, low, high
+    )
+
+
+def test_histogram_range_with_min_equal_max():
+    col = ColumnStats(
+        column="c", row_count=10, n_distinct=100, min_value=5, max_value=5,
+        histogram=[10] + [0] * (HISTOGRAM_BUCKETS - 1),
+    )
+    for low, high in ((None, None), (5, 5), (0, 4), (6, None), (None, 5)):
+        assert col.selectivity_range(low, high) == reference_histogram_range(
+            col, low, high
+        )

@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from repro.catalog.schema import SchemaError
 from repro.core.ghostdb import GhostDB, SessionError
 from repro.engine.executor import QueryResult
 from repro.hardware.profiles import TINY_DEVICE
@@ -59,6 +60,28 @@ class TestInsertPath:
         db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY, x DATE)")
         with pytest.raises(Exception):
             db.execute("INSERT INTO T VALUES (1, 'not a date')")
+
+    def test_duplicate_key_load_refused_and_recoverable(self):
+        """A key inserted twice is refused with a typed error before
+        anything is built; the session stays loadable."""
+        db = GhostDB()
+        db.execute(
+            "CREATE TABLE Patient (PatID INTEGER PRIMARY KEY, "
+            "Name CHAR(20) HIDDEN, Age INTEGER)"
+        )
+        db.execute("INSERT INTO Patient VALUES (1, 'Eve', 40)")
+        db.execute("INSERT INTO Patient VALUES (1, 'Bob', 50)")
+        with pytest.raises(SchemaError, match="primary key 1"):
+            db.load()
+        assert db.core.tree is None and db.core.site is None
+        with pytest.raises(SessionError, match="load data"):
+            db.query("SELECT Age FROM Patient")
+        db.execute("INSERT INTO Patient VALUES (1, 'Eve', 40), (2, 'Bob', 50)")
+        db.load()
+        assert db.site.row_count("patient") == 2
+        assert db.site.statistics("patient").row_count == 2
+        result = db.query("SELECT Name FROM Patient WHERE Age = 50")
+        assert result.rows == [("Bob",)]
 
     def test_insert_after_load_rejected(self, fresh_session):
         with pytest.raises(SessionError, match="secure setting"):

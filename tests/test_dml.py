@@ -294,7 +294,6 @@ class TestColumnScopedUpdate:
         collector = StatisticsCollector(
             table="prescription",
             column_names=[c.name for c in columns],
-            dtypes=[c.dtype for c in columns],
         )
         for row in hidden.heaps["prescription"].scan():
             collector.add(row)

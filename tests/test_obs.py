@@ -7,6 +7,7 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     MetricError,
@@ -20,7 +21,7 @@ from repro.obs import (
 )
 from repro.obs.export import SIM_PID, WALL_PID
 from repro.obs.log import ROOT, configure, get_logger
-from repro.obs.redact import REDACTED
+from repro.obs.redact import REDACTED, SCRUB_MEMO_SIZE
 
 
 class FakeClock:
@@ -92,6 +93,69 @@ class TestRedactor:
         out = r.scrub("SELECT * FROM Visit WHERE Purpose = 'Sclerosis'")
         assert "Sclerosis" not in out
         assert "SELECT" in out and "Visit" in out and "'?'" in out
+
+
+class TestScrubMemo:
+    """The memo changes no output and no ``redacted_tokens`` count."""
+
+    @staticmethod
+    def unmemoized(allowed, text):
+        fresh = Redactor()
+        fresh.allow(*allowed)
+        return fresh.scrub(text), fresh.redacted_tokens
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(
+                    ["query Dupont", "merge Purpose x1", "Purpose", "scan",
+                     "Visit = 'Sclerosis'", "", "Dupont Dupont 42"]
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_repeats_match_an_unmemoized_scrub(self, ops):
+        r = Redactor()
+        allowed: list[str] = []
+        expected_tokens = 0
+        for is_allow, text in ops:
+            if is_allow:
+                r.allow(text)
+                allowed.append(text)
+                continue
+            out, tokens = self.unmemoized(allowed, text)
+            expected_tokens += tokens
+            assert r.scrub(text) == out
+            assert r.redacted_tokens == expected_tokens
+
+    def test_memo_stays_within_its_bound(self):
+        r = Redactor()
+        for i in range(SCRUB_MEMO_SIZE + 100):
+            assert r.scrub(f"scan Dupont{i}") == f"scan {REDACTED}"
+            assert len(r._memo) <= SCRUB_MEMO_SIZE
+        assert r.redacted_tokens == SCRUB_MEMO_SIZE + 100
+
+    def test_allow_drops_the_memo_only_when_the_vocabulary_grows(self):
+        r = Redactor()
+        assert r.scrub("Purpose") == REDACTED
+        r.allow("scan", "Query")  # both known already: memo kept
+        assert "Purpose" in r._memo
+        r.allow("Purpose")
+        assert r._memo == {}
+        assert r.scrub("Purpose") == "Purpose"
+
+    def test_memo_is_not_pickled(self):
+        import pickle
+
+        r = Redactor()
+        r.scrub("query Dupont")
+        restored = pickle.loads(pickle.dumps(r))
+        assert restored._memo == {}
+        assert restored.redacted_tokens == r.redacted_tokens
+        assert restored.scrub("query Dupont") == f"query {REDACTED}"
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Session persistence: save, unplug, replug."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.ghostdb import GhostDB
@@ -37,6 +39,34 @@ def test_round_trip_preserves_simulated_costs(saved_path):
     assert a.metrics.elapsed_seconds == pytest.approx(
         b.metrics.elapsed_seconds
     )
+
+
+def test_round_trip_after_queries_rebuilds_warm_caches(fresh_session, tmp_path):
+    """A session saved after queries -- visible-site indexes built,
+    scrub memo full -- leaves both derived caches out of the file and
+    answers identically once they are rebuilt on first use."""
+    sqls = [
+        demo_query(),
+        "SELECT Name FROM Doctor WHERE Country = 'France'",
+        "SELECT Date FROM Visit WHERE Date > 2006-06-01",
+    ]
+    before = [fresh_session.query(sql).rows for sql in sqls]
+    assert any(t.indexes for t in fresh_session.site._tables.values())
+    assert fresh_session.obs.redactor._memo
+    path = str(tmp_path / "warm.ghostdb")
+    fresh_session.save(path)
+    restored = GhostDB.restore(path)
+    assert all(not t.indexes for t in restored.site._tables.values())
+    assert restored.obs.redactor._memo == {}
+    fresh_session.reset_measurements()
+    restored.reset_measurements()
+    for sql, rows in zip(sqls, before):
+        a, b = fresh_session.query(sql), restored.query(sql)
+        assert a.rows == b.rows == rows
+        assert a.metrics.elapsed_seconds == b.metrics.elapsed_seconds
+    assert [r.payload for r in fresh_session.usb_log] == [
+        r.payload for r in restored.usb_log
+    ]
 
 
 def test_wear_counters_survive(fresh_session, tmp_path, demo_data):
@@ -94,17 +124,17 @@ def test_v3_file_refused(saved_path, version):
     from repro.core.persistence import MAGIC
 
     _original, path = saved_path
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(MAGIC):len(MAGIC) + 2] = version.to_bytes(2, "big")
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(PersistenceError, match=f"version {version}"):
         load_session(path)
 
 
 def test_truncated_file_rejected_before_unpickling(saved_path):
     _original, path = saved_path
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 64])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) - 64])
     with pytest.raises(PersistenceError, match="truncated"):
         load_session(path)
 
@@ -113,16 +143,16 @@ def test_truncated_header_rejected(saved_path):
     from repro.core.persistence import MAGIC, VERSION
 
     _original, path = saved_path
-    open(path, "wb").write(MAGIC + VERSION.to_bytes(2, "big") + b"\x00\x03")
+    Path(path).write_bytes(MAGIC + VERSION.to_bytes(2, "big") + b"\x00\x03")
     with pytest.raises(PersistenceError, match="header"):
         load_session(path)
 
 
 def test_bit_flip_fails_checksum(saved_path):
     _original, path = saved_path
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0x40  # one flipped bit mid-payload
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(PersistenceError, match="checksum"):
         load_session(path)
 
@@ -141,13 +171,13 @@ def test_failed_save_leaves_previous_file_intact(saved_path):
     import os
 
     original, path = saved_path
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     with pytest.raises(PersistenceError):
         # Not a GhostDB session: save refuses before touching the path.
         from repro.core.persistence import save_session
 
         save_session(object(), path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     droppings = [
         name for name in os.listdir(os.path.dirname(path))
         if name.startswith(".ghostdb-session-")

@@ -13,6 +13,7 @@ boundary could not hide.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,7 +253,7 @@ class TestChaosBundleFuzz:
                 session.clear_faults()
                 if session.needs_remount:
                     session.remount()
-            payload = open(path, "rb").read()
+            payload = Path(path).read_bytes()
             report = checker.check_bytes(payload, kind="chaos-bundle")
             assert report.ok, f"seed {seed}: {report.summary()}"
             # Frame-boundary splits: re-scan the payload in chunks cut
