@@ -37,10 +37,10 @@ from repro.obs.vetted import write_atomic
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v5: the pickled ``GhostDB`` is itself the default session (no
-#: separate ``session`` object; the core holds no back-reference).
-#: v4 (bounded tracer windows) and earlier layouts are refused.
-VERSION = 5
+#: v6: the simulated clock holds integer ticks and the secure chip an
+#: unsettled charge tally.  v5 (the pickled ``GhostDB`` is itself the
+#: default session) and earlier layouts are refused.
+VERSION = 6
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

@@ -233,6 +233,9 @@ class SessionDevice:
     # -- session-pure measurement ---------------------------------------
     def counters(self) -> DeviceCounters:
         lease = self._lease
+        # The chip's unsettled tally reaches the lease clock through
+        # the device clock's tee: settle before reading the lease clock.
+        self._core.device.clock.settle()
         if self._core.active_lease is lease:
             # The live byte totals sit on the channel while activated;
             # the lease copies are only synced on deactivation.
@@ -252,6 +255,7 @@ class SessionDevice:
 
     def reset_measurements(self) -> None:
         lease = self._lease
+        self._core.device.clock.settle()
         lease.clock.reset()
         lease.usb_log.clear()
         fresh = FlashStats()
@@ -666,7 +670,7 @@ class DeviceCore:
         usb.bytes_to_device = lease.bytes_to_device
         usb.bytes_to_host = lease.bytes_to_host
         usb.mirror = saved[4]
-        device.clock.tee = lease.clock
+        device.clock.tee_to(lease.clock)
         self.active_lease = lease
         try:
             yield
@@ -686,7 +690,7 @@ class DeviceCore:
                 usb.bytes_to_host,
             ) = saved
             usb.mirror = None
-            device.clock.tee = None
+            device.clock.tee_to(None)
             self.active_lease = None
 
 

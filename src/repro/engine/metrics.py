@@ -49,6 +49,10 @@ class OperatorStats:
     #: Peak bytes of device RAM this operator allocated for itself.
     ram_bytes: int = 0
     finished: bool = False
+    #: Pulled through :meth:`~repro.engine.operators.base.Operator.unbatched`:
+    #: its own costs were attributed to its consumer, so its measured
+    #: self time is not its cost (EXPLAIN ANALYZE grades the consumer).
+    cost_on_consumer: bool = False
     #: Simulated-clock timestamps of the first pull and the last
     #: activity, stamped by
     #: :class:`~repro.engine.operators.base.TimeAttribution`; ``None``

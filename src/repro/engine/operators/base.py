@@ -41,6 +41,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.engine.metrics import OperatorStats
+from repro.hardware.clock import TICKS_PER_SECOND
 from repro.hardware.device import SmartUsbDevice
 from repro.visible.link import DeviceLink
 
@@ -60,16 +61,16 @@ class TimeAttribution:
     def __init__(self, device: SmartUsbDevice):
         self.device = device
         self._stack: list[OperatorStats] = []
-        # The totals dict is stable across clock.reset(), so reading it
-        # directly keeps this hot path allocation-free.
-        self._totals = device.clock.totals
+        self._clock = device.clock
         #: How many times :meth:`_mark` has run -- the per-batch (was:
         #: per-tuple) overhead the batch protocol exists to amortise.
         self.marks = 0
+        # Simulated readings are integer clock ticks: deltas are exact,
+        # so per-operator self times partition elapsed time exactly.
         self._last_wall = time.perf_counter()
-        self._last = 0.0
-        self._last_flash = 0.0
-        self._last_usb = 0.0
+        self._last = 0
+        self._last_flash = 0
+        self._last_usb = 0
         self._last_reads = 0
         self._last_writes = 0
         self._last_msgs = 0
@@ -79,14 +80,12 @@ class TimeAttribution:
 
     def _mark(self) -> None:
         self.marks += 1
-        totals = self._totals
+        ticks = self._clock.live_ticks()
         flash_now = (
-            totals["flash_read"]
-            + totals["flash_write"]
-            + totals["flash_erase"]
+            ticks["flash_read"] + ticks["flash_write"] + ticks["flash_erase"]
         )
-        usb_now = totals["usb"]
-        now = flash_now + usb_now + totals["cpu"]
+        usb_now = ticks["usb"]
+        now = flash_now + usb_now + ticks["cpu"]
         wall = time.perf_counter()
         flash_stats = self.device.flash.stats
         reads = flash_stats.page_reads
@@ -99,10 +98,12 @@ class TimeAttribution:
         misses = cache_stats.misses
         if self._stack:
             top = self._stack[-1]
-            top.self_seconds += now - self._last
+            top.self_seconds += (now - self._last) / TICKS_PER_SECOND
             top.self_wall_seconds += wall - self._last_wall
-            top.self_flash_seconds += flash_now - self._last_flash
-            top.self_usb_seconds += usb_now - self._last_usb
+            top.self_flash_seconds += (
+                (flash_now - self._last_flash) / TICKS_PER_SECOND
+            )
+            top.self_usb_seconds += (usb_now - self._last_usb) / TICKS_PER_SECOND
             top.flash_page_reads += reads - self._last_reads
             top.flash_page_writes += writes - self._last_writes
             top.usb_messages += msgs - self._last_msgs
@@ -120,14 +121,7 @@ class TimeAttribution:
 
     def sim_now(self) -> float:
         """The simulated clock right now, without attributing anything."""
-        totals = self._totals
-        return (
-            totals["flash_read"]
-            + totals["flash_write"]
-            + totals["flash_erase"]
-            + totals["usb"]
-            + totals["cpu"]
-        )
+        return self._clock.now
 
     def stamp_start(self, stats: OperatorStats) -> None:
         """Stamp an operator's first pull without an attribution window.
@@ -148,7 +142,7 @@ class TimeAttribution:
     def enter(self, stats: OperatorStats) -> None:
         self._mark()
         if stats.started_sim is None:
-            stats.started_sim = self._last
+            stats.started_sim = self._last / TICKS_PER_SECOND
             stats.started_wall = self._last_wall
         self._stack.append(stats)
 
@@ -158,7 +152,7 @@ class TimeAttribution:
             raise PlanExecutionError(
                 f"time-attribution stack corrupted around {stats.name!r}"
             )
-        stats.ended_sim = self._last
+        stats.ended_sim = self._last / TICKS_PER_SECOND
         stats.ended_wall = self._last_wall
         self._stack.pop()
 
@@ -412,6 +406,7 @@ class Operator:
         stats = self.stats
         inner = self._produce()
         self._live.append(inner)
+        stats.cost_on_consumer = True
         attribution.stamp_start(stats)
         try:
             for item in inner:

@@ -24,6 +24,7 @@ committed state.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 
@@ -51,18 +52,38 @@ class FaultProfile:
     flash_bad_block_rate: float = 0.0
     flash_power_cut_rate: float = 0.0
 
+    def __post_init__(self) -> None:
+        # A bad value would otherwise surface mid-transfer (a negative
+        # stall) or poison the clock for good (a NaN stall).
+        for name in _RATES:
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:  # False for NaN too
+                raise ValueError(
+                    f"fault profile {self.name!r}: {name} must be in "
+                    f"[0, 1], got {rate!r}"
+                )
+        stall = self.usb_stall_seconds
+        if not (math.isfinite(stall) and stall >= 0):
+            raise ValueError(
+                f"fault profile {self.name!r}: usb_stall_seconds must be "
+                f"finite and >= 0, got {stall!r}"
+            )
+
     def scaled(self, factor: float) -> "FaultProfile":
         """A copy with every rate multiplied by ``factor`` (capped at 1)."""
         rates = {
-            name: min(1.0, getattr(self, name) * factor)
-            for name in (
-                "usb_corrupt_rate", "usb_truncate_rate", "usb_drop_rate",
-                "usb_stall_rate", "usb_unplug_rate",
-                "flash_read_bitflip_rate", "flash_torn_write_rate",
-                "flash_bad_block_rate", "flash_power_cut_rate",
-            )
+            name: min(1.0, getattr(self, name) * factor) for name in _RATES
         }
         return replace(self, **rates)
+
+
+#: The per-operation probability fields of :class:`FaultProfile`.
+_RATES = (
+    "usb_corrupt_rate", "usb_truncate_rate", "usb_drop_rate",
+    "usb_stall_rate", "usb_unplug_rate",
+    "flash_read_bitflip_rate", "flash_torn_write_rate",
+    "flash_bad_block_rate", "flash_power_cut_rate",
+)
 
 
 #: Named regimes selectable from the CLI (``--fault-profile``) and the

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hardware.clock import SimClock
+from repro.hardware.clock import SimClock, whole
 from repro.hardware.profiles import HardwareProfile
 from repro.obs.registry import MetricsRegistry
 
@@ -44,49 +44,94 @@ class CpuStats:
         return sum(self.cycles_by_op.values())
 
 
-@dataclass
 class SecureChip:
-    """Charges CPU time for device-side per-tuple work."""
+    """Charges CPU time for device-side per-tuple work.
 
-    profile: HardwareProfile
-    clock: SimClock
-    stats: CpuStats = field(default_factory=CpuStats)
-    #: Optional device-lifetime metrics sink (monotonic; includes load).
-    metrics: MetricsRegistry | None = None
-    #: Bound cycle-counter children per primitive (hot path).
-    _bound: dict = field(default_factory=dict, repr=False)
+    The engine charges a primitive per tuple, tens of thousands of times
+    per scan, so a charge is only validated and added to an integer
+    tally of that primitive.  :meth:`settle` folds the tally into
+    :attr:`stats`, the ``ghostdb_device_cpu_cycles_total`` family and
+    the clock (as one ``cpu`` charge).  The clock and the metrics
+    registry run it before every read, and :attr:`stats` before it
+    answers, so no reader sees a total with a charge missing; because
+    ticks are integers, settling late changes no total.
 
-    def _cycles(self, op: str, cycles: int) -> None:
-        bound = self._bound.get(op)
-        if bound is None:
-            bound = self.metrics.counter(
-                "ghostdb_device_cpu_cycles_total"
-            ).labelled(op=op)
-            self._bound[op] = bound
-        bound.inc(cycles)
+    A charge is not batched at its call site instead: a reading can fall
+    anywhere (a USB message sent from inside a merge loop stamps the
+    clock, a flight event journaled mid-read does too), and a count held
+    in a caller's local variable would be missing from it.
+    """
+
+    def __init__(
+        self,
+        profile: HardwareProfile,
+        clock: SimClock,
+        metrics: MetricsRegistry | None = None,
+    ):
+        self.profile = profile
+        self.clock = clock
+        #: Optional device-lifetime metrics sink (monotonic; includes load).
+        self.metrics = metrics
+        self._stats = CpuStats()
+        #: Unsettled occurrences per primitive, and unsettled raw cycles.
+        self._tally = dict.fromkeys(CYCLES, 0)
+        self._raw = 0
+        #: Bound cycle-counter children per primitive.
+        self._bound: dict = {}
+        clock.add_settler(self.settle)
+        if metrics is not None:
+            metrics.add_settler(self.settle)
+
+    @property
+    def stats(self) -> CpuStats:
+        """Cycle counters per primitive, settled."""
+        self.settle()
+        return self._stats
 
     def charge(self, op: str, count: int = 1) -> None:
         """Charge ``count`` occurrences of primitive ``op``."""
+        if count.__class__ is not int:
+            count = whole(count, "operation count")
         if count < 0:
             raise ValueError("operation count cannot be negative")
         try:
-            cycles = CYCLES[op] * count
+            self._tally[op] += count
         except KeyError:
             raise ValueError(f"unknown CPU primitive: {op!r}") from None
-        self.stats.cycles_by_op[op] = (
-            self.stats.cycles_by_op.get(op, 0) + cycles
-        )
-        if self.metrics is not None:
-            self._cycles(op, cycles)
-        self.clock.advance(cycles / self.profile.cpu_hz, "cpu")
 
     def charge_cycles(self, cycles: int) -> None:
         """Charge a raw cycle count (for costs outside the primitive set)."""
+        if cycles.__class__ is not int:
+            cycles = whole(cycles, "cycle count")
         if cycles < 0:
             raise ValueError("cycle count cannot be negative")
-        self.stats.cycles_by_op["raw"] = (
-            self.stats.cycles_by_op.get("raw", 0) + cycles
-        )
+        self._raw += cycles
+
+    def settle(self) -> None:
+        """Fold the unsettled tally into stats, metrics and the clock."""
+        total = 0
+        tally = self._tally
+        for op, count in tally.items():
+            if count:
+                tally[op] = 0
+                cycles = CYCLES[op] * count
+                self._account(op, cycles)
+                total += cycles
+        if self._raw:
+            cycles, self._raw = self._raw, 0
+            self._account("raw", cycles)
+            total += cycles
+        if total:
+            self.clock.advance(total * self.profile.cycle_ticks, "cpu")
+
+    def _account(self, op: str, cycles: int) -> None:
+        by_op = self._stats.cycles_by_op
+        by_op[op] = by_op.get(op, 0) + cycles
         if self.metrics is not None:
-            self._cycles("raw", cycles)
-        self.clock.advance(cycles / self.profile.cpu_hz, "cpu")
+            bound = self._bound.get(op)
+            if bound is None:
+                bound = self.metrics.counter(
+                    "ghostdb_device_cpu_cycles_total"
+                ).labelled(op=op)
+                self._bound[op] = bound
+            bound.inc(cycles)

@@ -6,10 +6,26 @@ that purpose, so each hardware component charges the simulated cost of its
 operations into a single :class:`SimClock`.  The clock keeps a per-category
 breakdown (flash reads vs writes vs erases, USB transfer, CPU) which the
 benchmarks report alongside the total.
+
+Time is kept as integer **ticks** of one femtosecond
+(:data:`TICKS_PER_SECOND`).  Every hardware constant is a whole number of
+ticks (see :mod:`repro.hardware.profiles`), so totals are exact: the same
+charges give the same ticks in any order and any grouping, and snapshots
+subtract without rounding.  Seconds appear only on read, each value
+converted once.
+
+A component may hold charges back and fold them in later: the secure
+chip tallies its per-tuple primitives as plain integer counts and
+registers a *settler* with the clock.  Every read (:attr:`SimClock.now`,
+:meth:`SimClock.breakdown`, :meth:`SimClock.live_ticks`), every
+:meth:`SimClock.reset` and every change of :attr:`SimClock.tee` runs the
+settlers first, so no reader ever sees a total with a charge missing.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 #: Canonical charge categories.  Components may only charge these, so the
@@ -22,96 +38,156 @@ CATEGORIES = (
     "cpu",
 )
 
+#: Clock ticks per simulated second: one tick is a femtosecond.
+TICKS_PER_SECOND = 10**15
+
+
+def whole(value, what: str) -> int:
+    """``value`` as an exact ``int``.
+
+    Charges are whole ticks or whole operation counts: floats (NaN and
+    the infinities included) and bools are refused with ``ValueError``;
+    other integral types (a NumPy integer) are converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def to_ticks(seconds: float) -> int:
+    """Finite, non-negative ``seconds`` as the nearest whole tick."""
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(
+            f"simulated time must be finite and >= 0, got {seconds!r}"
+        )
+    return round(seconds * TICKS_PER_SECOND)
+
+
+def _zero_ticks() -> dict[str, int]:
+    return dict.fromkeys(CATEGORIES, 0)
+
+
+def _seconds(category: str) -> property:
+    def read(self: "TimeBreakdown") -> float:
+        return self.ticks[category] / TICKS_PER_SECOND
+
+    return property(read, doc=f"Seconds charged to {category!r}.")
+
 
 @dataclass
 class TimeBreakdown:
-    """Immutable snapshot of a clock's per-category totals, in seconds."""
+    """Immutable snapshot of a clock's per-category totals.
 
-    flash_read: float = 0.0
-    flash_write: float = 0.0
-    flash_erase: float = 0.0
-    usb: float = 0.0
-    cpu: float = 0.0
+    Held as integer :attr:`ticks`, so snapshots add and subtract
+    exactly; the category attributes and :attr:`total` read in seconds.
+    """
+
+    ticks: dict[str, int] = field(default_factory=_zero_ticks)
+
+    flash_read = _seconds("flash_read")
+    flash_write = _seconds("flash_write")
+    flash_erase = _seconds("flash_erase")
+    usb = _seconds("usb")
+    cpu = _seconds("cpu")
+
+    @property
+    def total_ticks(self) -> int:
+        return sum(self.ticks.values())
 
     @property
     def total(self) -> float:
-        return (
-            self.flash_read
-            + self.flash_write
-            + self.flash_erase
-            + self.usb
-            + self.cpu
-        )
+        return self.total_ticks / TICKS_PER_SECOND
 
     def __sub__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         return TimeBreakdown(
-            flash_read=self.flash_read - other.flash_read,
-            flash_write=self.flash_write - other.flash_write,
-            flash_erase=self.flash_erase - other.flash_erase,
-            usb=self.usb - other.usb,
-            cpu=self.cpu - other.cpu,
+            {name: self.ticks[name] - other.ticks[name] for name in CATEGORIES}
         )
 
     def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         return TimeBreakdown(
-            flash_read=self.flash_read + other.flash_read,
-            flash_write=self.flash_write + other.flash_write,
-            flash_erase=self.flash_erase + other.flash_erase,
-            usb=self.usb + other.usb,
-            cpu=self.cpu + other.cpu,
+            {name: self.ticks[name] + other.ticks[name] for name in CATEGORIES}
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in CATEGORIES}
+        """Per-category seconds."""
+        return {
+            name: self.ticks[name] / TICKS_PER_SECOND for name in CATEGORIES
+        }
 
 
 @dataclass
 class SimClock:
-    """Accumulates simulated seconds, broken down by charge category."""
+    """Accumulates simulated ticks, broken down by charge category."""
 
-    _totals: dict[str, float] = field(
-        default_factory=lambda: {name: 0.0 for name in CATEGORIES}
-    )
+    _ticks: dict[str, int] = field(default_factory=_zero_ticks)
     #: Optional secondary clock that receives a copy of every charge.
     #: Session multiplexing points this at the active session's private
-    #: clock, so a leased session accumulates exactly the charge
-    #: sequence it would see running alone (starting from zero) while
-    #: the device clock keeps the global interleaved timeline.  Tees do
-    #: not chain: the teed clock's own ``tee`` is ignored here.
+    #: clock (through :meth:`tee_to`), so a leased session accumulates
+    #: exactly the charges it would see running alone (starting from
+    #: zero) while the device clock keeps the global interleaved
+    #: timeline.  Tees do not chain: the teed clock's own ``tee`` is
+    #: ignored here.
     tee: "SimClock | None" = None
+    #: Callables that fold charges held elsewhere into this clock (see
+    #: the module docstring); run before every read.
+    _settlers: list = field(default_factory=list, repr=False)
 
-    def advance(self, seconds: float, category: str) -> None:
-        """Charge ``seconds`` of simulated time to ``category``.
+    def advance(self, ticks: int, category: str) -> None:
+        """Charge ``ticks`` of simulated time to ``category``.
 
-        Raises ``ValueError`` for unknown categories or negative charges so
-        accounting bugs surface immediately instead of skewing benchmarks.
+        Raises ``ValueError`` for unknown categories and for negative or
+        non-integer charges, so accounting bugs surface at the call
+        instead of skewing every later total.
         """
-        if category not in self._totals:
+        if ticks.__class__ is not int:
+            ticks = whole(ticks, "clock charge")
+        if ticks < 0:
+            raise ValueError(f"negative time charge: {ticks!r}")
+        totals = self._ticks
+        if category not in totals:
             raise ValueError(f"unknown clock category: {category!r}")
-        if seconds < 0:
-            raise ValueError(f"negative time charge: {seconds!r}")
-        self._totals[category] += seconds
+        totals[category] += ticks
         if self.tee is not None:
-            self.tee._totals[category] += seconds
+            self.tee._ticks[category] += ticks
+
+    def add_settler(self, settle) -> None:
+        """Run ``settle()`` before every read of this clock."""
+        self._settlers.append(settle)
+
+    def settle(self) -> None:
+        """Fold every held-back charge into the totals (and the tee)."""
+        for settle in self._settlers:
+            settle()
+
+    def tee_to(self, clock: "SimClock | None") -> None:
+        """Point :attr:`tee` at ``clock`` (or nowhere).
+
+        Held-back charges settle first, so each lands on the tee that
+        was in place when it was made.
+        """
+        self.settle()
+        self.tee = clock
 
     @property
     def now(self) -> float:
         """Total simulated seconds elapsed."""
-        return sum(self._totals.values())
+        self.settle()
+        return sum(self._ticks.values()) / TICKS_PER_SECOND
 
-    @property
-    def totals(self) -> dict[str, float]:
-        """Live per-category totals (read-only by convention).
-
-        The dict object is stable across :meth:`reset`, so hot paths may
-        hold a reference instead of re-fetching snapshots.
-        """
-        return self._totals
+    def live_ticks(self) -> dict[str, int]:
+        """Settle, then the live per-category tick totals (read-only by
+        convention; no snapshot copy, for per-window readers)."""
+        self.settle()
+        return self._ticks
 
     def breakdown(self) -> TimeBreakdown:
         """A snapshot of the per-category totals."""
-        return TimeBreakdown(**self._totals)
+        self.settle()
+        return TimeBreakdown(dict(self._ticks))
 
     def reset(self) -> None:
-        for name in self._totals:
-            self._totals[name] = 0.0
+        """Zero every category; held-back charges settle (and so are
+        zeroed too) rather than leaking past the reset."""
+        self.settle()
+        for name in self._ticks:
+            self._ticks[name] = 0

@@ -30,7 +30,7 @@ from repro.faults.errors import PowerCutError
 from repro.faults.injector import FaultInjector
 from repro.hardware.clock import SimClock
 from repro.hardware.profiles import HardwareProfile
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import NO_COUNTER, MetricsRegistry
 
 
 class FlashError(Exception):
@@ -122,19 +122,47 @@ class NandFlash:
     _oob: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     _bad_blocks: set[int] = field(default_factory=set)
     _erase_counts: dict[int, int] = field(default_factory=dict)
-    #: Bound counter children, keyed by (name, label items) -- one
-    #: registry resolution per site instead of one per simulated op.
+    #: Bound unlabelled counter children by name -- one registry
+    #: resolution per site instead of one per simulated op.
     _bound: dict = field(default_factory=dict, repr=False)
+    #: The page-read counter children ``(full, partial)``, bound on
+    #: first use so the family registers only once a read is counted.
+    _read_counters: tuple | None = field(default=None, repr=False)
 
-    def _count(self, name: str, amount: int = 1, **labels) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is None:
             return
-        key = (name, *labels.items())
-        bound = self._bound.get(key)
+        bound = self._bound.get(name)
         if bound is None:
-            bound = self.metrics.counter(name).labelled(**labels)
-            self._bound[key] = bound
+            bound = self.metrics.counter(name).labelled()
+            self._bound[name] = bound
         bound.inc(amount)
+
+    def _bind_read_counters(self) -> tuple:
+        if self.metrics is None:
+            counters = (NO_COUNTER, NO_COUNTER)
+        else:
+            family = self.metrics.counter("ghostdb_device_flash_reads_total")
+            counters = (
+                family.labelled(kind="full"),
+                family.labelled(kind="partial"),
+            )
+        self._read_counters = counters
+        return counters
+
+    def _charge_read(self, partial: bool) -> None:
+        """Count and time one page read (full or partial)."""
+        counters = self._read_counters or self._bind_read_counters()
+        if partial:
+            self.stats.page_reads_partial += 1
+            self.clock.advance(
+                self.profile.flash_read_partial_ticks, "flash_read"
+            )
+            counters[1].inc()
+        else:
+            self.stats.page_reads_full += 1
+            self.clock.advance(self.profile.flash_read_full_ticks, "flash_read")
+            counters[0].inc()
 
     @property
     def num_pages(self) -> int:
@@ -167,14 +195,7 @@ class NandFlash:
                 f"read of [{offset}, {offset + length}) exceeds page size"
             )
         partial = length <= page_size * PARTIAL_READ_FRACTION
-        if partial:
-            self.stats.page_reads_partial += 1
-            self.clock.advance(self.profile.flash_read_partial_s, "flash_read")
-            self._count("ghostdb_device_flash_reads_total", kind="partial")
-        else:
-            self.stats.page_reads_full += 1
-            self.clock.advance(self.profile.flash_read_full_s, "flash_read")
-            self._count("ghostdb_device_flash_reads_total", kind="full")
+        self._charge_read(partial)
         if self.faults is not None:
             decision = self.faults.flash_decision("read", length)
             if decision is not None:
@@ -186,22 +207,7 @@ class NandFlash:
                     # Transient bit flip caught by the spare-area ECC:
                     # the controller re-reads the page (charged at the
                     # same rate class) and delivers corrected data.
-                    if partial:
-                        self.stats.page_reads_partial += 1
-                        self.clock.advance(
-                            self.profile.flash_read_partial_s, "flash_read"
-                        )
-                        self._count(
-                            "ghostdb_device_flash_reads_total", kind="partial"
-                        )
-                    else:
-                        self.stats.page_reads_full += 1
-                        self.clock.advance(
-                            self.profile.flash_read_full_s, "flash_read"
-                        )
-                        self._count(
-                            "ghostdb_device_flash_reads_total", kind="full"
-                        )
+                    self._charge_read(partial)
                     self._count("ghostdb_flash_ecc_corrections_total")
         data = self._pages.get(page, b"\xff" * page_size)
         return data[offset : offset + length]
@@ -235,7 +241,7 @@ class NandFlash:
             )
         padded = data + b"\xff" * (self.profile.page_size - len(data))
         self.stats.page_writes += 1
-        self.clock.advance(self.profile.flash_write_s, "flash_write")
+        self.clock.advance(self.profile.flash_write_ticks, "flash_write")
         self._count("ghostdb_device_flash_writes_total")
         if self.faults is not None:
             decision = self.faults.flash_decision("program")
@@ -296,7 +302,7 @@ class NandFlash:
         per_block = self.profile.pages_per_block
         first = block * per_block
         self.stats.block_erases += 1
-        self.clock.advance(self.profile.flash_erase_s, "flash_erase")
+        self.clock.advance(self.profile.flash_erase_ticks, "flash_erase")
         self._count("ghostdb_device_flash_erases_total")
         if self.faults is not None:
             decision = self.faults.flash_decision("erase", per_block)
@@ -334,8 +340,11 @@ class NandFlash:
         if count < 0:
             raise FlashError("negative read count")
         self.stats.page_reads_partial += count
-        self.clock.advance(count * self.profile.flash_read_partial_s, "flash_read")
-        self._count("ghostdb_device_flash_reads_total", count, kind="partial")
+        self.clock.advance(
+            count * self.profile.flash_read_partial_ticks, "flash_read"
+        )
+        counters = self._read_counters or self._bind_read_counters()
+        counters[1].inc(count)
 
     # ------------------------------------------------------------------
     # Spare-area journal and bad-block marks (recovery interface)

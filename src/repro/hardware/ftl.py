@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.hardware.clock import to_ticks
 from repro.hardware.flash import (
     BadBlockError,
     FlashError,
@@ -252,7 +253,7 @@ class FlashTranslationLayer:
         if not engaged:
             return
         stall = self.throttle_factor * profile.flash_write_s
-        self.flash.clock.advance(stall, "flash_write")
+        self.flash.clock.advance(to_ticks(stall), "flash_write")
         if self.flash.metrics is not None:
             self.flash.metrics.counter(
                 "ghostdb_ftl_throttle_writes_total"

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.hardware.ram import Allocation, RamBudget, RamExhaustedError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import NO_COUNTER, MetricsRegistry
 
 #: RAM-budget label under which the pool's pages are accounted.
 CACHE_LABEL = "page-cache"
@@ -94,8 +94,11 @@ class PageCache:
         self._pages: OrderedDict[int, bytes] = OrderedDict()
         self._alloc: Allocation | None = None
         # Bound counter children -- one registry resolution per name
-        # instead of one per lookup (the pool is probed per flash read).
+        # instead of one per event.  The pool is probed per flash read,
+        # so the ``(hits, misses)`` pair is held apart and bound on
+        # first use (the families register when first counted).
         self._bound: dict = {}
+        self._lookup_counters: tuple | None = None
         self._attach(budget)
 
     # ------------------------------------------------------------------
@@ -148,15 +151,16 @@ class PageCache:
         """
         if not self.enabled:
             return None
+        counters = self._lookup_counters or self._bind_lookup_counters()
         data = self._pages.get(lpage)
         if data is None:
             self.stats.misses += 1
-            self._count("ghostdb_cache_misses_total")
+            counters[1].inc()
             return None
         if promote:
             self._pages.move_to_end(lpage)
         self.stats.hits += 1
-        self._count("ghostdb_cache_hits_total")
+        counters[0].inc()
         return data
 
     def admit(self, lpage: int, data: bytes) -> None:
@@ -269,6 +273,17 @@ class PageCache:
             bound = self.metrics.counter(name).labelled()
             self._bound[name] = bound
         bound.inc(amount)
+
+    def _bind_lookup_counters(self) -> tuple:
+        if self.metrics is None:
+            counters = (NO_COUNTER, NO_COUNTER)
+        else:
+            counters = (
+                self.metrics.counter("ghostdb_cache_hits_total").labelled(),
+                self.metrics.counter("ghostdb_cache_misses_total").labelled(),
+            )
+        self._lookup_counters = counters
+        return counters
 
     def _gauge(self) -> None:
         if self.metrics is not None:

@@ -17,7 +17,29 @@ smaller RAM for stress tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+
+from repro.hardware.clock import TICKS_PER_SECOND
+
+#: The per-operation time constants, in seconds, each mirrored by an
+#: integer ``*_ticks`` field.
+_TIMED = (
+    "flash_read_full_s",
+    "flash_read_partial_s",
+    "flash_write_s",
+    "flash_erase_s",
+    "usb_setup_s",
+)
+
+
+def _whole_ticks(name: str, ticks: Fraction) -> int:
+    if ticks.denominator != 1 or ticks < 0:
+        raise ValueError(
+            f"{name} must be a whole, non-negative number of clock ticks "
+            f"(femtoseconds), got {float(ticks)!r} ticks"
+        )
+    return int(ticks)
 
 
 @dataclass(frozen=True)
@@ -51,6 +73,50 @@ class HardwareProfile:
     #: Program/erase cycles a block endures before wearing out.  ``None``
     #: disables wear-out (the default for benchmarks; tests enable it).
     max_erase_cycles: int | None = None
+
+    #: The constants above in integer clock ticks (see
+    #: :mod:`repro.hardware.clock`), derived once: each is exactly the
+    #: constant as written, so simulated totals stay exact.
+    flash_read_full_ticks: int = field(init=False, repr=False, compare=False)
+    flash_read_partial_ticks: int = field(
+        init=False, repr=False, compare=False
+    )
+    flash_write_ticks: int = field(init=False, repr=False, compare=False)
+    flash_erase_ticks: int = field(init=False, repr=False, compare=False)
+    usb_setup_ticks: int = field(init=False, repr=False, compare=False)
+    #: Ticks per CPU cycle.
+    cycle_ticks: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Decimal constants ("80e-6") convert exactly through their
+        # shortest repr; a constant finer than a tick is refused.
+        for name in _TIMED:
+            ticks = Fraction(repr(getattr(self, name))) * TICKS_PER_SECOND
+            object.__setattr__(
+                self, name[:-2] + "_ticks", _whole_ticks(name, ticks)
+            )
+        cpu_hz = Fraction(repr(self.cpu_hz))
+        if cpu_hz <= 0:
+            raise ValueError(f"cpu_hz must be positive, got {self.cpu_hz!r}")
+        object.__setattr__(
+            self,
+            "cycle_ticks",
+            _whole_ticks("one cpu cycle", TICKS_PER_SECOND / cpu_hz),
+        )
+        bits = Fraction(repr(self.usb_bits_per_s))
+        if bits <= 0 or bits.denominator != 1:
+            raise ValueError(
+                "usb_bits_per_s must be a positive whole number, got "
+                f"{self.usb_bits_per_s!r}"
+            )
+
+    def usb_message_ticks(self, nbytes: int) -> int:
+        """Ticks to move one ``nbytes`` message: the setup cost plus the
+        byte time, rounded once to the nearest tick (halves up)."""
+        bits_per_s = int(self.usb_bits_per_s)
+        return self.usb_setup_ticks + (
+            (16 * nbytes * TICKS_PER_SECOND + bits_per_s) // (2 * bits_per_s)
+        )
 
     @property
     def block_size(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.errors import DeviceUnpluggedError, GhostDBFaultError
 from repro.faults.injector import FaultInjector
-from repro.hardware.clock import SimClock
+from repro.hardware.clock import SimClock, to_ticks
 from repro.hardware.profiles import HardwareProfile
 from repro.obs.registry import MetricsRegistry
 
@@ -104,10 +104,9 @@ class UsbChannel:
                 f"USB payloads must be bytes, got {type(payload).__name__}"
             )
         payload = bytes(payload)
-        seconds = self.profile.usb_setup_s + (
-            len(payload) * 8 / self.profile.usb_bits_per_s
+        self.clock.advance(
+            self.profile.usb_message_ticks(len(payload)), "usb"
         )
-        self.clock.advance(seconds, "usb")
         if direction is Direction.TO_DEVICE:
             self.bytes_to_device += len(payload)
         else:
@@ -140,7 +139,7 @@ class UsbChannel:
                 delivered = payload[: decision.length]
             elif decision.kind == "stall":
                 # The bus hiccupped; the message arrives intact but late.
-                self.clock.advance(decision.seconds, "usb")
+                self.clock.advance(to_ticks(decision.seconds), "usb")
         seq = len(self.log)
         record = TrafficRecord(
             seq=seq,

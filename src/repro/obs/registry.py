@@ -104,6 +104,19 @@ class BoundCounter:
         values[self._key] = values.get(self._key, 0) + amount
 
 
+class _NoCounter:
+    """Stands in for a bound counter where no registry is attached."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> None:
+        pass
+
+
+#: The shared do-nothing bound counter.
+NO_COUNTER = _NoCounter()
+
+
 @dataclass
 class Counter:
     """A monotonically increasing total, optionally labelled."""
@@ -313,6 +326,18 @@ class MetricsRegistry:
         #: How many times :meth:`reset` ran; lets a writer that applies
         #: deltas to a shared gauge notice its past share was wiped.
         self.resets = 0
+        #: Callables that fold counts held back elsewhere (the secure
+        #: chip's cycle tally) into their families; run before the
+        #: registry is iterated, exposed or reset.
+        self._settlers: list = []
+
+    def add_settler(self, settle) -> None:
+        """Run ``settle()`` before every whole-registry read or reset."""
+        self._settlers.append(settle)
+
+    def _settle(self) -> None:
+        for settle in self._settlers:
+            settle()
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
         # Hot path first: per-event instrument lookups vastly outnumber
@@ -365,12 +390,14 @@ class MetricsRegistry:
         # Sorted by name, like expose_text: iteration order (and thus
         # every dump or artifact built from it) must not depend on the
         # order in which call sites happened to register families.
+        self._settle()
         return iter(
             self._metrics[name] for name in sorted(self._metrics)
         )
 
     def expose_text(self) -> str:
         """The full registry in Prometheus text exposition format."""
+        self._settle()
         lines = []
         for name in sorted(self._metrics):
             metric = self._metrics[name]
@@ -382,6 +409,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every value; registrations and help text survive."""
+        self._settle()
         for metric in self._metrics.values():
             metric.reset()
         self.resets += 1

@@ -10,6 +10,11 @@ RAM measurements attributed by the executor.  Nodes whose own time was
 mispredicted by more than :data:`MISESTIMATE_THRESHOLD` either way are
 flagged -- the scorecard in :mod:`repro.bench.scorecard` applies the
 same threshold per candidate plan.
+
+A node its consumer pulls through ``Operator.unbatched()`` has its costs
+attributed to that consumer, so its own measured time is not its cost:
+it is marked ``(cost on consumer)`` and never flagged, and the consumer
+is graded against its own estimate plus those of its unbatched inputs.
 """
 
 from __future__ import annotations
@@ -83,6 +88,22 @@ def self_estimate(node: lp.PlanNode, cost_model: CostModel) -> CostEstimate:
     return own
 
 
+def _charged_estimate(node: lp.PlanNode, cost_model: CostModel) -> CostEstimate:
+    """The estimate to hold against the node's measured self time: its
+    own, plus (recursively) that of every input pulled through
+    ``Operator.unbatched()``, whose costs land on this node."""
+    own = self_estimate(node, cost_model)
+    for child in node.children():
+        measured = getattr(child, "_measured", None)
+        if measured is not None and measured.cost_on_consumer:
+            sub = _charged_estimate(child, cost_model)
+            own.flash_read_s += sub.flash_read_s
+            own.flash_write_s += sub.flash_write_s
+            own.usb_s += sub.usb_s
+            own.cpu_s += sub.cpu_s
+    return own
+
+
 def explain_analyze(plan: lp.PlanNode, cost_model: CostModel) -> str:
     """Estimated vs measured, per node, after the plan has executed.
 
@@ -103,7 +124,7 @@ def _render_analyzed(
 ) -> None:
     prefix = "  " * depth
     est = cost_model.estimate(node)
-    own = self_estimate(node, cost_model)
+    own = _charged_estimate(node, cost_model)
     est_flash_ms = (own.flash_read_s + own.flash_write_s) * 1000
     estimate = (
         f"est ~{est.out_count:.0f} out, ~{own.seconds * 1000:.2f} ms self, "
@@ -113,6 +134,12 @@ def _render_analyzed(
     measured = getattr(node, "_measured", None)
     if measured is None:
         lines.append(f"{prefix}{node.label()}  [{estimate} | (not executed)]")
+    elif measured.cost_on_consumer:
+        lines.append(
+            f"{prefix}{node.label()}  [{estimate} | actual "
+            f"{measured.tuples_out} out, (cost on consumer), "
+            f"ram {measured.ram_bytes} B]"
+        )
     else:
         lookups = measured.cache_hits + measured.cache_misses
         if lookups:

@@ -24,6 +24,7 @@ import json
 
 from repro.columns import ID_WIDTH, IdColumn
 from repro.faults.errors import UsbTransferError
+from repro.hardware.clock import to_ticks
 from repro.hardware.device import SmartUsbDevice
 from repro.hardware.usb import Direction, UsbDroppedError
 from repro.sql.binder import EQ, IN, NEQ, RANGE, Predicate
@@ -178,7 +179,7 @@ class DeviceLink:
                         f"retries ({reason})"
                     ) from exc
                 self.device.clock.advance(
-                    RETRY_BACKOFF_S * (2 ** (attempt - 1)), "usb"
+                    to_ticks(RETRY_BACKOFF_S * (2 ** (attempt - 1))), "usb"
                 )
 
     def announce(self, sql: str) -> None:

@@ -310,6 +310,44 @@ class TestExplainAnalyzeScorecard:
         )
         assert histogram.count() == 1
 
+    @pytest.mark.parametrize(
+        "sql, consumer, inputs",
+        [
+            (
+                "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre "
+                "WHERE Pre.Quantity BETWEEN 5 AND 7 AND Pre.PreID <= 1900",
+                "MergeIntersect",
+                ("ClimbingSelect", "VisibleSelect"),
+            ),
+            (
+                "SELECT Vis.Purpose, COUNT(*), SUM(Pre.Quantity) "
+                "FROM Prescription Pre, Visit Vis "
+                "WHERE Vis.VisID = Pre.VisID AND Vis.Date BETWEEN "
+                "DATE '2005-09-14' AND DATE '2006-09-13' "
+                "GROUP BY Vis.Purpose",
+                "Aggregate",
+                ("Project",),
+            ),
+        ],
+        ids=["quantity-range", "group-by-date-window"],
+    )
+    def test_unbatched_inputs_are_graded_on_their_consumer(
+        self, demo_session, sql, consumer, inputs
+    ):
+        """Inputs pulled through ``Operator.unbatched()`` charge their
+        consumer: they are marked, never flagged, and the consumer is
+        graded against its estimate plus theirs."""
+        demo_session.reset_measurements()
+        report, _result = demo_session.explain_analyze(sql)
+        lines = {
+            line.strip().split("[", 1)[0]: line
+            for line in report.splitlines()
+        }
+        assert "MISESTIMATE" not in report, report
+        assert "(cost on consumer)" not in lines[consumer]
+        for name in inputs:
+            assert "(cost on consumer)" in lines[name], report
+
     def test_self_estimate_is_clamped_nonnegative(self, demo_session):
         bound = demo_session.bind(demo_query())
         plan = demo_session.optimizer.optimize(bound).plan

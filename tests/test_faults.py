@@ -63,6 +63,23 @@ class TestProfiles:
         assert profile.scaled(10).usb_corrupt_rate == 1.0
         assert profile.scaled(0.5).usb_corrupt_rate == pytest.approx(0.2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("usb_stall_seconds", float("nan")),
+            ("usb_stall_seconds", float("inf")),
+            ("usb_stall_seconds", -0.5),
+            ("usb_drop_rate", 1.5),
+            ("flash_read_bitflip_rate", -0.1),
+            ("usb_corrupt_rate", float("nan")),
+        ],
+    )
+    def test_invalid_profile_rejected_at_construction(self, field, value):
+        """A NaN stall used to poison the device clock for good, and a
+        negative one to fail mid-transfer; both now fail up front."""
+        with pytest.raises(ValueError, match=field):
+            FaultProfile(name="bad", usb_stall_rate=1.0, **{field: value})
+
     def test_single_roll_picks_one_usb_fault(self):
         # corrupt=1.0: every transfer corrupts, never drops/stalls.
         injector = FaultInjector(

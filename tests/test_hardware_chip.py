@@ -28,6 +28,18 @@ def test_negative_count_rejected():
         chip.charge("compare", -1)
 
 
+@pytest.mark.parametrize("count", [2.5, True, float("nan")])
+def test_fractional_or_bool_count_rejected(count):
+    """``charge("compare", 2.5)`` used to record 100.0 cycles."""
+    chip = SecureChip(profile=DEMO_DEVICE, clock=SimClock())
+    with pytest.raises(ValueError, match="whole number"):
+        chip.charge("compare", count)
+    with pytest.raises(ValueError, match="whole number"):
+        chip.charge_cycles(count)
+    assert chip.stats.total_cycles == 0
+    assert chip.clock.now == 0.0
+
+
 def test_raw_cycles_tracked_separately():
     chip = SecureChip(profile=DEMO_DEVICE, clock=SimClock())
     chip.charge_cycles(500)

@@ -26,6 +26,18 @@ def test_transfer_time_matches_throughput(channel):
     assert elapsed == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("nbytes, byte_ticks", [(1, 666_666_667), (2, 1_333_333_333)])
+def test_message_byte_time_rounds_once_to_the_nearest_tick(
+    channel, nbytes, byte_ticks
+):
+    """8 bits at 12 Mb/s is 666,666,666.67 fs: it rounds up to the
+    nearest tick, and 16 bits (1,333,333,333.33 fs) rounds down."""
+    channel.transfer(Direction.TO_DEVICE, "ids", b"x" * nbytes)
+    assert channel.clock.breakdown().ticks["usb"] == (
+        DEMO_DEVICE.usb_setup_ticks + byte_ticks
+    )
+
+
 def test_high_speed_profile_is_40x_faster_per_byte():
     slow = UsbChannel(profile=DEMO_DEVICE, clock=SimClock())
     fast = UsbChannel(profile=HIGH_SPEED_DEVICE, clock=SimClock())
