@@ -445,6 +445,12 @@ def _concurrent(per_session_sql: list[list[str]], fairness_floor=None):
     list, interleave everything under the DRR scheduler, and fold the
     per-ticket metrics into one gate-able record.
 
+    Every statement is submitted before the scheduler runs.  A session
+    has one statement in flight, so its statements run one after
+    another while the sessions interleave, and each ticket's metrics
+    count only its own device work: the per-ticket diffs sum to what
+    the leases did.
+
     The recorded :class:`ExecutionMetrics` sums the per-ticket diffs
     (``ram_high_water`` sums the per-session partition peaks -- the
     acceptance bound is that this stays within the secure budget);

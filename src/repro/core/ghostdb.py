@@ -265,8 +265,9 @@ class GhostDB(SessionContext):
 
     def trace(self, sql: str) -> QueryTrace:
         """Run a SELECT and return its result together with the trace
-        spans it produced (optimizer candidates, operators, hardware
-        counter attributes) -- the demo's popup view, as data."""
+        spans it produced (optimizer candidates unless the plan came
+        from the session's plan table, operators, hardware counter
+        attributes) -- the demo's popup view, as data."""
         tracer = self.obs.tracer
         mark = tracer.mark()
         result = self.query(sql)

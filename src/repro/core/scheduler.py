@@ -118,6 +118,11 @@ class Scheduler:
     ``run`` interleaves all pending tickets to completion.  Submitting
     more and calling ``run`` again is fine -- ticket numbering and the
     flight journal continue.
+
+    A session has one statement in flight: each round services only
+    its oldest pending ticket, so its statements run in submission
+    order, one after another.  A ticket's metrics are lease-counter
+    diffs, which a sibling ticket running in between would inflate.
     """
 
     core: object
@@ -157,12 +162,17 @@ class Scheduler:
         return len(self._runners)
 
     def run(self) -> list[QueryTicket]:
-        """Interleave every pending ticket to completion; returns all
-        tickets ever submitted (completed ones included)."""
+        """Interleave every pending ticket to completion, one in flight
+        per session; returns all tickets ever submitted (completed ones
+        included)."""
         while self._runners:
+            serviced = set()
             for runner in list(self._runners):
                 if runner not in self._runners:
                     continue  # aborted by a power cut this round
+                if runner.ticket.session in serviced:
+                    continue  # an older ticket of its session ran
+                serviced.add(runner.ticket.session)
                 runner.deficit += self.quantum_s
                 self._service(runner)
         return self.tickets

@@ -38,6 +38,7 @@ still shows the spy the full interleaved traffic stream.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -71,6 +72,10 @@ from repro.visible.link import DeviceLink
 from repro.visible.site import VisibleSite
 
 log = get_logger(__name__)
+
+#: Most prepared plans one session keeps; past it the least recently
+#: used entry is evicted.
+PLAN_TABLE_SIZE = 256
 
 
 class SessionError(RuntimeError):
@@ -733,6 +738,24 @@ class SessionContext:
         self.executor: Executor | None = None
         self.optimizer: Optimizer | None = None
         self._last_leak_profile: TrafficProfile | None = None
+        #: Prepared plans: SQL text -> (stamp, plan), least recently
+        #: used first.  See :meth:`_prepared_plan`.
+        self._plans: OrderedDict[str, tuple[tuple, Project]] = OrderedDict()
+        #: ``ghostdb_plan_cache_lookups_total`` children by outcome,
+        #: bound on the first lookup.
+        self._plan_lookups: dict | None = None
+
+    def __getstate__(self):
+        # Host caches, like the visible site's indexes: a loaded session
+        # starts with an empty plan table.
+        state = self.__dict__.copy()
+        del state["_plans"], state["_plan_lookups"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._plans = OrderedDict()
+        self._plan_lookups = None
 
     @property
     def profile(self) -> HardwareProfile:
@@ -828,7 +851,7 @@ class SessionContext:
 
     def query(self, sql: str) -> QueryResult:
         """Optimize and execute a SELECT; returns rows plus metrics."""
-        return self._drain(self._steps(sql, self._parse_select(sql, "query")))
+        return self._drain(self._steps(sql, self._select(sql, "query")))
 
     def bind(self, sql: str) -> BoundQuery:
         """Parse and bind a SELECT without running it."""
@@ -841,8 +864,11 @@ class SessionContext:
         Yields at every batch-window boundary (SELECT) or not at all
         (DML runs as one atomic rebuild transaction); the result object
         is the generator's return value.  The caller owns activation.
-        Parsing happens here, so an unsupported statement fails now.
+        Parsing happens here, so an unsupported statement fails now;
+        a SELECT text the plan table knows needs no parse.
         """
+        if sql in self._plans:
+            return self._steps(sql, None)
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.Select, ast.Update, ast.Delete)):
             raise SessionError(
@@ -856,6 +882,13 @@ class SessionContext:
         if not isinstance(statement, ast.Select):
             raise SessionError(f"{surface}() expects a SELECT statement")
         return statement
+
+    def _select(self, sql: str, surface: str) -> ast.Select | None:
+        """:meth:`_parse_select` for the surfaces that plan through the
+        table: ``None`` for a text it holds (only SELECTs are stored)."""
+        if sql in self._plans:
+            return None
+        return self._parse_select(sql, surface)
 
     def _drain(self, steps):
         """Run a step generator to completion under activation."""
@@ -872,16 +905,18 @@ class SessionContext:
         Guards, then one ``query`` (SELECT) or ``dml`` root span around
         the whole statement: the query-text announcement, binding, the
         plan source, execution, fault bookkeeping and leak metering.
-        The plan comes from the optimizer, from ``strategy`` (the demo's
+        The plan comes from the session's plan table or the optimizer
+        (:meth:`_prepared_plan`), from ``strategy`` (the demo's
         hand-picked Pre/Post assignment) or, for DML, from the bound
-        UPDATE/DELETE.  A SELECT yields at every batch window; DML runs
-        as one atomic rebuild transaction, so it finishes in the first
-        step.  The result is the generator's return value.
+        UPDATE/DELETE.  ``statement`` is ``None`` for a SELECT text the
+        plan table held when the caller looked.  A SELECT yields at
+        every batch window; DML runs as one atomic rebuild transaction,
+        so it finishes in the first step.  The result is the generator's
+        return value.
         """
         self._require_usable()
-        select = isinstance(statement, ast.Select)
+        select = statement is None or isinstance(statement, ast.Select)
         mark = len(self.device.usb.log)
-        binder = Binder(self.core.tree)
         name = "query" if select else "dml"
         with self.obs.tracer.span(name, category="session") as span:
             # The SQL text passes the redaction gate: constants (which
@@ -894,21 +929,23 @@ class SessionContext:
                     # device.  DML text may name hidden values, so it
                     # travels the secure channel like appends do.
                     self.link.announce(sql)
-                    bound = binder.bind(statement)
                     if strategy is None:
-                        plan = self.optimizer.optimize(bound).plan
+                        plan, cached = self._prepared_plan(sql, statement)
+                        span.set("plan_cached", int(cached))
                     else:
+                        bound = Binder(self.core.tree).bind(statement)
                         span.set("strategy", strategy.label(bound))
                         plan = PlanBuilder(self.core.hidden, bound).build(
                             strategy
                         )
                         self.optimizer.annotate(plan)
                     result = yield from self.executor.execute_steps(plan)
-                elif isinstance(statement, ast.Update):
-                    plan = UpdatePlan(binder.bind_update(statement))
-                    result = self.executor.execute_dml(plan, self.core.site)
                 else:
-                    plan = DeletePlan(binder.bind_delete(statement))
+                    binder = Binder(self.core.tree)
+                    if isinstance(statement, ast.Update):
+                        plan = UpdatePlan(binder.bind_update(statement))
+                    else:
+                        plan = DeletePlan(binder.bind_delete(statement))
                     result = self.executor.execute_dml(plan, self.core.site)
             except GhostDBFaultError as exc:
                 span.set("aborted", type(exc).__name__)
@@ -921,6 +958,57 @@ class SessionContext:
                 span.set("matched", result.matched)
                 span.set("changed", result.changed)
         return result
+
+    def _prepared_plan(self, sql: str, statement) -> tuple[Project, bool]:
+        """The optimizer's plan for a SELECT text, and whether it came
+        from the plan table.
+
+        An entry is current while its stamp is: the catalog generation
+        (:attr:`HiddenDatabase.version`), the visible-statistics
+        generation (:attr:`VisibleSite.version`) and the pool size the
+        cost model prices with -- every input of plan building and
+        pricing.  The stamp is read when the statement starts, so a
+        write that ran after a scheduler submit is seen.  A miss or a
+        stale entry is parsed (if ``statement`` is ``None``), bound,
+        optimized and stored.  Plans are never written after optimize:
+        each run's measurements stay on its result.
+        """
+        core = self.core
+        stamp = (
+            core.hidden.version,
+            core.site.version,
+            self.optimizer.cost_model.cache_pages,
+        )
+        plans = self._plans
+        entry = plans.get(sql)
+        if entry is not None and entry[0] == stamp:
+            plans.move_to_end(sql)
+            self._count_plan_lookup("hit")
+            return entry[1], True
+        self._count_plan_lookup("miss" if entry is None else "stale")
+        if statement is None:
+            statement = parse_statement(sql)
+        bound = Binder(core.tree).bind(statement)
+        plan = self.optimizer.optimize(bound).plan
+        plans[sql] = (stamp, plan)
+        plans.move_to_end(sql)
+        if len(plans) > PLAN_TABLE_SIZE:
+            plans.popitem(last=False)
+        return plan, False
+
+    def _count_plan_lookup(self, outcome: str) -> None:
+        counters = self._plan_lookups
+        if counters is None:
+            family = self.obs.registry.counter(
+                "ghostdb_plan_cache_lookups_total",
+                "prepared-plan table lookups by optimizer-planned "
+                "SELECTs, by outcome",
+            )
+            counters = self._plan_lookups = {
+                kind: family.labelled(outcome=kind)
+                for kind in ("hit", "miss", "stale")
+            }
+        counters[outcome].inc()
 
     # ------------------------------------------------------------------
     # Plan-level surfaces
@@ -957,10 +1045,10 @@ class SessionContext:
         statistics per node (plus the result itself)."""
         from repro.optimizer.explain import explain_analyze
 
-        statement = self._parse_select(sql, "explain_analyze")
+        statement = self._select(sql, "explain_analyze")
         result = self._drain(self._steps(sql, statement))
         cost_model = self.optimizer.cost_model
-        report = explain_analyze(result.plan, cost_model)
+        report = explain_analyze(result, cost_model)
         measured = result.metrics.elapsed_seconds
         if measured > 1e-9:
             estimated = cost_model.estimate(result.plan).seconds

@@ -41,6 +41,13 @@ class StorageReport:
 class HiddenDatabase:
     """Device-resident storage, indexes and statistics."""
 
+    #: Catalog generation, bumped by every committed
+    #: :func:`~repro.engine.maintenance.rebuild_table` (appends, UPDATE
+    #: and DELETE all commit there).  A plan priced at one generation
+    #: is stale at the next.  Files saved before the counter existed
+    #: read this class default.
+    version = 0
+
     def __init__(self, device: SmartUsbDevice, tree: SchemaTree):
         self.device = device
         self.tree = tree

@@ -11,11 +11,11 @@ link, which the result never crosses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.engine import plan as lp
 from repro.engine.database import HiddenDatabase
-from repro.engine.metrics import ExecutionMetrics
+from repro.engine.metrics import ExecutionMetrics, OperatorStats
 from repro.engine.operators import (
     BloomProbeOp,
     ClimbingSelectOp,
@@ -64,6 +64,10 @@ class QueryResult:
     columns: list[str]
     metrics: ExecutionMetrics
     plan: lp.PlanNode
+    #: This run's operator stats per plan node, keyed by ``id(node)``
+    #: (a node lowered to a no-op shares its child's).  They live here,
+    #: not on the plan, because a session's stored plan runs again.
+    measured: dict[int, OperatorStats] = field(default_factory=dict)
 
     @property
     def row_count(self) -> int:
@@ -182,7 +186,9 @@ class Executor:
                 before, after, ctx.operators, len(rows)
             )
             if tracer.enabled:
-                self._record_operator_spans(root, span, tracer, set())
+                self._record_operator_spans(
+                    root, ctx.measured, span, tracer, set()
+                )
             span.set("result_rows", len(rows))
             span.set("flash_page_reads", metrics.flash_page_reads)
             span.set("flash_page_writes", metrics.flash_page_writes)
@@ -214,6 +220,7 @@ class Executor:
             columns=root.output_labels(),
             metrics=metrics,
             plan=root,
+            measured=ctx.measured,
         )
 
     def execute_dml(
@@ -333,7 +340,7 @@ class Executor:
         return max(1, self.config.exec_batch)
 
     def _record_operator_spans(
-        self, node: lp.PlanNode, parent, tracer, seen: set
+        self, node: lp.PlanNode, measured: dict, parent, tracer, seen: set
     ) -> None:
         """Rebuild the operator tree as nested trace spans.
 
@@ -344,7 +351,7 @@ class Executor:
         and is skipped (``seen`` tracks stats identity, not node
         identity).
         """
-        stats = getattr(node, "_measured", None)
+        stats = measured.get(id(node))
         span = None
         if stats is not None and id(stats) not in seen:
             seen.add(id(stats))
@@ -388,7 +395,11 @@ class Executor:
             )
         for child in node.children():
             self._record_operator_spans(
-                child, span if span is not None else parent, tracer, seen
+                child,
+                measured,
+                span if span is not None else parent,
+                tracer,
+                seen,
             )
 
     # ------------------------------------------------------------------
@@ -397,9 +408,9 @@ class Executor:
 
     def lower(self, node: lp.PlanNode, ctx: ExecContext) -> Operator:
         operator = self._lower(node, ctx)
-        # Remember the physical stats on the logical node so EXPLAIN
+        # Record the physical stats against the logical node so EXPLAIN
         # ANALYZE can show estimated-vs-measured side by side.
-        node._measured = operator.stats
+        ctx.measured[id(node)] = operator.stats
         return operator
 
     def _lower(self, node: lp.PlanNode, ctx: ExecContext) -> Operator:

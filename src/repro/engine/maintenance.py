@@ -248,6 +248,7 @@ def rebuild_table(
         _free_index(db, db.key_indexes[name])
         db.key_indexes[name] = index
         rebuilt_indexes.append(f"kidx:{name}")
+    db.version += 1
     return rebuilt_skts, rebuilt_indexes
 
 

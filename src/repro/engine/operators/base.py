@@ -166,6 +166,9 @@ class ExecContext:
     db: HiddenDatabase | None
     attribution: TimeAttribution | None = None
     operators: list[OperatorStats] = field(default_factory=list)
+    #: Each lowered plan node's operator stats, keyed by ``id(node)``.
+    #: The execution owns its measurements; the plan stays read-only.
+    measured: dict[int, OperatorStats] = field(default_factory=dict)
     #: Free-form execution counters operators bump (Bloom probe counts,
     #: recheck drops, ...); the executor folds them into the metrics
     #: registry and the query span.

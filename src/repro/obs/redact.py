@@ -61,7 +61,7 @@ ENGINE_VOCAB = frozenset(
         "out", "high", "water", "page", "reads", "writes", "erases",
         "block", "messages", "sql", "pulled", "error", "detail",
         "finished", "strategy", "probed", "passed", "inputs", "dropped",
-        "via",
+        "via", "cached",
         # leakage metering (shape-derived names, never data values)
         "leak", "leakage", "observable", "shape", "shapes", "entropy",
         "signature", "signatures", "gap", "gaps", "mean", "duration",

@@ -15,12 +15,21 @@ A node its consumer pulls through ``Operator.unbatched()`` has its costs
 attributed to that consumer, so its own measured time is not its cost:
 it is marked ``(cost on consumer)`` and never flagged, and the consumer
 is graded against its own estimate plus those of its unbatched inputs.
+
+Measurements come from the :class:`~repro.engine.executor.QueryResult`,
+never from the plan: a session's stored plan runs again, and each run
+keeps its own per-node statistics.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.engine import plan as lp
 from repro.optimizer.cost import CostEstimate, CostModel
+
+if TYPE_CHECKING:
+    from repro.engine.executor import QueryResult
 
 #: Estimate and measurement disagreeing by more than this factor either
 #: way flags the node (and counts a scorecard misestimate).
@@ -88,15 +97,17 @@ def self_estimate(node: lp.PlanNode, cost_model: CostModel) -> CostEstimate:
     return own
 
 
-def _charged_estimate(node: lp.PlanNode, cost_model: CostModel) -> CostEstimate:
+def _charged_estimate(
+    node: lp.PlanNode, cost_model: CostModel, stats_by_node: dict
+) -> CostEstimate:
     """The estimate to hold against the node's measured self time: its
     own, plus (recursively) that of every input pulled through
     ``Operator.unbatched()``, whose costs land on this node."""
     own = self_estimate(node, cost_model)
     for child in node.children():
-        measured = getattr(child, "_measured", None)
+        measured = stats_by_node.get(id(child))
         if measured is not None and measured.cost_on_consumer:
-            sub = _charged_estimate(child, cost_model)
+            sub = _charged_estimate(child, cost_model, stats_by_node)
             own.flash_read_s += sub.flash_read_s
             own.flash_write_s += sub.flash_write_s
             own.usb_s += sub.usb_s
@@ -104,34 +115,35 @@ def _charged_estimate(node: lp.PlanNode, cost_model: CostModel) -> CostEstimate:
     return own
 
 
-def explain_analyze(plan: lp.PlanNode, cost_model: CostModel) -> str:
-    """Estimated vs measured, per node, after the plan has executed.
+def explain_analyze(result: QueryResult, cost_model: CostModel) -> str:
+    """Estimated vs measured, per node, for one execution's result.
 
-    Requires the plan object to have gone through
-    :meth:`repro.engine.executor.Executor.execute`, which attaches the
-    physical operator statistics to each logical node.
+    The per-node operator statistics are the ones
+    :meth:`repro.engine.executor.Executor.execute` recorded on
+    ``result``; another run of the same plan does not change them.
     """
     lines: list[str] = []
-    _render_analyzed(plan, cost_model, 0, lines)
+    _render_analyzed(result.plan, cost_model, result.measured, 0, lines)
     return "\n".join(lines)
 
 
 def _render_analyzed(
     node: lp.PlanNode,
     cost_model: CostModel,
+    stats_by_node: dict,
     depth: int,
     lines: list[str],
 ) -> None:
     prefix = "  " * depth
     est = cost_model.estimate(node)
-    own = _charged_estimate(node, cost_model)
+    own = _charged_estimate(node, cost_model, stats_by_node)
     est_flash_ms = (own.flash_read_s + own.flash_write_s) * 1000
     estimate = (
         f"est ~{est.out_count:.0f} out, ~{own.seconds * 1000:.2f} ms self, "
         f"flash ~{est_flash_ms:.2f} ms, usb ~{own.usb_s * 1000:.2f} ms, "
         f"ram ~{own.ram_bytes / 1024:.1f} KiB"
     )
-    measured = getattr(node, "_measured", None)
+    measured = stats_by_node.get(id(node))
     if measured is None:
         lines.append(f"{prefix}{node.label()}  [{estimate} | (not executed)]")
     elif measured.cost_on_consumer:
@@ -158,7 +170,7 @@ def _render_analyzed(
         flag = _misestimate_flag(own.seconds, measured.self_seconds)
         lines.append(f"{prefix}{node.label()}  [{estimate} | {actual}]{flag}")
     for child in node.children():
-        _render_analyzed(child, cost_model, depth + 1, lines)
+        _render_analyzed(child, cost_model, stats_by_node, depth + 1, lines)
 
 
 def _misestimate_flag(est_seconds: float, meas_seconds: float) -> str:

@@ -24,10 +24,10 @@ Wire protocol (one JSON object per line, UTF-8)::
     <- {"ok": true}
 
 Errors come back as ``{"ok": false, "error": "...", "kind": "..."}``;
-the connection survives statement errors and malformed ``hello`` fields
-(``name`` must be a string, ``ram`` a positive integer), and dies on
-framing errors: a line that is not a JSON object, or one longer than
-:data:`MAX_FRAME_BYTES`.
+the connection survives statement errors and malformed fields
+(``hello``'s ``name`` must be a string and ``ram`` a positive integer,
+``sql``'s ``sql`` a string), and dies on framing errors: a line that is
+not a JSON object, or one longer than :data:`MAX_FRAME_BYTES`.
 ``hello`` blocks while the device's session cap or RAM budget is
 exhausted and is admitted when a slot frees (queued admission).
 
@@ -309,6 +309,12 @@ class _Handler(socketserver.StreamRequestHandler):
                         session_name = reply["session"]
                     self._send(reply)
                 elif op == "sql":
+                    # Like a bad hello field: a non-string would fail in
+                    # the lexer or the plan table and answer with their
+                    # internals.
+                    if not isinstance(message.get("sql"), str):
+                        self._send(_error("sql must be a string", "protocol"))
+                        continue
                     message["session"] = session_name
                     self._send(server.call("sql", message))
                 elif op == "bye":
@@ -407,7 +413,9 @@ def run_smoke(scale: int = 400, clients: int = 4) -> int:
     clients against it, and verify the whole multiplexing story:
     every client gets the correct rows, the spied USB capture stays
     CLEAN under the leak checker, no session leaks RAM, and shutdown
-    is clean.  Returns a process exit code."""
+    is clean.  Each client sends its statements twice; the second
+    pass must run every statement from the session's plan table with
+    the same rows.  Returns a process exit code."""
     from repro.core.factory import build_session
     from repro.privacy.leakcheck import LeakChecker
     from repro.workload.queries import demo_query, query_type_selectivity
@@ -433,7 +441,7 @@ def run_smoke(scale: int = 400, clients: int = 4) -> int:
             if not hello.get("ok"):
                 failures.append(f"client {i}: hello failed: {hello}")
                 return
-            for sql, want in zip(statements, expected):
+            for sql, want in zip(statements * 2, expected * 2):
                 reply = c.sql(sql)
                 if not reply.get("ok"):
                     failures.append(f"client {i}: {reply}")
@@ -459,6 +467,16 @@ def run_smoke(scale: int = 400, clients: int = 4) -> int:
 
     shutdown_server(tcp, ghost)
 
+    # Each client's second pass ran from its session's plan table.
+    hits = db.obs.registry.counter("ghostdb_plan_cache_lookups_total").value(
+        outcome="hit"
+    )
+    if hits != clients * len(statements):
+        failures.append(
+            f"plan table hits: {hits:g}, expected "
+            f"{clients * len(statements)}"
+        )
+
     # Every lease must be back in the pool, nothing still reserved.
     if db.core.sessions:
         failures.append(f"sessions leaked: {sorted(db.core.sessions)}")
@@ -470,7 +488,11 @@ def run_smoke(scale: int = 400, clients: int = 4) -> int:
     if not report.ok:
         failures.append(f"leak check: {report.summary()}")
 
-    print(f"serve smoke: {clients} clients x {len(statements)} statements")
+    print(
+        f"serve smoke: {clients} clients x {len(statements)} statements "
+        f"x 2 passes"
+    )
+    print(f"  plan table hits: {hits:g}")
     print(f"  usb records captured: {len(db.usb_log)}")
     print(f"  leak check: {report.summary()}")
     if failures:

@@ -88,6 +88,12 @@ def _runs(values: list, predicate: Predicate) -> list[tuple[int, int]]:
 class VisibleSite:
     """In-memory store of all visible columns, keyed by primary key."""
 
+    #: Statistics generation, bumped whenever a write recomputes a
+    #: table's statistics.  A plan priced at one generation is stale at
+    #: the next.  Files saved before the counter existed read this
+    #: class default.
+    version = 0
+
     def __init__(self, schema: Schema):
         self.schema = schema
         self._tables: dict[str, _VisibleTable] = {}
@@ -173,6 +179,7 @@ class VisibleSite:
 
     def _rows_changed(self, vtable: _VisibleTable) -> None:
         """Drop the table's stale indexes and recompute its statistics."""
+        self.version += 1
         vtable.indexes.clear()
         tdef = vtable.definition
         keep = [i for i, c in enumerate(tdef.columns) if c.on_public]

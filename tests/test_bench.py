@@ -366,14 +366,14 @@ class TestExplainAnalyzeScorecard:
         result = demo_session.executor.execute(plan)
         assert result.rows is not None
         model = demo_session.optimizer.cost_model
-        honest = explain_analyze(plan, model)
-        top = plan._measured
+        honest = explain_analyze(result, model)
+        top = result.measured[id(plan)]
         original = top.self_seconds
         try:
             top.self_seconds = (
                 max(original, 1e-3) * MISESTIMATE_THRESHOLD * 50
             )
-            flagged = explain_analyze(plan, model)
+            flagged = explain_analyze(result, model)
         finally:
             top.self_seconds = original
         assert "MISESTIMATE" in flagged.splitlines()[0]

@@ -382,7 +382,7 @@ def test_cache_lookups_attributed_to_reading_operators(fresh_session):
 
     node_hits = node_misses = 0
     for node in _walk(plan):
-        measured = getattr(node, "_measured", None)
+        measured = result.measured.get(id(node))
         if measured is None:
             continue
         node_hits += measured.cache_hits
@@ -399,8 +399,9 @@ def test_no_cache_attribution_with_pool_disabled(fresh_session):
     fresh_session.set_cache(0)
     fresh_session.reset_measurements()
     plan, result = _run_measured(fresh_session, QUERY_FAMILIES["hidden-range"])
+    assert result.measured
     for node in _walk(plan):
-        measured = getattr(node, "_measured", None)
+        measured = result.measured.get(id(node))
         if measured is None:
             continue
         assert measured.cache_hits == 0, node.label()

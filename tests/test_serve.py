@@ -125,6 +125,27 @@ def test_bad_hello_fields_are_protocol_errors(db):
     assert not db.core.sessions
 
 
+def test_non_string_sql_is_a_protocol_error(db):
+    """Refused on the handler thread, like bad ``hello`` fields: a
+    non-string reaching the session would answer with lexer internals
+    or fail the plan table's lookup."""
+    want = expected_rows(db, STATEMENTS[1])
+    with serving(db) as (host, port):
+        client = client_with_timeout(host, port)
+        assert client.hello(name="typed")["ok"]
+        for bad in (123, ["SELECT"], None, {"sql": "SELECT"}):
+            reply = client.call(op="sql", sql=bad)
+            assert not reply["ok"] and reply["kind"] == "protocol", bad
+            assert "len()" not in reply["error"], bad
+        assert client.call(op="sql")["kind"] == "protocol"
+        # The connection stays open and the session still answers.
+        reply = client.sql(STATEMENTS[1])
+        assert reply["ok"] and sorted(reply["rows"]) == want
+        assert client.bye()["ok"]
+        assert_serves_another_client(host, port, want)
+    assert not db.core.sessions
+
+
 def test_oversized_frame_is_a_protocol_error(db):
     """A line past MAX_FRAME_BYTES is a framing error: the server
     replies ``protocol`` and closes instead of buffering it."""

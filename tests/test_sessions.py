@@ -146,22 +146,30 @@ def test_interleaved_sessions_bit_identical_to_serial(n, batch):
     for name in names:
         serial_db.close_session(serial_db.core.sessions[name])
 
-    # Interleaved run: same sessions, all statements in flight at once.
+    # One wave per statement index: every session has exactly one
+    # statement submitted per run, like a client connection that sends
+    # its next statement after the previous answer arrives.
+    _check_interleaved(names, partition, config, serial, one_wave=False)
+    # One wave: every statement of every session is submitted before
+    # the scheduler runs.  A session still has one statement in flight,
+    # so each ticket's metrics count its own work only.
+    _check_interleaved(names, partition, config, serial, one_wave=True)
+
+
+def _check_interleaved(names, partition, config, serial, one_wave):
+    """Run the sessions interleaved and hold each to its serial run."""
     db = build_db()
     sessions = {
         name: db.open_session(name, ram_bytes=partition, config=config)
         for name in names
     }
-    # One wave per statement index: every session has exactly one
-    # statement in flight, so the interleaving is *across* sessions
-    # while each session's own statement order is preserved (a session
-    # is one client connection -- it sends its next statement after the
-    # previous answer arrives).
     sched = Scheduler(db.core)
     tickets = []
     for sql in STATEMENTS:
         tickets.extend(sched.submit(sessions[name], sql) for name in names)
-        sched.run()
+        if not one_wave:
+            sched.run()
+    sched.run()
 
     per_session: dict[str, list] = {name: [] for name in names}
     for ticket in tickets:
@@ -172,7 +180,9 @@ def test_interleaved_sessions_bit_identical_to_serial(n, batch):
         got = [
             (r.rows, metric_values(r.metrics)) for r in per_session[name]
         ]
-        assert got == ref_runs, f"{name} diverged under interleaving"
+        assert got == ref_runs, (
+            f"{name} diverged under interleaving (one wave: {one_wave})"
+        )
         assert session_fingerprint(sessions[name]) == ref_fingerprint
 
     # The spy's interleaved capture is exactly the union of the
