@@ -16,18 +16,15 @@ benchmarks show it.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
+from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.engine.executor import QueryResult
 from repro.engine.metrics import ExecutionMetrics, OperatorStats
 from repro.engine.plan import PlanNode
 from repro.hardware.ram import RamExhaustedError
 from repro.sql.binder import BoundQuery, NEQ, Predicate
-from repro.storage.intlist import ID_WIDTH
 from repro.storage.runs import Run, RunReader, RunWriter
-
-_PACK = struct.Struct(">I")
 
 #: Modeled bytes of device RAM per entry of an in-RAM hash set
 #: (4 B key + bucket pointer overhead on a 32-bit chip).
@@ -176,7 +173,7 @@ class HashJoinBaseline:
                         session.link.select_ids(table, predicate)
                     )
             for pk in sorted(stream):
-                writer.append(_PACK.pack(pk))
+                writer.append(ID_STRUCT.pack(pk))
             visible_run = writer.finish()
 
         # Device scan applying hidden predicates and child memberships.
@@ -197,11 +194,11 @@ class HashJoinBaseline:
                     run, 1 + i, child_run, label=f"{table}-child"
                 )
             for tup in self._replay(run, arity):
-                writer.append(_PACK.pack(tup[0]))
+                writer.append(ID_STRUCT.pack(tup[0]))
                 op.tuples_out += 1
         else:
             for tup in scan_tuples:
-                writer.append(_PACK.pack(tup[0]))
+                writer.append(ID_STRUCT.pack(tup[0]))
                 op.tuples_out += 1
         scanned = writer.finish()
 
@@ -253,7 +250,7 @@ class HashJoinBaseline:
                 session.device, ID_WIDTH, f"hj-vis:{root}"
             )
             for pk in sorted(ids):
-                writer.append(_PACK.pack(pk))
+                writer.append(ID_STRUCT.pack(pk))
             vis_run = writer.finish()
             run = self._membership_join(run, 0, vis_run, label=root)
             vis_run.free(session.device)
@@ -287,13 +284,13 @@ class HashJoinBaseline:
             with RunReader(device, ids_run, f"hj-ids:{label}") as reader:
                 for raw in reader:
                     device.chip.charge("hash")
-                    members.add(_PACK.unpack(raw)[0])
+                    members.add(ID_STRUCT.unpack(raw)[0])
             out = RunWriter(device, tuples_run.record_width, f"hj-out:{label}")
             arity = tuples_run.record_width // ID_WIDTH
             with RunReader(device, tuples_run, f"hj-in:{label}") as reader:
                 for raw in reader:
                     device.chip.charge("hash")
-                    key = _PACK.unpack_from(
+                    key = ID_STRUCT.unpack_from(
                         raw, key_position * ID_WIDTH
                     )[0]
                     if key in members:
@@ -332,7 +329,7 @@ class HashJoinBaseline:
             with RunReader(device, run, f"hj-split:{tag}") as reader:
                 for raw in reader:
                     device.chip.charge("hash")
-                    key = _PACK.unpack_from(raw, pos * ID_WIDTH)[0]
+                    key = ID_STRUCT.unpack_from(raw, pos * ID_WIDTH)[0]
                     writers[key % partitions].append(raw)
             return [w.finish() for w in writers]
 
@@ -361,11 +358,11 @@ class HashJoinBaseline:
                 with RunReader(device, id_part, "hj-p-ids") as reader:
                     for raw in reader:
                         device.chip.charge("hash")
-                        members.add(_PACK.unpack(raw)[0])
+                        members.add(ID_STRUCT.unpack(raw)[0])
                 with RunReader(device, tuple_part, "hj-p-tup") as reader:
                     for raw in reader:
                         device.chip.charge("hash")
-                        key = _PACK.unpack_from(
+                        key = ID_STRUCT.unpack_from(
                             raw, key_position * ID_WIDTH
                         )[0]
                         if key in members:
@@ -419,7 +416,7 @@ class HashJoinBaseline:
         device = self.session.device
         writer = RunWriter(device, arity * ID_WIDTH, "hj-materialise")
         for tup in tuples:
-            writer.append(b"".join(_PACK.pack(v) for v in tup))
+            writer.append(b"".join(ID_STRUCT.pack(v) for v in tup))
             if count_into is not None:
                 count_into.tuples_out += 1
         return writer.finish()
@@ -429,7 +426,7 @@ class HashJoinBaseline:
         with RunReader(device, run, "hj-replay") as reader:
             for raw in reader:
                 yield tuple(
-                    _PACK.unpack_from(raw, i * ID_WIDTH)[0]
+                    ID_STRUCT.unpack_from(raw, i * ID_WIDTH)[0]
                     for i in range(arity)
                 )
         run.free(device)

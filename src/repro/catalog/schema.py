@@ -125,14 +125,6 @@ class TableDef:
     def foreign_keys(self) -> list[ColumnDef]:
         return [c for c in self.columns if c.references is not None]
 
-    @property
-    def hidden_columns(self) -> list[ColumnDef]:
-        return [c for c in self.columns if c.hidden]
-
-    @property
-    def visible_columns(self) -> list[ColumnDef]:
-        return [c for c in self.columns if not c.hidden]
-
     # ------------------------------------------------------------------
     # Physical layouts
     # ------------------------------------------------------------------

@@ -43,10 +43,7 @@ Commands::
     .fault events [n]   the last n injected-fault decisions (default 10)
     .fault remount      remount after a power cut (recovery scan)
     .fault off          detach the injector
-    .set                show tunable execution settings
-    .set batch <n>      operator batch-window size (host-side only:
-                        results and simulated costs are identical at
-                        any value; larger is faster on the host)
+    .set                show the execution settings
     .cache              buffer-pool status (capacity, pages, hit rate)
     .cache on|off|<n>   enable (profile default), disable, or bound the
                         device buffer pool at n pages; SQL spelling:
@@ -79,7 +76,6 @@ class Shell:
                  metrics_out: str | None = None,
                  leak_out: str | None = None,
                  fault_profile: str | None = None, fault_seed: int = 0,
-                 batch_size: int | None = None,
                  cache_pages: int | None = None,
                  dump_on_fault: bool = False,
                  dump_dir: str = "."):
@@ -90,7 +86,6 @@ class Shell:
         self.db, self.data = build_session(
             scale=scale,
             profile=profile,
-            exec_batch=batch_size,
             cache_pages=cache_pages,
             fault_profile=fault_profile,
             fault_seed=fault_seed,
@@ -397,28 +392,13 @@ class Shell:
             )
 
     def _set_command(self, argument: str) -> None:
+        if argument.strip():
+            self._print("settings are read-only; '.set' lists them")
+            return
         config = self.db.executor.config
-        parts = argument.split()
-        if not parts:
-            self._print(f"batch      {config.exec_batch}  (operator batch window)")
-            self._print(f"fetch      {config.fetch_batch}  (visible-fetch rows/msg)")
-            self._print(f"fan-in     {config.max_fan_in}  (merge fan-in cap)")
-            self._print(f"bloom-fp   {config.bloom_fp_target}  (Bloom FP target)")
-            return
-        setting = parts[0].lower()
-        if setting != "batch":
-            self._print(f"unknown setting {setting!r}; '.set' lists settings")
-            return
-        if len(parts) < 2:
-            self._print(f"batch      {config.exec_batch}")
-            return
-        try:
-            value = int(parts[1])
-        except ValueError:
-            self._print(f"not a batch size: {parts[1]!r}")
-            return
-        config.exec_batch = max(1, value)
-        self._print(f"batch window set to {config.exec_batch}")
+        self._print(f"fetch      {config.fetch_batch}  (visible-fetch rows/msg)")
+        self._print(f"fan-in     {config.max_fan_in}  (merge fan-in cap)")
+        self._print(f"bloom-fp   {config.bloom_fp_target}  (Bloom FP target)")
 
     def _cache_command(self, argument: str) -> None:
         """``.cache [on|off|<pages>]``: show or resize the buffer pool."""
@@ -730,11 +710,6 @@ def main(argv=None) -> int:
         help="seed for the fault schedule (same seed, same faults)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="operator batch-window size (host-side tunable; results "
-        "and simulated costs are identical at any value)",
-    )
-    parser.add_argument(
         "--cache-pages", type=int, default=None, metavar="N",
         help="device buffer-pool capacity in flash pages "
         "(default: a quarter of device RAM; 0 disables the pool)",
@@ -753,7 +728,7 @@ def main(argv=None) -> int:
         scale=args.scale, profile=args.profile, trace_out=args.trace_out,
         metrics_out=args.metrics_out, leak_out=args.leak_out,
         fault_profile=args.fault_profile, fault_seed=args.fault_seed,
-        batch_size=args.batch_size, cache_pages=args.cache_pages,
+        cache_pages=args.cache_pages,
         dump_on_fault=args.dump_on_fault, dump_dir=args.dump_dir,
     )
     if args.query:

@@ -1,19 +1,23 @@
-"""Typed columnar batch payloads.
+"""The packed-ID layout and typed columnar batch payloads.
+
+An ID is an unsigned 32-bit integer, packed big-endian on flash (posting
+lists, SKT records, spilled runs) and on the USB wire (``ids`` /
+``fetch_ids`` payloads).  :data:`ID_WIDTH`, :data:`MAX_ID` and
+:data:`ID_STRUCT` are that layout's one definition; every packer,
+unpacker and observer imports them from here.
 
 The batch protocol (:mod:`repro.engine.operators.base`) moves windows of
 items between operators.  For the ID-heavy inner plans -- climbing
 selections, conversions, SKT root streams -- those items are plain 32-bit
 integers, and shipping them as Python lists of boxed ints makes the host
 pay per-object overhead the simulated device never sees.  An
-:class:`IdColumn` stores one window as a typed vector instead: a compact
-``array('I')`` buffer by default, or a NumPy ``uint32`` vector when the
-``GHOSTDB_NUMPY`` environment flag is set and NumPy is importable.
+:class:`IdColumn` stores one window as a compact ``array`` buffer
+instead.
 
 Two contracts keep columns drop-in for every consumer:
 
 * A column is a sequence: ``len()``, iteration, indexing and slicing all
-  work, and *iteration always yields built-in Python ints* -- a NumPy
-  scalar must never leak into query results or USB payload packing.
+  work, and iteration yields built-in Python ints.
 * Columns are immutable once built.  Operators hand the same column (or
   a slice of it, which shares no mutable state) downstream without
   copying.
@@ -25,7 +29,7 @@ hardware does.
 
 from __future__ import annotations
 
-import os
+import struct
 import sys
 from array import array
 from itertools import islice
@@ -33,30 +37,17 @@ from itertools import islice
 #: Width of a packed ID on flash / USB, in bytes (big-endian uint32).
 ID_WIDTH = 4
 
+#: The largest ID the packed layout holds.
+MAX_ID = (1 << 32) - 1
+
+#: Packs and unpacks one ID.
+ID_STRUCT = struct.Struct(">I")
+
 # ``array`` typecodes are C types, so 'I' (unsigned int) is 4 bytes on
 # every mainstream platform -- but pick by itemsize, not by faith.
 _TYPECODE = next(
     code for code in ("I", "L") if array(code).itemsize == ID_WIDTH
 )
-
-
-def _load_numpy():
-    if os.environ.get("GHOSTDB_NUMPY", "") not in ("", "0"):
-        try:
-            import numpy
-        except ImportError:
-            return None
-        return numpy
-    return None
-
-
-#: The NumPy module when the ``GHOSTDB_NUMPY`` flag selected it, else None.
-NUMPY = _load_numpy()
-
-
-def numpy_enabled() -> bool:
-    """True when columns are NumPy-backed in this process."""
-    return NUMPY is not None
 
 
 class IdColumn:
@@ -74,25 +65,14 @@ class IdColumn:
     @classmethod
     def from_ids(cls, ids) -> "IdColumn":
         """Build from an iterable of Python ints."""
-        if NUMPY is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return cls(NUMPY.asarray(ids, dtype=NUMPY.uint32))
         return cls(array(_TYPECODE, ids))
 
     @classmethod
     def from_be_bytes(cls, raw: bytes, count: int, offset: int = 0) -> "IdColumn":
         """Decode ``count`` big-endian uint32 values starting at
         ``offset`` of ``raw`` -- the packed on-flash / on-wire layout."""
-        view = raw[offset : offset + count * ID_WIDTH]
-        if NUMPY is not None:
-            return cls(
-                NUMPY.frombuffer(view, dtype=">u4").astype(
-                    NUMPY.uint32, copy=False
-                )
-            )
         ids = array(_TYPECODE)
-        ids.frombytes(view)
+        ids.frombytes(raw[offset : offset + count * ID_WIDTH])
         if sys.byteorder == "little":
             ids.byteswap()
         return cls(ids)
@@ -105,16 +85,12 @@ class IdColumn:
         return len(self._data)
 
     def __iter__(self):
-        # NumPy iteration yields numpy scalars; tolist() round-trips to
-        # built-in ints in one C call.  array('I') already yields ints.
-        if NUMPY is not None:
-            return iter(self._data.tolist())
         return iter(self._data)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
             return IdColumn(self._data[item])
-        return int(self._data[item])
+        return self._data[item]
 
     def __bool__(self) -> bool:
         return len(self._data) > 0
@@ -137,14 +113,10 @@ class IdColumn:
 
     def tolist(self) -> list[int]:
         """The column as a list of built-in Python ints."""
-        if NUMPY is not None:
-            return self._data.tolist()
         return self._data.tolist()
 
     def to_be_bytes(self) -> bytes:
         """Pack back to the big-endian wire/flash layout."""
-        if NUMPY is not None:
-            return self._data.astype(">u4").tobytes()
         data = self._data
         if sys.byteorder == "little":
             data = array(_TYPECODE, data)

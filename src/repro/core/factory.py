@@ -11,7 +11,6 @@ faults -- with the kwargs drifting slightly between copies.
 from __future__ import annotations
 
 from repro.core.ghostdb import GhostDB, SessionConfig
-from repro.engine.executor import ExecConfig
 from repro.hardware.profiles import PROFILES, HardwareProfile
 
 
@@ -19,7 +18,6 @@ def build_session(
     *,
     scale: int = 10_000,
     profile: str | HardwareProfile = "demo",
-    exec_batch: int | None = None,
     cache_pages: int | None = None,
     fault_profile: str | None = None,
     fault_seed: int = 0,
@@ -43,11 +41,6 @@ def build_session(
     if isinstance(profile, str):
         profile = PROFILES[profile]
     config = SessionConfig(
-        exec_config=(
-            ExecConfig(exec_batch=max(1, exec_batch))
-            if exec_batch is not None
-            else None
-        ),
         cache_pages=cache_pages,
         fault_seed=fault_seed,
         dump_on_fault=dump_on_fault,

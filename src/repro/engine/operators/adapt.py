@@ -14,10 +14,6 @@ class IdsToTuplesOp(Operator):
         super().__init__(ctx, detail=table, children=(child,))
         self.child = child
 
-    def _produce(self):
-        for value in self.child.rows():
-            yield (value,)
-
     def _produce_batches(self, cap: int):
         # Child windows are bounded by the same ``exec_batch``, so each
         # payload already respects ``cap``.

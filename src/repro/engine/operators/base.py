@@ -1,9 +1,9 @@
 """Operator base class, execution context and time attribution.
 
 Physical operators are pull-based generators producing *batches*: the
-transport surface is :meth:`Operator.batches`, which re-chunks the
-operator's per-item ``_produce()`` generator into fixed-size lists
-(``ExecContext.exec_batch`` items, default 256).  All costs land on the
+transport surface is :meth:`Operator.batches`, which drains the
+operator's ``_produce_batches()`` into windows of at most
+``ExecContext.exec_batch`` items (default 256).  All costs land on the
 device's single simulated clock; to produce the per-operator "popup"
 statistics the demo shows, the executor attributes clock advances to
 whichever operator is currently on top of the execution stack -- a parent
@@ -31,6 +31,12 @@ Consumers choose between two pull surfaces:
   For consumers with data-dependent demand (merge-intersect abandoning
   arms, aggregation breaking on RAM exhaustion) where running the
   producer ahead would change hardware counters.
+
+The two exact-demand edges (``unbatched()`` and ``batches(limit=...)``)
+pull the per-item ``_produce()``.  The plan shapes
+(:mod:`repro.engine.plan`) only put ID streams and value rows on them,
+so the subtree-key-tuple operators define ``_produce_batches()`` alone;
+pulling one of them with exact demand raises.
 """
 
 from __future__ import annotations
@@ -226,9 +232,10 @@ class ExecContext:
 
 
 class Operator:
-    """Base class: subclasses implement ``_produce()`` as a generator
-    and pass their input operators as ``children`` so the lifecycle
-    (``open``/``close``) can recurse the physical tree."""
+    """Base class: subclasses implement ``_produce()`` and/or
+    ``_produce_batches()`` as generators and pass their input operators
+    as ``children`` so the lifecycle (``open``/``close``) can recurse
+    the physical tree."""
 
     name = "operator"
 
@@ -248,7 +255,12 @@ class Operator:
         ctx.register(self.stats)
 
     def _produce(self):
-        raise NotImplementedError
+        """Hook: the per-item producer behind the exact-demand edges
+        (:meth:`unbatched`, ``batches(limit=...)``)."""
+        raise PlanExecutionError(
+            f"{self.name} has no per-item producer: pull it through "
+            f"batches() or rows()"
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -307,13 +319,15 @@ class Operator:
 
         The default re-chunks the per-item ``_produce()`` generator into
         plain lists.  Vectorized operators override this to emit typed
-        columnar payloads (:mod:`repro.engine.columns`); any payload
-        supporting ``len()`` and per-item iteration is a valid batch.
+        columnar payloads (:mod:`repro.columns`); any payload supporting
+        ``len()`` and per-item iteration is a valid batch.
 
         Overrides MUST respect ``cap`` (the executor pins it to 1 for
-        fault runs and data-dependent plans) and MUST charge the exact
-        same simulated-hardware costs, with flash/USB operations in the
-        exact same order, as the per-item path -- batching and payload
+        fault runs and data-dependent plans) and MUST charge the same
+        simulated-hardware costs, with flash/USB operations in the same
+        order, at every ``cap``.  An operator that also defines
+        ``_produce()`` (``VisibleSelectOp``, ``DeviceScanSelectOp``)
+        MUST match its per-item path too -- batching and payload
         representation are host-side details only.
         """
         inner = self._produce()

@@ -13,6 +13,7 @@ are impossible, so results stay complete.
 
 from __future__ import annotations
 
+from repro.columns import ID_WIDTH
 from repro.engine.operators.base import ExecContext, Operator, PlanExecutionError
 from repro.index.bloom import BloomFilter
 from repro.sql.binder import Predicate
@@ -55,7 +56,7 @@ class BloomProbeOp(Operator):
             target_fp=self.ctx.bloom_fp_target,
             label=f"bloom:{self.predicate.table}.{self.predicate.column}",
         )
-        self.reserve(bloom.ram_bytes + link.id_batch * 4)
+        self.reserve(bloom.ram_bytes + link.id_batch * ID_WIDTH)
         # One bulk insert per USB message: identical cycle totals and
         # message timing, without the per-ID call overhead on the host.
         for chunk in link.select_id_batches(self.predicate.table, self.predicate):
@@ -70,26 +71,9 @@ class BloomProbeOp(Operator):
         self.stats.attrs.update(self.bloom_stats)
         return bloom
 
-    def _produce(self):
-        bloom = self._build_filter()
-        probed = passed = 0
-        try:
-            for row in self.child.rows():
-                probed += 1
-                if bloom.may_contain(row[self.key_position]):
-                    passed += 1
-                    yield row
-        finally:
-            bloom.close()
-            self.stats.attrs["probed"] = probed
-            self.stats.attrs["passed"] = passed
-            self.ctx.bump("bloom_probed", probed)
-            self.ctx.bump("bloom_passed", passed)
-
     def _produce_batches(self, cap: int):
-        """Vectorized probing: one bulk Bloom probe per child window
-        (identical cycle totals to per-row probes), survivors buffered
-        and re-windowed to ``cap``."""
+        """One bulk Bloom probe per child window (the cycle totals of
+        per-row probes), survivors buffered and re-windowed to ``cap``."""
         bloom = self._build_filter()
         probed = passed = 0
         key_position = self.key_position

@@ -18,6 +18,7 @@ session hands them to the secure rendering path.
 from __future__ import annotations
 
 from repro.catalog.schema import ColumnDef
+from repro.columns import ID_WIDTH
 from repro.engine.operators.base import ExecContext, Operator, PlanExecutionError
 from repro.sql.binder import Predicate
 from repro.storage.heap import KeyNotFoundError
@@ -62,7 +63,7 @@ class ProjectOp(Operator):
         return self.tables.index(table)
 
     def _open(self):
-        self.reserve(self.ctx.fetch_batch * len(self.tables) * 4)
+        self.reserve(self.ctx.fetch_batch * len(self.tables) * ID_WIDTH)
 
     def _produce(self):
         ctx = self.ctx

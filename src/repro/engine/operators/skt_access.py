@@ -35,7 +35,14 @@ class SktAccessOp(Operator):
     def _open(self):
         self.reserve(self.ctx.device.profile.page_size)
 
-    def _produce(self):
+    def _produce_batches(self, cap: int):
+        """Resolve and fetch one child window of root IDs, then
+        bulk-decode the subtree key tuples.
+
+        Flash operations (PK binary-search probes, record fetches) happen
+        per ID in child-stream order; only the per-record decode charges
+        are bulked, so no window size moves a flash read.
+        """
         skt = self.skt
         root_heap = self.ctx.db.heaps[skt.root]
         page = self.ctx.device.profile.page_size
@@ -43,40 +50,6 @@ class SktAccessOp(Operator):
         # Dense enough that >=2 hits land on each page?  Then full-page
         # reads through the buffer pool win over per-row partial reads
         # -- but only when a pool exists to hold the page between hits.
-        expected = self.expected_count
-        use_cache = (
-            self.ctx.device.page_cache.enabled
-            and expected is not None
-            and skt.count > 0
-            and expected / skt.count >= 2 / rows_per_page
-        )
-        with skt.reader("skt-access") as reader:
-            for root_id in self.child.rows():
-                try:
-                    rowid = root_heap.rowid_for_pk(root_id)
-                except KeyNotFoundError:
-                    continue
-                if use_cache:
-                    raw = reader.record_cached(rowid)
-                else:
-                    raw = reader.record(rowid)
-                self.ctx.device.chip.charge(
-                    "decode_field", len(skt.tables)
-                )
-                yield skt.decode(raw)
-
-    def _produce_batches(self, cap: int):
-        """Vectorized SKT access: resolve and fetch one child window of
-        root IDs, then bulk-decode the subtree key tuples.
-
-        Flash operations (PK binary-search probes, record fetches) happen
-        per ID in child-stream order, exactly as the per-item path inside
-        one batch window; only the per-record decode charges are bulked.
-        """
-        skt = self.skt
-        root_heap = self.ctx.db.heaps[skt.root]
-        page = self.ctx.device.profile.page_size
-        rows_per_page = page // skt.record_width
         expected = self.expected_count
         use_cache = (
             self.ctx.device.page_cache.enabled
@@ -124,20 +97,10 @@ class SktScanOp(Operator):
     def _open(self):
         self.reserve(self.ctx.device.profile.page_size)
 
-    def _produce(self):
-        skt = self.skt
-        with skt.reader("skt-scan") as reader:
-            for raw in reader.scan():
-                self.ctx.device.chip.charge(
-                    "decode_field", len(skt.tables)
-                )
-                yield skt.decode(raw)
-
     def _produce_batches(self, cap: int):
-        """Vectorized SKT scan: one page's records at a time, decode
-        charges bulked per page.  Page reads stay one full read per page
-        in scan order; yields happen only when ``cap`` tuples are
-        buffered, matching where the per-item window would fill."""
+        """One page's records at a time, decode charges bulked per
+        page.  Page reads stay one full read per page in scan order, and a
+        window is only ever cut at a page boundary."""
         skt = self.skt
         chip = self.ctx.device.chip
         ntables = len(skt.tables)

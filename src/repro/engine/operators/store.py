@@ -15,10 +15,7 @@ from __future__ import annotations
 import struct
 
 from repro.engine.operators.base import ExecContext, Operator
-from repro.storage.intlist import ID_WIDTH
 from repro.storage.runs import Run, RunReader, RunWriter
-
-_PACK = struct.Struct(">I")
 
 
 class StoreOp(Operator):
@@ -34,33 +31,11 @@ class StoreOp(Operator):
     def _open(self):
         self.reserve(self.ctx.device.profile.page_size)
 
-    def _produce(self):
-        width = self.arity * ID_WIDTH
-        writer = RunWriter(self.ctx.device, width, "store")
-        stored = 0
-        for row in self.child.rows():
-            if len(row) != self.arity:
-                raise ValueError(
-                    f"store expected {self.arity}-id tuples, got {row!r}"
-                )
-            writer.append(b"".join(_PACK.pack(v) for v in row))
-            stored += 1
-        run: Run = writer.finish()
-        try:
-            with RunReader(self.ctx.device, run, "store-replay") as reader:
-                for raw in reader:
-                    yield tuple(
-                        _PACK.unpack_from(raw, i * ID_WIDTH)[0]
-                        for i in range(self.arity)
-                    )
-        finally:
-            run.free(self.ctx.device)
-
     def _produce_batches(self, cap: int):
-        """Vectorized store: pack whole child windows, replay the run in
-        ``cap``-sized windows of decoded tuples.  Flash writes happen in
-        record order during the drain and reads in record order during
-        the replay, exactly as the per-item path."""
+        """Pack whole child windows, replay the run in ``cap``-sized
+        windows of decoded tuples.  Flash writes happen in record order
+        during the drain and reads in record order during the replay,
+        whatever ``cap`` is."""
         record = struct.Struct(f">{self.arity}I")
         writer = RunWriter(self.ctx.device, record.size, "store")
         for batch in self.child.batches():

@@ -8,6 +8,7 @@ stream back over USB in sorted order, ready for merging.
 
 from __future__ import annotations
 
+from repro.columns import ID_WIDTH
 from repro.engine.operators.base import ExecContext, Operator
 from repro.sql.binder import Predicate
 
@@ -20,7 +21,7 @@ class VisibleSelectOp(Operator):
         self.predicate = predicate
 
     def _open(self):
-        self.reserve(self.ctx.link.id_batch * 4)
+        self.reserve(self.ctx.link.id_batch * ID_WIDTH)
 
     def _produce(self):
         # The link already delivers IDs one USB message (``id_batch``

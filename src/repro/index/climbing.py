@@ -43,9 +43,6 @@ class LevelStats:
     table: str
     total_ids: int = 0
 
-    def avg_posting(self, n_values: int) -> float:
-        return self.total_ids / n_values if n_values else 0.0
-
 
 def build_edge_map(
     device: SmartUsbDevice,

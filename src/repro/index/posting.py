@@ -17,15 +17,11 @@ makes Post-filtering attractive for unselective predicates.
 from __future__ import annotations
 
 import heapq
-import struct
 from dataclasses import dataclass
 
-from repro.columns import IdColumn
+from repro.columns import ID_STRUCT, ID_WIDTH, MAX_ID, IdColumn
 from repro.hardware.device import SmartUsbDevice
-from repro.storage.intlist import ID_WIDTH, MAX_ID
 from repro.storage.runs import Run, RunReader, RunWriter
-
-_PACK = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -34,10 +30,6 @@ class PostingRef:
 
     start: int  # byte offset within the posting file
     count: int  # number of IDs
-
-    @property
-    def byte_length(self) -> int:
-        return self.count * ID_WIDTH
 
 
 class PostingFileWriter:
@@ -75,7 +67,7 @@ class PostingFileWriter:
                 f"posting lists must be sorted: {value} after {self._last_id}"
             )
         self._last_id = value
-        self._buffer.extend(_PACK.pack(value))
+        self._buffer.extend(ID_STRUCT.pack(value))
         self._offset += ID_WIDTH
         self._list_count += 1
         if len(self._buffer) >= self._page_size:
@@ -215,7 +207,7 @@ def merge_posting_streams(
         writer = RunWriter(device, ID_WIDTH, f"convert-spill:{label}")
         try:
             for value in _heap_merge(device, stream_factories, dedup):
-                writer.append(_PACK.pack(value))
+                writer.append(ID_STRUCT.pack(value))
         finally:
             run = writer.finish()
             live.append(run)
@@ -250,7 +242,7 @@ def merge_posting_streams(
 def _run_stream_factory(device: SmartUsbDevice, run: Run, label: str):
     def open_stream():
         reader = RunReader(device, run, f"convert-merge:{label}")
-        iterator = (_PACK.unpack(raw)[0] for raw in reader)
+        iterator = (ID_STRUCT.unpack(raw)[0] for raw in reader)
         return iterator, reader.close
 
     return open_stream

@@ -12,15 +12,11 @@ fetch yields the matching key of every table at once.
 
 from __future__ import annotations
 
-import struct
-
 from repro.catalog.tree import SchemaTree
+from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.heap import HeapTable
-from repro.storage.intlist import ID_WIDTH
 from repro.storage.pagestore import PageReader, PageStore
-
-_PACK = struct.Struct(">I")
 
 
 class SubtreeKeyTable:
@@ -87,7 +83,7 @@ class SubtreeKeyTable:
                         root, raw, row_ids,
                     )
                     writer.append(
-                        b"".join(_PACK.pack(v) for v in row_ids)
+                        b"".join(ID_STRUCT.pack(v) for v in row_ids)
                     )
                 skt.pages = writer.pages
                 skt.count = writer.count
@@ -138,7 +134,7 @@ class SubtreeKeyTable:
     def decode(self, raw: bytes) -> tuple[int, ...]:
         """Decode one SKT row into a tuple of IDs (subtree pre-order)."""
         return tuple(
-            _PACK.unpack_from(raw, i * ID_WIDTH)[0]
+            ID_STRUCT.unpack_from(raw, i * ID_WIDTH)[0]
             for i in range(len(self.tables))
         )
 

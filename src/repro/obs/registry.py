@@ -199,9 +199,6 @@ class Gauge:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         return self._values.get(_label_key(labels), 0)
 

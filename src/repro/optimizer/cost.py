@@ -29,7 +29,7 @@ from repro.hardware.profiles import HardwareProfile
 from repro.index.bloom import bloom_parameters
 from repro.index.climbing import DIRECTORY_PROBE_READS
 from repro.sql.binder import EQ, IN, NEQ, Predicate
-from repro.storage.intlist import ID_WIDTH
+from repro.columns import ID_WIDTH
 from repro.visible.site import VisibleSite
 
 

@@ -13,13 +13,11 @@ query-fingerprinting attack the traffic shape enables.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
+from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.hardware.usb import Direction, TrafficRecord
-from repro.visible.frame import ID_WIDTH_BYTES, payload_of
-
-_ID = struct.Struct(">I")
+from repro.visible.frame import payload_of
 
 #: Message kinds whose payloads are packed ID lists.
 ID_KINDS = ("ids", "fetch_ids")
@@ -31,8 +29,8 @@ def unpack_ids(payload: bytes) -> list[int]:
     Trailing bytes that do not fill a whole ID (a truncated frame) are
     ignored -- the spy reads what it can.
     """
-    whole = len(payload) - len(payload) % ID_WIDTH_BYTES
-    return [v for (v,) in _ID.iter_unpack(payload[:whole])]
+    whole = len(payload) - len(payload) % ID_WIDTH
+    return [v for (v,) in ID_STRUCT.iter_unpack(payload[:whole])]
 
 
 @dataclass

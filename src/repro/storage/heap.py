@@ -12,8 +12,9 @@ sorted PK array on flash and binary-searches it with cheap partial reads.
 
 from __future__ import annotations
 
+from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.hardware.device import SmartUsbDevice
-from repro.storage.intlist import ID_WIDTH, IntListWriter, _PACK
+from repro.storage.intlist import IntListWriter
 from repro.storage.pagestore import PageReader, PageStore
 from repro.storage.record import RecordCodec
 
@@ -144,7 +145,7 @@ class HeapTable:
             raw = self.device.ftl.read(
                 self._pk_pages[page_idx], slot * ID_WIDTH, ID_WIDTH
             )
-            value = _PACK.unpack(raw)[0]
+            value = ID_STRUCT.unpack(raw)[0]
             self.device.chip.charge("compare")
             if value == pk:
                 return mid
@@ -165,7 +166,7 @@ class HeapTable:
         raw = self.device.ftl.read(
             self._pk_pages[page_idx], slot * ID_WIDTH, ID_WIDTH
         )
-        return _PACK.unpack(raw)[0]
+        return ID_STRUCT.unpack(raw)[0]
 
     @property
     def is_dense(self) -> bool:

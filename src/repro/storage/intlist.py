@@ -9,15 +9,8 @@ in tens of KB of RAM.
 
 from __future__ import annotations
 
-import struct
-
-from repro.columns import IdColumn
+from repro.columns import ID_STRUCT, ID_WIDTH, MAX_ID, IdColumn
 from repro.hardware.device import SmartUsbDevice
-
-ID_WIDTH = 4
-_PACK = struct.Struct(">I")
-
-MAX_ID = (1 << 32) - 1
 
 
 class IntListWriter:
@@ -38,7 +31,7 @@ class IntListWriter:
             raise ValueError(f"writer {self.label!r} is closed")
         if not 0 <= value <= MAX_ID:
             raise ValueError(f"ID {value} out of 32-bit unsigned range")
-        self._buffer.extend(_PACK.pack(value))
+        self._buffer.extend(ID_STRUCT.pack(value))
         self.count += 1
         if len(self._buffer) >= self._ids_per_page * ID_WIDTH:
             self._flush()

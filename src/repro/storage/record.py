@@ -36,9 +36,6 @@ class RecordCodec:
     def arity(self) -> int:
         return len(self.types)
 
-    def offset_of(self, index: int) -> int:
-        return self._offsets[index]
-
     def encode(self, values) -> bytes:
         """Encode one row (sequence of values) to ``self.width`` bytes."""
         if len(values) != len(self.types):

@@ -24,13 +24,6 @@ _HEADER = struct.Struct(">2sII")
 #: Bytes of framing overhead per message.
 FRAME_OVERHEAD = _HEADER.size
 
-#: Bytes per packed row ID in ``ids`` / ``fetch_ids`` payloads (big-endian
-#: 32-bit, the :class:`repro.columns.IdColumn` layout).  Observers -- the
-#: spy, the leak meter -- divide payload sizes by this to recover ID-list
-#: cardinalities, so the constant lives here with the rest of the wire
-#: format instead of being a magic ``// 4`` in every observer.
-ID_WIDTH_BYTES = 4
-
 
 class FrameError(Exception):
     """A frame failed its magic, length or CRC check (corruption)."""

@@ -28,10 +28,8 @@ from repro.hardware.clock import to_ticks
 from repro.hardware.device import SmartUsbDevice
 from repro.hardware.usb import Direction, UsbDroppedError
 from repro.sql.binder import EQ, IN, NEQ, RANGE, Predicate
-from repro.visible.frame import ID_WIDTH_BYTES, FrameError, frame, unframe
+from repro.visible.frame import FrameError, frame, unframe
 from repro.visible.site import VisibleSite
-
-assert ID_WIDTH == ID_WIDTH_BYTES, "wire ID width drifted from frame.py"
 
 #: IDs per host->device batch message (1 KiB of payload at 4 B/ID).
 DEFAULT_ID_BATCH = 256

@@ -1,21 +1,18 @@
-"""Typed columnar batch payloads (:mod:`repro.columns`).
+"""Typed columnar batch payloads and the packed-ID layout
+(:mod:`repro.columns`).
 
 The two contracts the engine depends on: columns behave as immutable
-sequences whose iteration yields *built-in* ints (a NumPy scalar must
-never leak into results or USB packing), and the big-endian byte layout
-round-trips exactly -- it is the on-flash / on-wire format.
+sequences whose iteration yields built-in ints, and the big-endian byte
+layout round-trips exactly -- it is the on-flash / on-wire format.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-from repro.columns import ID_WIDTH, IdColumn, chunk_ids, numpy_enabled
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from repro.columns import (
+    ID_STRUCT,
+    ID_WIDTH,
+    MAX_ID,
+    IdColumn,
+    chunk_ids,
+)
 
 
 class TestSequenceProtocol:
@@ -78,6 +75,13 @@ class TestWireLayout:
         assert IdColumn.from_be_bytes(raw, 2) == [1, 2]
         assert len(raw) == 3 * ID_WIDTH
 
+    def test_id_struct_is_the_column_layout(self):
+        ids = [0, 1, 0x01020304, MAX_ID]
+        assert ID_STRUCT.size == ID_WIDTH
+        packed = b"".join(ID_STRUCT.pack(v) for v in ids)
+        assert packed == IdColumn.from_ids(ids).to_be_bytes()
+        assert [v for (v,) in ID_STRUCT.iter_unpack(packed)] == ids
+
 
 class TestChunkIds:
     def test_rechunks_to_cap(self):
@@ -101,52 +105,3 @@ class TestChunkIds:
         next(stream)
         stream.close()  # teardown mid-stream must close the source
         assert closed == [True]
-
-
-# ---------------------------------------------------------------------------
-# NumPy backing: opt-in via GHOSTDB_NUMPY, identical contracts.
-# ---------------------------------------------------------------------------
-
-_NUMPY_PROBE = subprocess.run(
-    [sys.executable, "-c", "import numpy"], capture_output=True
-).returncode
-
-
-def test_default_build_ignores_numpy():
-    # The suite runs without the flag: columns must be array-backed.
-    if os.environ.get("GHOSTDB_NUMPY", "") in ("", "0"):
-        assert not numpy_enabled()
-
-
-@pytest.mark.skipif(_NUMPY_PROBE != 0, reason="numpy not installed")
-def test_numpy_backend_honours_the_contracts():
-    """Run the core contracts in a subprocess with GHOSTDB_NUMPY=1 (the
-    backend is chosen at import time, so it needs a fresh interpreter)."""
-    program = """
-from repro.columns import IdColumn, chunk_ids, numpy_enabled
-
-assert numpy_enabled()
-ids = [7, 0, 4294967295, 12]
-column = IdColumn.from_ids(ids)
-assert column == ids
-assert all(type(v) is int for v in column)
-assert type(column[0]) is int
-assert isinstance(column[1:3], IdColumn)
-raw = column.to_be_bytes()
-assert raw == b''.join(v.to_bytes(4, 'big') for v in ids)
-assert IdColumn.from_be_bytes(raw, len(ids)) == ids
-assert [list(c) for c in chunk_ids(iter(range(5)), 2)] == [[0,1],[2,3],[4]]
-print('OK')
-"""
-    env = dict(os.environ)
-    env["GHOSTDB_NUMPY"] = "1"
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", program],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "OK"

@@ -8,7 +8,6 @@ per-tuple run (``exec_batch=1``) is the reference semantics the old
 Volcano pipeline implemented.
 """
 
-import math
 import random
 
 import pytest
@@ -17,10 +16,29 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ghostdb import GhostDB, SessionConfig
 from repro.engine import plan as lp
 from repro.engine.executor import ExecConfig
-from repro.engine.operators import ExecContext, MergeIntersectOp, Operator
+from repro.engine.metrics import ExecutionMetrics
+from repro.engine.operators import (
+    BloomProbeOp,
+    ClimbingSelectOp,
+    ConvertIdsOp,
+    DeviceScanSelectOp,
+    ExecContext,
+    MergeIntersectOp,
+    MergeUnionOp,
+    Operator,
+    PlanExecutionError,
+    ProjectOp,
+    SktAccessOp,
+    SktScanOp,
+    StoreOp,
+    VisibleSelectOp,
+)
+from repro.engine.operators.adapt import IdsToTuplesOp
 from repro.engine.operators.base import TimeAttribution
+from repro.engine.operators.rows import AggregateOp, LimitOp, OrderByOp
 from repro.hardware.device import SmartUsbDevice
 from repro.optimizer.space import Strategy
+from repro.reference import evaluate_reference, same_rows
 from repro.workload.queries import (
     DEMO_SCHEMA_DDL,
     demo_query,
@@ -32,9 +50,11 @@ from tests.test_property_random import RandomSchema
 BATCH_SIZES = (1, 2, 7, 256)
 
 
-def session_with_batch(batch: int) -> GhostDB:
+def session_with_batch(batch: int, **config) -> GhostDB:
     return GhostDB(
-        config=SessionConfig(exec_config=ExecConfig(exec_batch=batch))
+        config=SessionConfig(
+            exec_config=ExecConfig(exec_batch=batch), **config
+        )
     )
 
 
@@ -48,6 +68,8 @@ def hardware_counters(metrics) -> tuple:
         metrics.usb_bytes_to_device,
         metrics.usb_bytes_to_host,
         metrics.ram_high_water,
+        metrics.cache_hits,
+        metrics.cache_misses,
     )
 
 
@@ -86,15 +108,135 @@ def test_batch_sizes_equivalent_on_random_queries(seed):
             label = f"seed={seed} batch={batch} query#{q}"
             assert rows == ref_rows, label
             assert hardware_counters(m) == hardware_counters(ref_m), label
-            # Simulated seconds are float *sums* of identical charges;
-            # summation order may differ across window sizes, so allow
-            # ulp-scale drift but nothing more.
-            assert math.isclose(
-                m.elapsed_seconds,
-                ref_m.elapsed_seconds,
-                rel_tol=1e-9,
-                abs_tol=1e-12,
-            ), label
+            # Integer clock ticks per category: exact at every window.
+            assert m.time == ref_m.time, label
+
+
+# ---------------------------------------------------------------------------
+# Per-item producers exist only where an exact-demand edge reaches them.
+# ---------------------------------------------------------------------------
+
+#: Subtree-key-tuple streams: no plan shape puts one under MergeIntersect,
+#: ConvertIds, Aggregate or Limit, so they are only ever drained whole.
+TUPLE_STREAM_OPERATORS = (
+    IdsToTuplesOp, BloomProbeOp, SktAccessOp, SktScanOp, StoreOp,
+)
+
+#: ID streams and value rows, which ``unbatched()`` or
+#: ``batches(limit=...)`` may pull one item at a time, plus Limit, whose
+#: only producer is per item.
+PER_ITEM_OPERATORS = (
+    ClimbingSelectOp, VisibleSelectOp, DeviceScanSelectOp, ConvertIdsOp,
+    MergeIntersectOp, MergeUnionOp, ProjectOp, AggregateOp, OrderByOp,
+    LimitOp,
+)
+
+
+def test_only_exact_demand_operators_define_a_per_item_producer():
+    for cls in TUPLE_STREAM_OPERATORS:
+        assert "_produce" not in vars(cls), cls.__name__
+        assert "_produce_batches" in vars(cls), cls.__name__
+    for cls in PER_ITEM_OPERATORS:
+        assert "_produce" in vars(cls), cls.__name__
+
+
+def test_exact_demand_pull_of_a_tuple_stream_raises():
+    ctx = bare_context()
+    op = IdsToTuplesOp(ctx, ValueSource(ctx, [1, 2]), "t")
+    with pytest.raises(PlanExecutionError, match="no per-item producer"):
+        next(op.unbatched())
+    with pytest.raises(PlanExecutionError, match="no per-item producer"):
+        next(op.batches(limit=1))
+    op.close()
+    assert list(IdsToTuplesOp(ctx, ValueSource(ctx, [1, 2]), "t").rows()) == [
+        (1,), (2,),
+    ]
+
+
+#: Age is visible and BodyMassIndex hidden: without a climbing index on
+#: BodyMassIndex the optimizer intersects the PC's Age IDs with a device
+#: scan, which MergeIntersect pulls through ``unbatched()``.
+DEVICE_SCAN_SQL = (
+    "SELECT Pat.PatID, Pat.Age FROM Patient Pat "
+    "WHERE Pat.Age > 50 AND Pat.BodyMassIndex > 30"
+)
+
+
+#: The demo schema's default climbing indexes, minus Patient.BodyMassIndex.
+INDEXES_BUT_BMI = [
+    ("patient", "name"),
+    ("visit", "purpose"),
+    ("prescription", "quantity"),
+    ("prescription", "whenwritten"),
+]
+
+
+def unindexed_bmi_session(data, batch: int = 256) -> GhostDB:
+    db = session_with_batch(batch, index_columns=INDEXES_BUT_BMI)
+    for statement in DEMO_SCHEMA_DDL:
+        db.execute(statement)
+    db.load(data)
+    return db
+
+
+def test_device_scan_under_merge_matches_reference_at_every_window(demo_data):
+    runs = {}
+    for batch in BATCH_SIZES:
+        db = unindexed_bmi_session(demo_data, batch)
+        db.reset_measurements()
+        result = db.query(DEVICE_SCAN_SQL)
+        merges = [
+            node for node in result.plan.walk()
+            if isinstance(node, lp.MergeIntersect)
+        ]
+        assert merges and any(
+            isinstance(arm, lp.DeviceScanSelect) for arm in merges[0].inputs
+        ), result.plan.label()
+        expected = evaluate_reference(
+            db.tree, demo_data, db.bind(DEVICE_SCAN_SQL)
+        )
+        assert same_rows(result.rows, expected), batch
+        assert result.rows
+        runs[batch] = (result.rows, result.metrics)
+    ref_rows, ref_m = runs[1]
+    for batch in BATCH_SIZES[1:]:
+        rows, m = runs[batch]
+        assert rows == ref_rows, batch
+        assert hardware_counters(m) == hardware_counters(ref_m), batch
+        assert m.time == ref_m.time, batch
+
+
+def test_device_scan_producers_charge_identical_costs(demo_data):
+    """DeviceScanSelectOp keeps two hand-written producers; draining it
+    through ``rows()`` (windows) or ``unbatched()`` (per item) must cost
+    the device the same."""
+    db = unindexed_bmi_session(demo_data)
+    predicate = next(
+        p for p in db.bind(DEVICE_SCAN_SQL).predicates
+        if p.column == "bodymassindex"
+    )
+    drained = {}
+    for surface in ("rows", "unbatched"):
+        db.reset_measurements()
+        ctx = ExecContext(device=db.device, link=db.link, db=db.hidden)
+        op = DeviceScanSelectOp(ctx, "patient", [predicate])
+        before = db.device.counters()
+        ids = list(getattr(op, surface)())
+        op.close()
+        drained[surface] = (
+            ids,
+            ExecutionMetrics.from_counters(
+                before, db.device.counters(), [], len(ids)
+            ),
+        )
+    (batched_ids, batched), (item_ids, per_item) = drained.values()
+    assert batched_ids == item_ids and batched_ids
+    assert batched.time == per_item.time
+    assert batched.time.ticks["cpu"] > 0
+    assert batched.flash_page_reads == per_item.flash_page_reads > 0
+    assert (batched.cache_hits, batched.cache_misses) == (
+        per_item.cache_hits, per_item.cache_misses,
+    )
 
 
 # ---------------------------------------------------------------------------

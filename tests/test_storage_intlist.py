@@ -3,13 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.columns import MAX_ID
 from repro.hardware.device import SmartUsbDevice
-from repro.storage.intlist import (
-    IntListReader,
-    IntListWriter,
-    MAX_ID,
-    free_intlist,
-)
+from repro.storage.intlist import IntListReader, IntListWriter, free_intlist
 
 
 def write_list(device, values):
