@@ -18,8 +18,8 @@ def test_fig3_skt_inventory(bench_session, bench_data, benchmark):
             (
                 f"SKT_{root}",
                 ", ".join(skt.tables),
-                skt.count,
-                f"{skt.flash_bytes / 1024:.0f} KiB",
+                skt.extent.count,
+                f"{skt.extent.flash_bytes / 1024:.0f} KiB",
             )
         )
     print_series(
@@ -50,7 +50,7 @@ def test_fig3_skt_direct_association(bench_session, benchmark):
     def lookup_via_skt():
         session.reset_measurements()
         with skt.reader("bench") as reader:
-            row = skt.decode(reader.record(12_345 % skt.count))
+            row = skt.decode(reader.record(12_345 % skt.extent.count))
         return row[pat_pos], session.device.clock.now
 
     patient, simulated = benchmark.pedantic(

@@ -10,7 +10,8 @@ is built in RAM like any hash join would; one that does not triggers
 grace partitioning -- both sides are hashed into partitions *written to
 flash* and joined partition by partition.  Flash writes are 3-10x reads,
 so this is precisely the behaviour the paper calls unacceptable, and the
-benchmarks show it.
+benchmarks show it.  When a step raises, every temporary run the query
+wrote is freed before the error propagates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.engine.metrics import ExecutionMetrics, OperatorStats
 from repro.engine.plan import PlanNode
 from repro.hardware.ram import RamExhaustedError
 from repro.sql.binder import BoundQuery, NEQ, Predicate
-from repro.storage.runs import Run, RunReader, RunWriter
+from repro.storage.pagestore import Extent, PageReader, PageWriter
 
 #: Modeled bytes of device RAM per entry of an in-RAM hash set
 #: (4 B key + bucket pointer overhead on a 32-bit chip).
@@ -47,6 +48,9 @@ class HashJoinBaseline:
 
     session: "GhostDB"  # noqa: F821
     stats: list[OperatorStats] = field(default_factory=list)
+    #: Every temporary-run writer opened so far; a failed query aborts
+    #: them all, which frees each run that is not freed yet.
+    _writers: list[PageWriter] = field(default_factory=list)
 
     # ------------------------------------------------------------------
 
@@ -64,27 +68,12 @@ class HashJoinBaseline:
                 )
 
         before = device.counters()
-
-        # 1. Qualifying-ID sets per non-root table, computed bottom-up so
-        #    deep predicates propagate through their parents.
-        id_lists = self._qualifying_ids(query)
-
-        # 2. Scan the root, apply root predicates, keep FK tuples.
-        root_tuples, tables = self._filtered_root_tuples(query)
-
-        # 3. Membership-join against each child's ID list.
-        for child_table, ids in id_lists.items():
-            if child_table == root:
-                continue
-            if child_table not in tables:
-                continue
-            position = tables.index(child_table)
-            root_tuples = self._membership_join(
-                root_tuples, position, ids, label=child_table
-            )
-
-        # 4. Project.
-        rows = self._project(query, root_tuples, tables)
+        try:
+            rows = self._run(query)
+        except BaseException:
+            for writer in self._writers:
+                writer.abort()
+            raise
         after = device.counters()
         metrics = ExecutionMetrics.from_counters(
             before, after, self.stats, len(rows)
@@ -97,12 +86,34 @@ class HashJoinBaseline:
             plan=_HashJoinPlanStub(),
         )
 
+    def _run(self, query: BoundQuery) -> list:
+        # 1. Qualifying-ID sets per non-root table, computed bottom-up so
+        #    deep predicates propagate through their parents.
+        id_lists = self._qualifying_ids(query)
+
+        # 2. Scan the root, apply root predicates, keep FK tuples.
+        root_tuples, tables = self._filtered_root_tuples(query)
+
+        # 3. Membership-join against each child's ID list.
+        for child_table, ids in id_lists.items():
+            if child_table == query.root:
+                continue
+            if child_table not in tables:
+                continue
+            position = tables.index(child_table)
+            root_tuples = self._membership_join(
+                root_tuples, position, ids, label=child_table
+            )
+
+        # 4. Project.
+        return self._project(query, root_tuples, tables)
+
     # ------------------------------------------------------------------
     # Phase 1: per-table qualifying IDs
     # ------------------------------------------------------------------
 
-    def _qualifying_ids(self, query: BoundQuery) -> dict[str, Run | None]:
-        """table -> Run of sorted qualifying IDs (None = unconstrained).
+    def _qualifying_ids(self, query: BoundQuery) -> dict[str, Extent | None]:
+        """table -> run of sorted qualifying IDs (None = unconstrained).
 
         Constraints from descendant tables are folded into their parents
         (a visit qualifies only if its doctor qualifies), so the final
@@ -115,7 +126,7 @@ class HashJoinBaseline:
         for predicate in query.predicates:
             preds_by_table.setdefault(predicate.table, []).append(predicate)
 
-        runs: dict[str, Run | None] = {}
+        runs: dict[str, Extent | None] = {}
         # Bottom-up: deepest tables first.
         order = sorted(
             (t for t in query.tables if t != query.root),
@@ -147,7 +158,7 @@ class HashJoinBaseline:
         hidden: list[Predicate],
         visible: list[Predicate],
         child_constraints,
-    ) -> Run:
+    ) -> Extent:
         """Scan ``table`` (and ask the PC) for qualifying IDs."""
         session = self.session
         device = session.device
@@ -159,9 +170,9 @@ class HashJoinBaseline:
         table_def = session.tree.table(table)
 
         # Visible side first: one sorted ID run from the PC.
-        visible_run: Run | None = None
+        visible_run: Extent | None = None
         if visible:
-            writer = RunWriter(device, ID_WIDTH, f"hj-vis:{table}")
+            writer = self._writer(ID_WIDTH, f"hj-vis:{table}")
             stream = None
             for predicate in visible:
                 if stream is None:
@@ -174,14 +185,14 @@ class HashJoinBaseline:
                     )
             for pk in sorted(stream):
                 writer.append(ID_STRUCT.pack(pk))
-            visible_run = writer.finish()
+            visible_run = writer.close()
 
         # Device scan applying hidden predicates and child memberships.
         child_sets = [
             (self._fk_index(table, child), run)
             for child, run in child_constraints
         ]
-        writer = RunWriter(device, ID_WIDTH, f"hj-ids:{table}")
+        writer = self._writer(ID_WIDTH, f"hj-ids:{table}")
         scan_tuples = self._scan_with_predicates(
             heap, table_def, hidden,
             extra_fields=[idx for idx, _run in child_sets],
@@ -200,14 +211,14 @@ class HashJoinBaseline:
             for tup in scan_tuples:
                 writer.append(ID_STRUCT.pack(tup[0]))
                 op.tuples_out += 1
-        scanned = writer.finish()
+        scanned = writer.close()
 
         if visible_run is None:
             return scanned
         # Intersect the scanned run with the visible run (sorted merge).
         merged = self._intersect_runs(scanned, visible_run, table)
-        scanned.free(device)
-        visible_run.free(device)
+        scanned.free(device.ftl)
+        visible_run.free(device.ftl)
         return merged
 
     # ------------------------------------------------------------------
@@ -246,14 +257,12 @@ class HashJoinBaseline:
             for predicate in visible:
                 got = set(session.link.select_ids(root, predicate))
                 ids = got if ids is None else ids & got
-            writer = RunWriter(
-                session.device, ID_WIDTH, f"hj-vis:{root}"
-            )
+            writer = self._writer(ID_WIDTH, f"hj-vis:{root}")
             for pk in sorted(ids):
                 writer.append(ID_STRUCT.pack(pk))
-            vis_run = writer.finish()
+            vis_run = writer.close()
             run = self._membership_join(run, 0, vis_run, label=root)
-            vis_run.free(session.device)
+            vis_run.free(session.device.ftl)
         return run, tables
 
     # ------------------------------------------------------------------
@@ -261,9 +270,9 @@ class HashJoinBaseline:
     # ------------------------------------------------------------------
 
     def _membership_join(
-        self, tuples_run: Run, key_position: int, ids_run: Run | None,
+        self, tuples_run: Extent, key_position: int, ids_run: Extent | None,
         label: str,
-    ) -> Run:
+    ) -> Extent:
         """Filter a tuple run by membership of one field in an ID run."""
         device = self.session.device
         if ids_run is None:
@@ -281,14 +290,13 @@ class HashJoinBaseline:
         try:
             op.ram_bytes = needed
             members = set()
-            with RunReader(device, ids_run, f"hj-ids:{label}") as reader:
-                for raw in reader:
+            with PageReader(device, ids_run, f"hj-ids:{label}") as reader:
+                for raw in reader.scan():
                     device.chip.charge("hash")
                     members.add(ID_STRUCT.unpack(raw)[0])
-            out = RunWriter(device, tuples_run.record_width, f"hj-out:{label}")
-            arity = tuples_run.record_width // ID_WIDTH
-            with RunReader(device, tuples_run, f"hj-in:{label}") as reader:
-                for raw in reader:
+            out = self._writer(tuples_run.record_width, f"hj-out:{label}")
+            with PageReader(device, tuples_run, f"hj-in:{label}") as reader:
+                for raw in reader.scan():
                     device.chip.charge("hash")
                     key = ID_STRUCT.unpack_from(
                         raw, key_position * ID_WIDTH
@@ -296,16 +304,16 @@ class HashJoinBaseline:
                     if key in members:
                         out.append(raw)
                         op.tuples_out += 1
-            result = out.finish()
+            result = out.close()
         finally:
             alloc.release()
-        tuples_run.free(device)
+        tuples_run.free(device.ftl)
         return result
 
     def _grace_join(
-        self, tuples_run: Run, key_position: int, ids_run: Run | None,
+        self, tuples_run: Extent, key_position: int, ids_run: Extent | None,
         label: str, op: OperatorStats,
-    ) -> Run:
+    ) -> Extent:
         """Partition both sides to flash, join partition by partition."""
         device = self.session.device
         budget = max(ID_WIDTH * 64, device.ram.soft_available // 2)
@@ -321,22 +329,22 @@ class HashJoinBaseline:
         partitions = min(partitions, max_fanout)
         op.ram_bytes = budget
 
-        def partition_run(run: Run, pos: int, tag: str) -> list[Run]:
+        def partition_run(run: Extent, pos: int, tag: str) -> list[Extent]:
             writers = [
-                RunWriter(device, run.record_width, f"hj-part:{tag}:{p}")
+                self._writer(run.record_width, f"hj-part:{tag}:{p}")
                 for p in range(partitions)
             ]
-            with RunReader(device, run, f"hj-split:{tag}") as reader:
-                for raw in reader:
+            with PageReader(device, run, f"hj-split:{tag}") as reader:
+                for raw in reader.scan():
                     device.chip.charge("hash")
                     key = ID_STRUCT.unpack_from(raw, pos * ID_WIDTH)[0]
                     writers[key % partitions].append(raw)
-            return [w.finish() for w in writers]
+            return [w.close() for w in writers]
 
         id_parts = partition_run(ids_run, 0, f"{label}-ids")
         tuple_parts = partition_run(tuples_run, key_position, f"{label}-tup")
-        tuples_run.free(device)
-        out = RunWriter(device, tuple_parts[0].record_width, f"hj-out:{label}")
+        tuples_run.free(device.ftl)
+        out = self._writer(tuple_parts[0].record_width, f"hj-out:{label}")
         for id_part, tuple_part in zip(id_parts, tuple_parts):
             needed = max(1, id_part.count) * HASH_SET_ENTRY_BYTES
             try:
@@ -347,20 +355,20 @@ class HashJoinBaseline:
                 sub = self._grace_join(
                     tuple_part, key_position, id_part, f"{label}*", op
                 )
-                with RunReader(device, sub, "hj-cat") as reader:
-                    for raw in reader:
+                with PageReader(device, sub, "hj-cat") as reader:
+                    for raw in reader.scan():
                         out.append(raw)
-                sub.free(device)
-                id_part.free(device)
+                sub.free(device.ftl)
+                id_part.free(device.ftl)
                 continue
             try:
                 members = set()
-                with RunReader(device, id_part, "hj-p-ids") as reader:
-                    for raw in reader:
+                with PageReader(device, id_part, "hj-p-ids") as reader:
+                    for raw in reader.scan():
                         device.chip.charge("hash")
                         members.add(ID_STRUCT.unpack(raw)[0])
-                with RunReader(device, tuple_part, "hj-p-tup") as reader:
-                    for raw in reader:
+                with PageReader(device, tuple_part, "hj-p-tup") as reader:
+                    for raw in reader.scan():
                         device.chip.charge("hash")
                         key = ID_STRUCT.unpack_from(
                             raw, key_position * ID_WIDTH
@@ -370,9 +378,9 @@ class HashJoinBaseline:
                             op.tuples_out += 1
             finally:
                 alloc.release()
-            id_part.free(device)
-            tuple_part.free(device)
-        return out.finish()
+            id_part.free(device.ftl)
+            tuple_part.free(device.ftl)
+        return out.close()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -412,32 +420,37 @@ class HashJoinBaseline:
                 device.chip.charge("decode_field", 1 + len(extra_fields))
                 yield (pk,) + extras
 
-    def _materialise(self, tuples, arity: int, count_into=None) -> Run:
-        device = self.session.device
-        writer = RunWriter(device, arity * ID_WIDTH, "hj-materialise")
+    def _writer(self, record_width: int, label: str) -> PageWriter:
+        """Open a writer for a temporary run of this query."""
+        writer = PageWriter(self.session.device, record_width, label)
+        self._writers.append(writer)
+        return writer
+
+    def _materialise(self, tuples, arity: int, count_into=None) -> Extent:
+        writer = self._writer(arity * ID_WIDTH, "hj-materialise")
         for tup in tuples:
             writer.append(b"".join(ID_STRUCT.pack(v) for v in tup))
             if count_into is not None:
                 count_into.tuples_out += 1
-        return writer.finish()
+        return writer.close()
 
-    def _replay(self, run: Run, arity: int):
+    def _replay(self, run: Extent, arity: int):
         device = self.session.device
-        with RunReader(device, run, "hj-replay") as reader:
-            for raw in reader:
+        with PageReader(device, run, "hj-replay") as reader:
+            for raw in reader.scan():
                 yield tuple(
                     ID_STRUCT.unpack_from(raw, i * ID_WIDTH)[0]
                     for i in range(arity)
                 )
-        run.free(device)
+        run.free(device.ftl)
 
-    def _intersect_runs(self, a: Run, b: Run, label: str) -> Run:
+    def _intersect_runs(self, a: Extent, b: Extent, label: str) -> Extent:
         device = self.session.device
-        out = RunWriter(device, ID_WIDTH, f"hj-intersect:{label}")
-        with RunReader(device, a, "hj-a") as ra, RunReader(
+        out = self._writer(ID_WIDTH, f"hj-intersect:{label}")
+        with PageReader(device, a, "hj-a") as ra, PageReader(
             device, b, "hj-b"
         ) as rb:
-            ia, ib = iter(ra), iter(rb)
+            ia, ib = ra.scan(), rb.scan()
             va, vb = next(ia, None), next(ib, None)
             while va is not None and vb is not None:
                 device.chip.charge("compare")
@@ -448,9 +461,9 @@ class HashJoinBaseline:
                     va = next(ia, None)
                 else:
                     vb = next(ib, None)
-        return out.finish()
+        return out.close()
 
-    def _project(self, query: BoundQuery, tuples_run: Run, tables) -> list:
+    def _project(self, query: BoundQuery, tuples_run: Extent, tables) -> list:
         session = self.session
         device = session.device
         op = OperatorStats(name="hj-project")

@@ -359,9 +359,9 @@ def _dml_delete_appended(session):
     appended ones (all above the loaded maximum), so the table ends in
     its starting state."""
     heap = session.hidden.heaps["prescription"]
-    max_pk = heap.pk_of_rowid(heap.count - 1)
+    max_pk = heap.pk_of_rowid(heap.extent.count - 1)
     visits = session.hidden.heaps["visit"]
-    vis_pk = visits.pk_of_rowid(visits.count - 1)
+    vis_pk = visits.pk_of_rowid(visits.extent.count - 1)
     meds = session.hidden.heaps["medicine"]
     med_pk = meds.pk_of_rowid(0)
     rows = [

@@ -37,10 +37,11 @@ from repro.obs.vetted import write_atomic
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v6: the simulated clock holds integer ticks and the secure chip an
-#: unsettled charge tally.  v5 (the pickled ``GhostDB`` is itself the
-#: default session) and earlier layouts are refused.
-VERSION = 6
+#: v7: every device structure holds its pages in ``Extent`` handles and
+#: a climbing index's postings are ``(first, count)`` slices.  v6 (page
+#: lists and posting files), v5 (float-second clock) and earlier layouts
+#: are refused.
+VERSION = 7
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

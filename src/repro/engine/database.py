@@ -68,15 +68,14 @@ class HiddenDatabase:
         by power loss) and are reclaimed by the mount-time orphan sweep.
         """
         pages: set[int] = set()
-        for heap in self.heaps.values():
-            pages.update(heap.pages)
-            pages.update(heap._pk_pages)
-        for skt in self.skts.values():
-            pages.update(skt.pages)
-        for index in (*self.climbing.values(), *self.key_indexes.values()):
-            for file in index._files:
-                if file is not None:
-                    pages.update(file.pages)
+        for structure in (
+            *self.heaps.values(),
+            *self.skts.values(),
+            *self.climbing.values(),
+            *self.key_indexes.values(),
+        ):
+            for extent in structure.extents:
+                pages.update(extent.pages)
         return pages
 
     # ------------------------------------------------------------------
@@ -179,7 +178,7 @@ class HiddenDatabase:
         return self.stats[table.lower()]
 
     def row_count(self, table: str) -> int:
-        return self.heaps[table.lower()].count
+        return self.heaps[table.lower()].extent.count
 
     # ------------------------------------------------------------------
     # Reporting
@@ -187,11 +186,10 @@ class HiddenDatabase:
 
     def storage_report(self) -> StorageReport:
         report = StorageReport()
-        page = self.device.profile.page_size
         for name, heap in self.heaps.items():
-            report.heap_bytes[name] = len(heap.pages) * page
+            report.heap_bytes[name] = heap.extent.flash_bytes
         for root, skt in self.skts.items():
-            report.skt_bytes[f"SKT_{root}"] = skt.flash_bytes
+            report.skt_bytes[f"SKT_{root}"] = skt.extent.flash_bytes
         for (table, column), index in self.climbing.items():
             report.index_bytes[f"cidx:{table}.{column}"] = index.flash_bytes
         for table, index in self.key_indexes.items():

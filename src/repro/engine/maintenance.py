@@ -86,13 +86,17 @@ def append_rows(
     reduced = [tuple(row[i] for i in source_idx) for row in new_rows]
     reduced.sort(key=lambda r: r[0])
 
+    for prev, row in zip(reduced, reduced[1:]):
+        if row[0] == prev[0]:
+            raise MaintenanceError(
+                f"{table}: appended key {row[0]} is given twice"
+            )
     old_heap = db.heaps[table]
-    if old_heap.count and reduced[0][0] <= old_heap.pk_of_rowid(
-        old_heap.count - 1
-    ):
+    last = old_heap.extent.count - 1
+    if last >= 0 and reduced[0][0] <= old_heap.pk_of_rowid(last):
         raise MaintenanceError(
             f"{table}: appended keys must exceed the current maximum "
-            f"({old_heap.pk_of_rowid(old_heap.count - 1)})"
+            f"({old_heap.pk_of_rowid(last)})"
         )
 
     def merged_rows():
@@ -222,7 +226,7 @@ def rebuild_table(
     # Commit phase: swap the catalog and free the old extents.  Pure
     # host-side dict/bookkeeping operations -- no flash I/O, so no
     # fault decision can interleave; the statement is atomic.
-    _free_heap(db, db.heaps[table])
+    _free(db, db.heaps[table])
     db.heaps[table] = new_heap
     stats = collector.finish()
     if columns is not None:
@@ -236,33 +240,23 @@ def rebuild_table(
     db.stats[table] = stats
     rebuilt_skts = []
     for root, skt in new_skts.items():
-        _free_pages(db, db.skts[root].pages)
+        _free(db, db.skts[root])
         db.skts[root] = skt
         rebuilt_skts.append(f"SKT_{root}")
     rebuilt_indexes = []
     for key, index in new_climbing.items():
-        _free_index(db, db.climbing[key])
+        _free(db, db.climbing[key])
         db.climbing[key] = index
         rebuilt_indexes.append(f"cidx:{key[0]}.{key[1]}")
     for name, index in new_key_indexes.items():
-        _free_index(db, db.key_indexes[name])
+        _free(db, db.key_indexes[name])
         db.key_indexes[name] = index
         rebuilt_indexes.append(f"kidx:{name}")
     db.version += 1
     return rebuilt_skts, rebuilt_indexes
 
 
-def _free_pages(db: HiddenDatabase, pages: list[int]) -> None:
-    for lpage in pages:
-        db.device.ftl.free(lpage)
-
-
-def _free_heap(db: HiddenDatabase, heap: HeapTable) -> None:
-    _free_pages(db, heap.pages)
-    _free_pages(db, heap._pk_pages)
-
-
-def _free_index(db: HiddenDatabase, index: ClimbingIndex) -> None:
-    for file in index._files:
-        if file is not None:
-            _free_pages(db, file.pages)
+def _free(db: HiddenDatabase, structure) -> None:
+    """Free every extent of a replaced heap, SKT or index."""
+    for extent in structure.extents:
+        extent.free(db.device.ftl)

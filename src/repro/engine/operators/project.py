@@ -129,7 +129,7 @@ class ProjectOp(Operator):
         )
         if pool_fits:
             for table, reader in readers.items():
-                if len(batch) * reader.slots_per_page >= 2 * reader.count:
+                if len(batch) * reader.extent.slots_per_page >= 2 * reader.extent.count:
                     dense_tables.add(table)
         # 1. Fetch visible values (and presence under recheck) per table.
         fetched: dict[str, dict[int, tuple]] = {}

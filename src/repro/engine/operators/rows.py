@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from repro.engine.operators.base import ExecContext, Operator, PlanExecutionError
 from repro.hardware.ram import RamExhaustedError
+from repro.storage.pagestore import PageReader
 from repro.storage.record import RecordCodec
-from repro.storage.runs import RunReader, external_merge, make_runs
+from repro.storage.runs import external_merge, make_runs
 
 #: Modeled per-group bookkeeping overhead (hash bucket + accumulators).
 GROUP_ENTRY_OVERHEAD = 48
@@ -198,8 +199,8 @@ class AggregateOp(Operator):
         current_key = None
         acc = None
         try:
-            with RunReader(device, merged, "aggregate-read") as reader:
-                for raw in reader:
+            with PageReader(device, merged, "aggregate-read") as reader:
+                for raw in reader.scan():
                     row = codec.decode(raw)
                     device.chip.charge("decode_field", len(row))
                     key = tuple(row[i] for i in self.group_indexes)
@@ -214,7 +215,7 @@ class AggregateOp(Operator):
                 if acc is not None and self._passes_having(current_key, acc):
                     yield self._emit(current_key, acc)
         finally:
-            merged.free(device)
+            merged.free(device.ftl)
 
 
 class OrderByOp(Operator):
@@ -275,12 +276,12 @@ class OrderByOp(Operator):
             fan_in=self.ctx.fan_in(),
         )
         try:
-            with RunReader(device, merged, "order-by-read") as reader:
-                for raw in reader:
+            with PageReader(device, merged, "order-by-read") as reader:
+                for raw in reader.scan():
                     device.chip.charge("decode_field", codec.arity)
                     yield codec.decode(raw)
         finally:
-            merged.free(device)
+            merged.free(device.ftl)
 
 
 class LimitOp(Operator):

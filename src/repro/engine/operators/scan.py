@@ -83,12 +83,12 @@ class DeviceScanSelectOp(Operator):
         pk_field = heap.pk_field
         out: list[int] = []
         with heap.reader(f"scan:{self.table}") as reader:
-            slots = reader.slots_per_page
+            slots, count = reader.extent.slots_per_page, reader.extent.count
             scan = reader.scan()
             try:
                 rowid = 0
-                while rowid < reader.count:
-                    take = min(slots, reader.count - rowid)
+                while rowid < count:
+                    take = min(slots, count - rowid)
                     # Pulling exactly the page's records leaves the scan
                     # generator suspended before the next page read.
                     alive = list(islice(scan, take))

@@ -45,8 +45,7 @@ class SktAccessOp(Operator):
         """
         skt = self.skt
         root_heap = self.ctx.db.heaps[skt.root]
-        page = self.ctx.device.profile.page_size
-        rows_per_page = page // skt.record_width
+        rows_per_page = skt.extent.slots_per_page
         # Dense enough that >=2 hits land on each page?  Then full-page
         # reads through the buffer pool win over per-row partial reads
         # -- but only when a pool exists to hold the page between hits.
@@ -54,8 +53,8 @@ class SktAccessOp(Operator):
         use_cache = (
             self.ctx.device.page_cache.enabled
             and expected is not None
-            and skt.count > 0
-            and expected / skt.count >= 2 / rows_per_page
+            and skt.extent.count > 0
+            and expected / skt.extent.count >= 2 / rows_per_page
         )
         chip = self.ctx.device.chip
         ntables = len(skt.tables)
@@ -106,12 +105,12 @@ class SktScanOp(Operator):
         ntables = len(skt.tables)
         out: list[tuple] = []
         with skt.reader("skt-scan") as reader:
-            slots = reader.slots_per_page
+            slots, count = reader.extent.slots_per_page, reader.extent.count
             scan = reader.scan()
             try:
                 rowid = 0
-                while rowid < reader.count:
-                    take = min(slots, reader.count - rowid)
+                while rowid < count:
+                    take = min(slots, count - rowid)
                     raws = list(islice(scan, take))
                     rowid += take
                     chip.charge("decode_field", len(raws) * ntables)

@@ -7,7 +7,8 @@ the plan to build each Bloom filter with the whole remaining RAM -- the
 kind of trade the demo invites visitors to experiment with.
 
 Tuples are packed as fixed-width 32-bit ID records; the extent is freed
-once the consumer exhausts the replay.
+once the consumer exhausts or abandons the replay, and a failure while
+materialising leaves no page behind (the writer's abort rule).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import struct
 
 from repro.engine.operators.base import ExecContext, Operator
-from repro.storage.runs import Run, RunReader, RunWriter
+from repro.storage.pagestore import PageReader, PageWriter
 
 
 class StoreOp(Operator):
@@ -36,20 +37,22 @@ class StoreOp(Operator):
         windows of decoded tuples.  Flash writes happen in record order
         during the drain and reads in record order during the replay,
         whatever ``cap`` is."""
+        device = self.ctx.device
         record = struct.Struct(f">{self.arity}I")
-        writer = RunWriter(self.ctx.device, record.size, "store")
-        for batch in self.child.batches():
-            for row in batch:
-                if len(row) != self.arity:
-                    raise ValueError(
-                        f"store expected {self.arity}-id tuples, got {row!r}"
-                    )
-                writer.append(record.pack(*row))
-        run: Run = writer.finish()
+        with PageWriter(device, record.size, "store") as writer:
+            for batch in self.child.batches():
+                for row in batch:
+                    if len(row) != self.arity:
+                        raise ValueError(
+                            f"store expected {self.arity}-id tuples, "
+                            f"got {row!r}"
+                        )
+                    writer.append(record.pack(*row))
+        run = writer.extent
         try:
-            with RunReader(self.ctx.device, run, "store-replay") as reader:
+            with PageReader(device, run, "store-replay") as reader:
                 out: list[tuple] = []
-                for raw in reader:
+                for raw in reader.scan():
                     out.append(record.unpack(raw))
                     if len(out) >= cap:
                         yield out
@@ -57,4 +60,4 @@ class StoreOp(Operator):
                 if out:
                     yield out
         finally:
-            run.free(self.ctx.device)
+            run.free(device.ftl)

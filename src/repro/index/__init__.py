@@ -9,26 +9,20 @@
   root IDs.
 * :class:`~repro.index.bloom.BloomFilter` -- the compact membership filter
   Post-filtering plans build from visible ID streams.
-* :mod:`~repro.index.posting` -- the packed posting-list file both index
-  kinds store their ID lists in.
+* :func:`~repro.index.posting.merge_posting_streams` -- the
+  bounded-fan-in union of posting lists.  A posting list is a
+  ``(first, count)`` slice of a level's extent of 4-byte ID records
+  (:mod:`repro.storage.pagestore`).
 """
 
 from repro.index.bloom import BloomFilter, bloom_parameters
-from repro.index.posting import (
-    PostingFileReader,
-    PostingFileWriter,
-    PostingRef,
-    merge_posting_streams,
-)
+from repro.index.posting import merge_posting_streams
 from repro.index.skt import SubtreeKeyTable
 from repro.index.climbing import ClimbingIndex
 
 __all__ = [
     "BloomFilter",
     "ClimbingIndex",
-    "PostingFileReader",
-    "PostingFileWriter",
-    "PostingRef",
     "SubtreeKeyTable",
     "bloom_parameters",
     "merge_posting_streams",

@@ -14,10 +14,14 @@ which arrive as ID lists from the PC, climb to the root (the paper
 converts the Vis.Date result "into lists of PreID thanks to the climbing
 index on Vis.VisID").
 
-The per-value, per-level posting lists live in packed posting files
-(:mod:`repro.index.posting`).  The directory (value -> refs) is a B-tree
-on a real device; the simulator keeps its content in host memory and
-charges the modeled probe I/O explicitly (see ``DIRECTORY_PROBE_READS``).
+Each level's posting lists are packed back to back, in value order, into
+one extent of 4-byte ID records; a list is the ``(first, count)`` slice
+of it that the directory remembers.  Most lists are short, so a page
+per list would inflate the index's flash footprint, which the paper
+counts as the price of its indexing model.  The directory (value ->
+slices) is a B-tree on a real device; the simulator keeps its content
+in host memory and charges the modeled probe I/O explicitly (see
+``DIRECTORY_PROBE_READS``).
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import heapq
 from dataclasses import dataclass
 
 from repro.catalog.tree import SchemaTree
+from repro.columns import ID_WIDTH
 from repro.hardware.device import SmartUsbDevice
-from repro.index.posting import PostingFileWriter, PostingRef
 from repro.storage.heap import HeapTable
+from repro.storage.pagestore import Extent, PageReader, PageWriter
 
 #: Partial page reads charged per directory probe (root + leaf of the
 #: modeled two-level B-tree).
@@ -82,12 +87,20 @@ class ClimbingIndex:
         #: level tables, self first, root last.
         self.levels = levels
         self.is_key_index = is_key_index
-        #: value -> list of PostingRef per level (index 0 is None for key
-        #: indexes: the level-0 posting of a PK value is the value itself).
-        self._directory: dict[object, list[PostingRef | None]] = {}
+        #: value -> ``(first, count)`` posting slice per level (index 0 is
+        #: None for key indexes: the level-0 posting of a PK value is the
+        #: value itself).
+        self._directory: dict[object, list[tuple[int, int] | None]] = {}
         self._sorted_keys: list = []
-        self._files: list = []  # PostingFileReaderFactory per level
+        #: The posting extent of each level (None where the directory
+        #: holds no slices).
+        self._postings: list[Extent | None] = []
         self.level_stats: list[LevelStats] = []
+
+    @property
+    def extents(self) -> list[Extent]:
+        """Every extent this index owns on flash."""
+        return [e for e in self._postings if e is not None]
 
     # ------------------------------------------------------------------
     # Build
@@ -151,33 +164,39 @@ class ClimbingIndex:
                 mapped[value] = merged
             per_level_ids.append(mapped)
 
-        # Write the posting files and directory, values in sorted order.
+        # Write the posting extents and directory, values in sorted order.
         index._sorted_keys = sorted(value_ids)
         index.level_stats = [LevelStats(table=t) for t in levels]
-        writers = []
-        for li, level_table in enumerate(levels):
-            if li == 0 and is_key_index:
-                writers.append(None)
-                continue
-            writers.append(
-                PostingFileWriter(device, f"cindex:{table}.{column}:L{li}")
-            )
-        for value in index._sorted_keys:
-            refs: list[PostingRef | None] = []
+        writers: list[PageWriter | None] = []
+        try:
             for li in range(len(levels)):
-                ids = per_level_ids[li].get(value, [])
-                index.level_stats[li].total_ids += len(ids)
-                if writers[li] is None:
-                    refs.append(None)
-                    continue
-                writers[li].begin_list()
-                for i in ids:
-                    writers[li].append(i)
-                refs.append(writers[li].end_list())
-            index._directory[value] = refs
-        index._files = [
-            w.close() if w is not None else None for w in writers
-        ]
+                writers.append(
+                    None if li == 0 and is_key_index else PageWriter(
+                        device, ID_WIDTH, f"cindex:{table}.{column}:L{li}"
+                    )
+                )
+            for value in index._sorted_keys:
+                refs: list[tuple[int, int] | None] = []
+                for li, writer in enumerate(writers):
+                    ids = per_level_ids[li].get(value, [])
+                    index.level_stats[li].total_ids += len(ids)
+                    if writer is None:
+                        refs.append(None)
+                        continue
+                    if ids != sorted(ids):
+                        raise ValueError(
+                            f"posting lists must be sorted: {value!r} at "
+                            f"level {li}"
+                        )
+                    refs.append((writer.extent.count, len(ids)))
+                    writer.append_ids(ids)
+                index._directory[value] = refs
+            index._postings = [w and w.close() for w in writers]
+        except BaseException:
+            for writer in writers:
+                if writer is not None:
+                    writer.abort()
+            raise
         return index
 
     # ------------------------------------------------------------------
@@ -211,7 +230,7 @@ class ClimbingIndex:
         level = self.level_of(target_table)
         if refs[level] is None:
             return 1  # key index, level 0: the value itself
-        return refs[level].count
+        return refs[level][1]
 
     def stream_eq(self, value, target_table: str, label: str = "cindex"):
         """A stream factory for one value's IDs at the given level.
@@ -221,25 +240,9 @@ class ClimbingIndex:
         when the value is absent.  Charges the directory probe now.
         """
         self._charge_probe()
-        refs = self._directory.get(value)
-        if refs is None:
+        if value not in self._directory:
             return None
-        level = self.level_of(target_table)
-        ref = refs[level]
-        if ref is None:
-            pk = value
-
-            def open_identity():
-                return iter((pk,)), lambda: None
-
-            return open_identity
-        file = self._files[level]
-
-        def open_stream():
-            reader = file.open(f"{label}:{self.table}.{self.column}")
-            return reader.read_list(ref), reader.close
-
-        return open_stream
+        return self._factory(value, self.level_of(target_table), label)
 
     def streams_range(
         self,
@@ -273,25 +276,21 @@ class ClimbingIndex:
         if matching:
             self.device.flash.charge_partial_reads(1 + len(matching) // 64)
         level = self.level_of(target_table)
-        file = self._files[level]
-        factories = []
-        for value in matching:
-            ref = self._directory[value][level]
-            if ref is None:
-                pk = value
+        return [self._factory(value, level, label) for value in matching]
 
-                def open_identity(pk=pk):
-                    return iter((pk,)), lambda: None
+    def _factory(self, value, level: int, label: str):
+        """A stream factory for ``value``'s posting at ``level``."""
+        ref = self._directory[value][level]
+        if ref is None:
+            return lambda: (iter((value,)), lambda: None)
+        extent = self._postings[level]
+        label = f"{label}:{self.table}.{self.column}"
 
-                factories.append(open_identity)
-                continue
+        def open_stream():
+            reader = PageReader(self.device, extent, label)
+            return reader.ids(*ref), reader.close
 
-            def open_stream(ref=ref):
-                reader = file.open(f"{label}:{self.table}.{self.column}")
-                return reader.read_list(ref), reader.close
-
-            factories.append(open_stream)
-        return factories
+        return open_stream
 
     # ------------------------------------------------------------------
     # Introspection
@@ -299,8 +298,8 @@ class ClimbingIndex:
 
     @property
     def flash_bytes(self) -> int:
-        """Flash footprint: posting files plus the modeled directory."""
-        postings = sum(f.flash_bytes for f in self._files if f is not None)
+        """Flash footprint: posting extents plus the modeled directory."""
+        postings = sum(e.flash_bytes for e in self.extents)
         key_width = 8  # modeled directory key slot
         entry = key_width + 8 * len(self.levels)
         return postings + self.n_values * entry

@@ -16,7 +16,7 @@ from repro.catalog.tree import SchemaTree
 from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.heap import HeapTable
-from repro.storage.pagestore import PageReader, PageStore
+from repro.storage.pagestore import Extent, PageReader, PageWriter
 
 
 class SubtreeKeyTable:
@@ -29,10 +29,12 @@ class SubtreeKeyTable:
         self.device = device
         self.root = root
         self.tables = tables
-        self.record_width = ID_WIDTH * len(tables)
-        self.pages: list[int] = []
-        self.count = 0
-        self._store = PageStore(device)
+        self.extent = Extent(ID_WIDTH * len(tables), device.profile.page_size)
+
+    @property
+    def extents(self) -> list[Extent]:
+        """Every extent this SKT owns on flash."""
+        return [self.extent]
 
     # ------------------------------------------------------------------
     # Build
@@ -75,7 +77,9 @@ class SubtreeKeyTable:
             if fk_layout[name] or name == root
         }
         try:
-            with skt._store.writer(skt.record_width, f"skt:{root}") as writer:
+            with PageWriter(
+                device, skt.extent.record_width, f"skt:{root}"
+            ) as writer:
                 for raw in readers[root].scan():
                     row_ids = [0] * len(tables)
                     skt._resolve(
@@ -85,8 +89,7 @@ class SubtreeKeyTable:
                     writer.append(
                         b"".join(ID_STRUCT.pack(v) for v in row_ids)
                     )
-                skt.pages = writer.pages
-                skt.count = writer.count
+            skt.extent = writer.extent
         finally:
             for reader in readers.values():
                 reader.close()
@@ -129,7 +132,7 @@ class SubtreeKeyTable:
             ) from None
 
     def reader(self, label: str) -> PageReader:
-        return self._store.reader(self.pages, self.record_width, self.count, label)
+        return PageReader(self.device, self.extent, label)
 
     def decode(self, raw: bytes) -> tuple[int, ...]:
         """Decode one SKT row into a tuple of IDs (subtree pre-order)."""
@@ -137,7 +140,3 @@ class SubtreeKeyTable:
             ID_STRUCT.unpack_from(raw, i * ID_WIDTH)[0]
             for i in range(len(self.tables))
         )
-
-    @property
-    def flash_bytes(self) -> int:
-        return len(self.pages) * self.device.profile.page_size

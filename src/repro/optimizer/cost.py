@@ -222,12 +222,12 @@ class CostModel:
 
     def _est_DeviceScanSelect(self, node: lp.DeviceScanSelect) -> CostEstimate:
         heap = self.db.heaps[node.table.lower()]
-        rows = heap.count
+        rows = heap.extent.count
         sel = 1.0
         for predicate in node.predicates:
             sel *= self.stats.selectivity(predicate)
         est = CostEstimate(out_count=sel * rows)
-        est.flash_read_s += len(heap.pages) * self.profile.flash_read_full_s
+        est.flash_read_s += len(heap.extent.pages) * self.profile.flash_read_full_s
         per_row = len(node.predicates) or 1
         est.cpu_s += self._cpu("decode_field", rows * per_row)
         est.cpu_s += self._cpu("compare", rows * len(node.predicates))
@@ -294,14 +294,14 @@ class CostModel:
 
     def _est_SktAccess(self, node: lp.SktAccess) -> CostEstimate:
         skt = self.db.skt_for_root(node.skt_root)
-        rows_per_page = self.profile.page_size // skt.record_width
-        total_pages = max(1, math.ceil(skt.count / rows_per_page))
+        rows_per_page = skt.extent.slots_per_page
+        total_pages = max(1, math.ceil(skt.extent.count / rows_per_page))
         est = CostEstimate()
         if node.child is None:
-            est.out_count = skt.count
+            est.out_count = skt.extent.count
             est.flash_read_s += total_pages * self.profile.flash_read_full_s
             est.cpu_s += self._cpu(
-                "decode_field", skt.count * len(skt.tables)
+                "decode_field", skt.extent.count * len(skt.tables)
             )
             est.ram_bytes = self.profile.page_size
             return est
@@ -310,7 +310,7 @@ class CostModel:
         n = child.out_count
         est.out_count = n
         # Expected distinct pages touched by n sorted hits.
-        if skt.count > 0:
+        if skt.extent.count > 0:
             distinct_pages = total_pages * (
                 1.0 - (1.0 - 1.0 / total_pages) ** n
             )
@@ -394,19 +394,17 @@ class CostModel:
         for table, cols in hidden_by_table.items():
             partial_cost = n * cols * self.profile.flash_read_partial_s
             heap = self.db.heaps.get(table.lower())
-            if self.cache_pages > 0 and heap is not None and heap.count > 0:
+            if self.cache_pages > 0 and heap is not None and heap.extent.count > 0:
                 # Dense row sets route through the buffer pool: each
                 # touched heap page is read once in full and every other
                 # field on it is served for free.  Mirror the operator's
                 # per-fetch-batch density gate (with the estimated
                 # cardinality standing in for the actual batch fill) so
                 # the estimate tracks the path execution will take.
-                rows_per_page = max(
-                    1, self.profile.page_size // heap.codec.width
-                )
+                rows_per_page = heap.extent.slots_per_page
                 batch_fill = min(self.fetch_batch, n)
-                dense = batch_fill * rows_per_page >= 2 * heap.count
-                total_pages = max(1, math.ceil(heap.count / rows_per_page))
+                dense = batch_fill * rows_per_page >= 2 * heap.extent.count
+                total_pages = max(1, math.ceil(heap.extent.count / rows_per_page))
                 distinct_pages = total_pages * (
                     1.0 - (1.0 - 1.0 / total_pages) ** n
                 )

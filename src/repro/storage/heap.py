@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.hardware.device import SmartUsbDevice
-from repro.storage.intlist import IntListWriter
-from repro.storage.pagestore import PageReader, PageStore
+from repro.storage.pagestore import Extent, PageReader, PageWriter
 from repro.storage.record import RecordCodec
 
 
@@ -34,16 +33,21 @@ class HeapTable:
         pk_field: int,
     ):
         self.device = device
-        self.store = PageStore(device)
         self.name = name
         self.codec = codec
         self.pk_field = pk_field
-        self.pages: list[int] = []
-        self.count = 0
+        page_size = device.profile.page_size
+        self.extent = Extent(codec.width, page_size)
+        #: The sorted PK array of a sparse table (empty when keys are dense).
+        self.pk_extent = Extent(ID_WIDTH, page_size)
         #: pk == _dense_base + rowid for every row, when keys are dense.
         self._dense_base: int | None = None
-        self._pk_pages: list[int] = []
         self._loaded = False
+
+    @property
+    def extents(self) -> list[Extent]:
+        """Every extent this table owns on flash."""
+        return [self.extent, self.pk_extent]
 
     # ------------------------------------------------------------------
     # Loading
@@ -61,8 +65,13 @@ class HeapTable:
         dense = True
         first_pk = None
         loaded = 0
-        pk_writer = IntListWriter(self.device, f"load-pk:{self.name}")
-        with self.store.writer(self.codec.width, f"load:{self.name}") as w:
+        # Both writers are aborted on any failure, also once the records
+        # writer has closed and the PK writer's final flush is what raised.
+        pk_writer = PageWriter(self.device, ID_WIDTH, f"load-pk:{self.name}")
+        writers = [pk_writer]
+        try:
+            writer = PageWriter(self.device, self.codec.width, f"load:{self.name}")
+            writers.append(writer)
             for row in rows:
                 pk = row[self.pk_field]
                 if last_pk is not None and pk <= last_pk:
@@ -80,18 +89,17 @@ class HeapTable:
                     raise ValueError(
                         f"{self.name}: PK {pk} outside 32-bit ID range"
                     )
-                pk_writer.append(pk)
-                w.append(self.codec.encode(row))
-            self.pages = w.pages
-            self.count = w.count
-        pk_writer.close()
-        if dense and self.count > 0:
+                pk_writer.append(ID_STRUCT.pack(pk))
+                writer.append(self.codec.encode(row))
+            self.extent, self.pk_extent = writer.close(), pk_writer.close()
+        except BaseException:
+            for w in writers:
+                w.abort()
+            raise
+        if dense and loaded > 0:
             self._dense_base = first_pk
             # The PK array is redundant when keys are dense; release it.
-            for lpage in pk_writer.pages:
-                self.device.ftl.free(lpage)
-        else:
-            self._pk_pages = pk_writer.pages
+            self.pk_extent.free(self.device.ftl)
         self._loaded = True
 
     # ------------------------------------------------------------------
@@ -100,7 +108,7 @@ class HeapTable:
 
     def reader(self, label: str) -> PageReader:
         """A record reader for batch access (caller manages lifetime)."""
-        return self.store.reader(self.pages, self.codec.width, self.count, label)
+        return PageReader(self.device, self.extent, label)
 
     def row(self, rowid: int) -> tuple:
         """Decode one full row (transient reader; one partial read)."""
@@ -130,22 +138,18 @@ class HeapTable:
         Dense tables answer arithmetically; sparse tables binary-search the
         packed PK array with partial flash reads.
         """
-        if self.count == 0:
+        count = self.extent.count
+        if count == 0:
             raise KeyNotFoundError(pk)
         if self._dense_base is not None:
             rowid = pk - self._dense_base
-            if not 0 <= rowid < self.count:
+            if not 0 <= rowid < count:
                 raise KeyNotFoundError(pk)
             return rowid
-        ids_per_page = self.device.profile.page_size // ID_WIDTH
-        lo, hi = 0, self.count - 1
+        lo, hi = 0, count - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            page_idx, slot = divmod(mid, ids_per_page)
-            raw = self.device.ftl.read(
-                self._pk_pages[page_idx], slot * ID_WIDTH, ID_WIDTH
-            )
-            value = ID_STRUCT.unpack(raw)[0]
+            value = self.pk_extent.read_id(self.device.ftl, mid)
             self.device.chip.charge("compare")
             if value == pk:
                 return mid
@@ -157,16 +161,13 @@ class HeapTable:
 
     def pk_of_rowid(self, rowid: int) -> int:
         """The primary key stored at ``rowid``."""
-        if not 0 <= rowid < self.count:
-            raise IndexError(f"rowid {rowid} out of range [0, {self.count})")
-        if self._dense_base is not None:
-            return self._dense_base + rowid
-        ids_per_page = self.device.profile.page_size // ID_WIDTH
-        page_idx, slot = divmod(rowid, ids_per_page)
-        raw = self.device.ftl.read(
-            self._pk_pages[page_idx], slot * ID_WIDTH, ID_WIDTH
-        )
-        return ID_STRUCT.unpack(raw)[0]
+        if self._dense_base is None:
+            return self.pk_extent.read_id(self.device.ftl, rowid)
+        if not 0 <= rowid < self.extent.count:
+            raise IndexError(
+                f"rowid {rowid} out of range [0, {self.extent.count})"
+            )
+        return self._dense_base + rowid
 
     @property
     def is_dense(self) -> bool:

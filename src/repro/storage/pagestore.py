@@ -1,120 +1,176 @@
-"""Record-granular page I/O over the FTL.
+"""The one extent format on flash.
 
-Records never span pages, so record ``i`` of a sequence lives at page
-``i // slots_per_page``, slot ``i % slots_per_page`` -- pure arithmetic,
-no directory reads.  Writers and readers hold exactly one page-sized
-buffer each, *allocated from the device RAM budget*, which is how the
-simulation keeps every storage access honest about memory.
+Every device structure is an *extent*: fixed-width records packed onto
+flash pages behind the FTL.  Heaps and their sparse-PK arrays, SKTs,
+climbing-index posting lists, spilled sort runs and materialised
+intermediates all use it.  Records never span pages, so record ``i``
+lives at page ``i // slots_per_page``, slot ``i % slots_per_page`` --
+pure arithmetic, no directory reads.
 
-The page list of a stored object (its "extent") is small metadata that a
-real device would keep in its internal stable storage; here it lives in
-the Python object and is not charged against query RAM.
+An open :class:`PageWriter` or :class:`PageReader` holds exactly one
+page-sized buffer, *allocated from the device RAM budget*, which is how
+the simulation keeps every storage access honest about memory.  A writer
+whose block raises (the abort rule) drops its unflushed tail with no
+flash I/O, frees the pages it already flushed and releases its buffer --
+also when its final flush is what raised -- so a faulted device programs
+no further page and the writer leaves nothing behind.
+
+An extent's page list is small metadata that a real device would keep in
+its internal stable storage; here it lives in the :class:`Extent` and is
+not charged against query RAM.  A freed extent keeps its record count but
+no pages, and any page read through it raises :class:`ExtentFreedError`:
+a statement still reading a structure that another session's rebuild
+replaced fails loudly instead of ending early.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.hardware.device import SmartUsbDevice
+from repro.columns import ID_STRUCT, ID_WIDTH, IdColumn
 from repro.hardware.flash import FlashError
 
 
-@dataclass
-class PageStore:
-    """Factory for page writers/readers bound to one device."""
+class ExtentFreedError(FlashError):
+    """A page read through an extent whose pages were freed."""
 
-    device: SmartUsbDevice
+
+@dataclass(eq=False)
+class Extent:
+    """Handle to fixed-width records on flash pages (compared by
+    identity: two empty extents are still two handles)."""
+
+    record_width: int
+    page_size: int
+    pages: list[int] = field(default_factory=list)
+    count: int = 0
+    slots_per_page: int = field(init=False)
+    freed: bool = field(default=False, init=False)
+
+    def __post_init__(self) -> None:
+        if self.record_width <= 0:
+            raise ValueError("record width must be positive")
+        if self.record_width > self.page_size:
+            raise FlashError(
+                f"record of {self.record_width} B exceeds the "
+                f"{self.page_size} B page"
+            )
+        self.slots_per_page = self.page_size // self.record_width
 
     @property
-    def page_size(self) -> int:
-        return self.device.profile.page_size
+    def flash_bytes(self) -> int:
+        """Flash footprint in whole pages."""
+        return len(self.pages) * self.page_size
 
-    def writer(self, record_width: int, label: str) -> "PageWriter":
-        return PageWriter(self, record_width, label)
+    def page(self, page_idx: int) -> int:
+        """The logical page holding page ``page_idx`` of the extent."""
+        if self.freed:
+            raise ExtentFreedError(
+                f"extent of {self.count} records read after its pages "
+                "were freed"
+            )
+        return self.pages[page_idx]
 
-    def reader(
-        self, pages: list[int], record_width: int, count: int, label: str
-    ) -> "PageReader":
-        return PageReader(self, pages, record_width, count, label)
+    def locate(self, rowid: int) -> tuple[int, int]:
+        """The logical page and byte offset of record ``rowid``."""
+        if not 0 <= rowid < self.count:
+            raise IndexError(f"rowid {rowid} out of range [0, {self.count})")
+        page_idx, slot = divmod(rowid, self.slots_per_page)
+        return self.page(page_idx), slot * self.record_width
 
-    def free_pages(self, pages: list[int]) -> None:
-        """Return an extent's pages to the FTL."""
+    def read_id(self, ftl, rowid: int) -> int:
+        """ID record ``rowid`` by one partial read, with no reader buffer:
+        a binary-search probe of a sparse table's PK array."""
+        lpage, offset = self.locate(rowid)
+        return ID_STRUCT.unpack(ftl.read(lpage, offset, ID_WIDTH))[0]
+
+    def free(self, ftl) -> None:
+        """Return every page to the FTL (bookkeeping, no flash I/O).
+
+        The handle is left with no pages, so a second free frees nothing,
+        and marked freed, so a later read raises :class:`ExtentFreedError`.
+        """
+        pages, self.pages, self.freed = self.pages, [], True
         for lpage in pages:
-            self.device.ftl.free(lpage)
+            ftl.free(lpage)
 
 
 class PageWriter:
-    """Appends fixed-width records, flushing full pages to flash.
+    """Appends records to a new :class:`Extent`, flushing full pages.
 
     Usage::
 
-        with store.writer(codec.width, "load:Visit") as w:
+        with PageWriter(device, codec.width, "load:visit") as writer:
             for row in rows:
-                w.append(codec.encode(row))
-        pages, count = w.pages, w.count
+                writer.append(codec.encode(row))
+        extent = writer.extent
     """
 
-    def __init__(self, store: PageStore, record_width: int, label: str):
-        if record_width <= 0:
-            raise ValueError("record width must be positive")
-        if record_width > store.page_size:
-            raise FlashError(
-                f"record of {record_width} B exceeds the "
-                f"{store.page_size} B page"
-            )
-        self.store = store
-        self.record_width = record_width
-        self.slots_per_page = store.page_size // record_width
+    def __init__(self, device, record_width: int, label: str):
+        self.extent = Extent(record_width, device.profile.page_size)
         self.label = label
-        self.pages: list[int] = []
-        self.count = 0
+        self._device = device
+        self._page_bytes = self.extent.slots_per_page * record_width
         self._buffer = bytearray()
-        self._alloc = store.device.ram.allocate(store.page_size, label)
+        self._alloc = device.ram.allocate(device.profile.page_size, label)
         self._closed = False
 
-    def append(self, raw: bytes) -> int:
-        """Append one encoded record; returns its rowid."""
+    def append(self, raw: bytes) -> None:
+        """Append one encoded record."""
         if self._closed:
             raise ValueError(f"writer {self.label!r} is closed")
-        if len(raw) != self.record_width:
+        if len(raw) != self.extent.record_width:
             raise ValueError(
                 f"record of {len(raw)} B does not match declared width "
-                f"{self.record_width}"
+                f"{self.extent.record_width}"
             )
-        self._buffer.extend(raw)
-        rowid = self.count
-        self.count += 1
-        if len(self._buffer) >= self.slots_per_page * self.record_width:
-            self._flush()
-        return rowid
+        self._buffer += raw
+        self.extent.count += 1
+        if len(self._buffer) >= self._page_bytes:
+            self._flush(self._page_bytes)
 
-    def _flush(self) -> None:
-        if not self._buffer:
-            return
-        lpage = self.store.device.ftl.allocate()
-        self.store.device.ftl.write(lpage, bytes(self._buffer))
-        self.pages.append(lpage)
-        self._buffer.clear()
+    def append_ids(self, ids) -> None:
+        """Append a sequence of IDs as 4-byte records (a posting list)."""
+        if self._closed:
+            raise ValueError(f"writer {self.label!r} is closed")
+        if self.extent.record_width != ID_WIDTH:
+            raise ValueError(f"writer {self.label!r} does not hold IDs")
+        try:
+            packed = IdColumn.from_ids(ids).to_be_bytes()
+        except OverflowError:
+            raise ValueError("ID out of 32-bit unsigned range") from None
+        self._buffer += packed
+        self.extent.count += len(packed) // ID_WIDTH
+        while len(self._buffer) >= self._page_bytes:
+            self._flush(self._page_bytes)
 
-    def close(self) -> None:
+    def _flush(self, size: int) -> None:
+        ftl = self._device.ftl
+        lpage = ftl.allocate()
+        ftl.write(lpage, bytes(self._buffer[:size]))
+        self.extent.pages.append(lpage)
+        del self._buffer[:size]
+
+    def close(self) -> Extent:
+        """Flush the tail page and release the buffer."""
         if not self._closed:
-            self._flush()
-            self._alloc.release()
+            if self._buffer:
+                try:
+                    self._flush(len(self._buffer))
+                except BaseException:
+                    self.abort()
+                    raise
             self._closed = True
+            self._alloc.release()
+        return self.extent
 
     def abort(self) -> None:
-        """Drop the unflushed tail and release RAM; no flash I/O.
-
-        The exception-unwind path: a device that just faulted (power
-        cut, wear-out, read-only latch) must not issue further flash
-        writes while the error propagates.  Pages already flushed stay
-        behind as orphans for the caller's cleanup or the mount-time
-        orphan sweep.
-        """
-        if not self._closed:
-            self._buffer.clear()
-            self._alloc.release()
-            self._closed = True
+        """Discard the output, also after :meth:`close`: drop the tail
+        with no flash I/O, free the flushed pages, release the buffer."""
+        self._closed = True
+        self._buffer.clear()
+        self._alloc.release()
+        self.extent.free(self._device.ftl)
 
     def __enter__(self) -> "PageWriter":
         return self
@@ -127,29 +183,12 @@ class PageWriter:
 
 
 class PageReader:
-    """Random and sequential access to a fixed-width record extent."""
+    """Reads one extent, holding one page buffer of RAM while open."""
 
-    def __init__(
-        self,
-        store: PageStore,
-        pages: list[int],
-        record_width: int,
-        count: int,
-        label: str,
-    ):
-        self.store = store
-        self.pages = pages
-        self.record_width = record_width
-        self.count = count
-        self.slots_per_page = store.page_size // record_width
-        self.label = label
-        self._alloc = store.device.ram.allocate(store.page_size, label)
-        self._closed = False
-
-    def _locate(self, rowid: int) -> tuple[int, int]:
-        if not 0 <= rowid < self.count:
-            raise IndexError(f"rowid {rowid} out of range [0, {self.count})")
-        return rowid // self.slots_per_page, rowid % self.slots_per_page
+    def __init__(self, device, extent: Extent, label: str):
+        self.extent = extent
+        self._device = device
+        self._alloc = device.ram.allocate(extent.page_size, label)
 
     def record(self, rowid: int) -> bytes:
         """Fetch one record; a cold fetch costs one partial page read.
@@ -158,11 +197,7 @@ class PageReader:
         recently read in full; either way this reader holds no page
         state of its own -- caching lives in exactly one place.
         """
-        page_idx, slot = self._locate(rowid)
-        offset = slot * self.record_width
-        return self.store.device.ftl.read(
-            self.pages[page_idx], offset, self.record_width
-        )
+        return self.field(rowid, 0, self.extent.record_width)
 
     def record_cached(self, rowid: int) -> bytes:
         """Fetch one record via a full-page read through the buffer pool.
@@ -174,31 +209,19 @@ class PageReader:
         disabled this degrades to one full read per record, so callers
         gate the choice on ``device.page_cache.enabled``.
         """
-        page_idx, slot = self._locate(rowid)
-        data = self.store.device.ftl.read(self.pages[page_idx])
-        off = slot * self.record_width
-        return data[off : off + self.record_width]
+        return self.field_cached(rowid, 0, self.extent.record_width)
 
     def field(self, rowid: int, offset: int, width: int) -> bytes:
         """Fetch one field of one record (cheapest possible flash read)."""
-        page_idx, slot = self._locate(rowid)
-        base = slot * self.record_width + offset
-        return self.store.device.ftl.read(self.pages[page_idx], base, width)
+        lpage, base = self.extent.locate(rowid)
+        return self._device.ftl.read(lpage, base + offset, width)
 
     def field_cached(self, rowid: int, offset: int, width: int) -> bytes:
-        """Fetch one field via a full-page read through the buffer pool.
-
-        Pays one full-page read on a pool miss, then serves every
-        further field on the same page for free -- the right choice for
-        dense row sets (the same density gate as
-        :meth:`record_cached`); with the pool disabled it degrades to
-        one full read per field, so callers gate on
-        ``device.page_cache.enabled``.
-        """
-        page_idx, slot = self._locate(rowid)
-        data = self.store.device.ftl.read(self.pages[page_idx])
-        base = slot * self.record_width + offset
-        return data[base : base + width]
+        """Fetch one field via a full-page read through the buffer pool
+        (the same density gate as :meth:`record_cached`)."""
+        lpage, base = self.extent.locate(rowid)
+        base += offset
+        return self._device.ftl.read(lpage)[base : base + width]
 
     def scan(self, start: int = 0, stop: int | None = None):
         """Yield raw records in rowid order using full-page reads.
@@ -207,25 +230,46 @@ class PageReader:
         one page this reader's RAM allocation stands for); re-scans hit
         the buffer pool when one is enabled.
         """
-        if stop is None:
-            stop = self.count
-        stop = min(stop, self.count)
+        extent = self.extent
+        width, slots = extent.record_width, extent.slots_per_page
+        stop = extent.count if stop is None else min(stop, extent.count)
         rowid = start
         while rowid < stop:
-            page_idx, slot = self._locate(rowid)
-            data = self.store.device.ftl.read(self.pages[page_idx])
-            last_slot = min(
-                self.slots_per_page, stop - page_idx * self.slots_per_page
-            )
-            for s in range(slot, last_slot):
-                off = s * self.record_width
-                yield data[off : off + self.record_width]
-            rowid = (page_idx + 1) * self.slots_per_page
+            page_idx, slot = divmod(rowid, slots)
+            data = self._device.ftl.read(extent.page(page_idx))
+            for s in range(slot, min(slots, stop - page_idx * slots)):
+                yield data[s * width : (s + 1) * width]
+            rowid = (page_idx + 1) * slots
+
+    def ids(self, first: int, count: int):
+        """Yield the posting list of ``count`` IDs from record ``first``.
+
+        A page the list covers with at most a quarter page of IDs gets a
+        cheap partial read; otherwise the full page goes through the
+        buffer pool, so lists sharing a page -- or a re-read list -- hit
+        it for free.
+        """
+        extent = self.extent
+        slots, quarter = extent.slots_per_page, extent.page_size // 4
+        rowid, stop = first, first + count
+        while rowid < stop:
+            page_idx, slot = divmod(rowid, slots)
+            take = min(stop - rowid, slots - slot)
+            lpage = extent.page(page_idx)
+            if take * ID_WIDTH <= quarter:
+                raw = self._device.ftl.read(
+                    lpage, slot * ID_WIDTH, take * ID_WIDTH
+                )
+                yield from IdColumn.from_be_bytes(raw, take)
+            else:
+                data = self._device.ftl.read(lpage)
+                yield from IdColumn.from_be_bytes(
+                    data, take, offset=slot * ID_WIDTH
+                )
+            rowid += take
 
     def close(self) -> None:
-        if not self._closed:
-            self._alloc.release()
-            self._closed = True
+        self._alloc.release()
 
     def __enter__(self) -> "PageReader":
         return self

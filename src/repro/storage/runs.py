@@ -1,81 +1,29 @@
 """Sorted runs and external merging under the RAM budget.
 
 Several pieces of GhostDB need to sort or merge more data than fits in the
-secure chip's RAM: building climbing indexes, converting a long visible ID
-list into root IDs (a union of many per-key posting lists), and the
-hash-join baseline's spill path.  This module provides the classical
-external-memory machinery, with all buffers charged to the device RAM
-budget and all I/O to the flash -- so the *cost* of running out of RAM is
-real, which is exactly the effect the paper's Post-filtering strategy
-exists to avoid.
+secure chip's RAM: sorting and grouping value rows, converting a long
+visible ID list into root IDs (a union of many per-key posting lists),
+and the hash-join baseline's spill path.  This module provides the
+classical external-memory machinery, with all buffers charged to the
+device RAM budget and all I/O to the flash -- so the *cost* of running
+out of RAM is real, which is exactly the effect the paper's
+Post-filtering strategy exists to avoid.
 
-A *run* is an extent of fixed-width records in non-decreasing key order,
-where the key is a byte slice of the record (all codecs in
-:mod:`repro.storage.types` are order-preserving, so byte order == value
-order).
+A *run* is an :class:`~repro.storage.pagestore.Extent` of fixed-width
+records in non-decreasing key order, where the key is a byte slice of
+the record (all codecs in :mod:`repro.storage.types` are
+order-preserving, so byte order == value order).  :func:`make_runs` and
+:meth:`RunMerger.merge` own the runs they hold: when a step raises,
+every run not yet freed is freed before the error propagates.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from contextlib import ExitStack
 
 from repro.hardware.device import SmartUsbDevice
-from repro.storage.pagestore import PageStore
-
-
-@dataclass
-class Run:
-    """Handle to a sorted extent on flash."""
-
-    pages: list[int]
-    count: int
-    record_width: int
-
-    def free(self, device: SmartUsbDevice) -> None:
-        for lpage in self.pages:
-            device.ftl.free(lpage)
-
-
-class RunWriter:
-    """Writes one sorted run (thin wrapper over a page writer)."""
-
-    def __init__(self, device: SmartUsbDevice, record_width: int, label: str):
-        self.device = device
-        self.record_width = record_width
-        self._writer = PageStore(device).writer(record_width, label)
-
-    def append(self, raw: bytes) -> None:
-        self._writer.append(raw)
-
-    def finish(self) -> Run:
-        self._writer.close()
-        return Run(
-            pages=self._writer.pages,
-            count=self._writer.count,
-            record_width=self.record_width,
-        )
-
-
-class RunReader:
-    """Streams a run's records back (one page buffer of RAM)."""
-
-    def __init__(self, device: SmartUsbDevice, run: Run, label: str):
-        self._reader = PageStore(device).reader(
-            run.pages, run.record_width, run.count, label
-        )
-
-    def __iter__(self):
-        return self._reader.scan()
-
-    def close(self) -> None:
-        self._reader.close()
-
-    def __enter__(self) -> "RunReader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+from repro.storage.pagestore import Extent, PageReader, PageWriter
 
 
 def make_runs(
@@ -85,7 +33,7 @@ def make_runs(
     key,
     sort_buffer_bytes: int,
     label: str,
-) -> list[Run]:
+) -> list[Extent]:
     """Partition ``records`` into sorted runs using a bounded sort buffer.
 
     ``key`` maps a raw record to its sort key (bytes).  The sort buffer is
@@ -95,27 +43,32 @@ def make_runs(
     if sort_buffer_bytes < record_width:
         raise ValueError("sort buffer smaller than one record")
     capacity = max(1, sort_buffer_bytes // record_width)
-    runs: list[Run] = []
+    runs: list[Extent] = []
     buffer: list[bytes] = []
-    with device.ram.allocate(capacity * record_width, f"sort:{label}"):
 
-        def flush():
-            if not buffer:
-                return
-            comparisons = len(buffer).bit_length() * len(buffer)
-            device.chip.charge("compare", comparisons)
-            buffer.sort(key=key)
-            writer = RunWriter(device, record_width, f"run:{label}")
+    def flush():
+        if not buffer:
+            return
+        comparisons = len(buffer).bit_length() * len(buffer)
+        device.chip.charge("compare", comparisons)
+        buffer.sort(key=key)
+        with PageWriter(device, record_width, f"run:{label}") as writer:
             for raw in buffer:
                 writer.append(raw)
-            runs.append(writer.finish())
-            buffer.clear()
+        runs.append(writer.extent)
+        buffer.clear()
 
-        for raw in records:
-            buffer.append(raw)
-            if len(buffer) >= capacity:
-                flush()
-        flush()
+    try:
+        with device.ram.allocate(capacity * record_width, f"sort:{label}"):
+            for raw in records:
+                buffer.append(raw)
+                if len(buffer) >= capacity:
+                    flush()
+            flush()
+    except BaseException:
+        for run in runs:
+            run.free(device.ftl)
+        raise
     return runs
 
 
@@ -145,41 +98,55 @@ class RunMerger:
         #: Number of merge passes the last :meth:`merge` call performed.
         self.passes = 0
 
-    def merge(self, runs: list[Run]) -> Run:
-        """Merge ``runs`` into a single sorted run, multi-pass if needed."""
+    def merge(self, runs: list[Extent]) -> Extent:
+        """Merge ``runs`` into a single sorted run, multi-pass if needed.
+
+        The input runs are consumed: each is freed once merged, and on
+        failure every input and intermediate run still held is freed.
+        """
+        ftl = self.device.ftl
         if not runs:
-            writer = RunWriter(self.device, 1, f"merge:{self.label}")
-            return writer.finish()
+            return PageWriter(self.device, 1, f"merge:{self.label}").close()
         self.passes = 0
-        if len(runs) == 1 and self.dedup:
-            # A lone run still needs its duplicates squeezed out.
-            merged = self._merge_group(runs)
-            runs[0].free(self.device)
-            return merged
-        while len(runs) > 1:
-            self.passes += 1
-            next_level: list[Run] = []
-            for start in range(0, len(runs), self.fan_in):
-                group = runs[start : start + self.fan_in]
-                if len(group) == 1:
-                    next_level.append(group[0])
-                    continue
-                merged = self._merge_group(group)
-                for run in group:
-                    run.free(self.device)
-                next_level.append(merged)
-            runs = next_level
+        next_level: list[Extent] = []
+        try:
+            if len(runs) == 1 and self.dedup:
+                # A lone run still needs its duplicates squeezed out.
+                merged = self._merge_group(runs)
+                runs[0].free(ftl)
+                return merged
+            while len(runs) > 1:
+                self.passes += 1
+                next_level = []
+                for start in range(0, len(runs), self.fan_in):
+                    group = runs[start : start + self.fan_in]
+                    if len(group) == 1:
+                        next_level.append(group[0])
+                        continue
+                    merged = self._merge_group(group)
+                    for run in group:
+                        run.free(ftl)
+                    next_level.append(merged)
+                runs = next_level
+        except BaseException:
+            for run in (*runs, *next_level):
+                run.free(ftl)
+            raise
         return runs[0]
 
-    def _merge_group(self, group: list[Run]) -> Run:
+    def _merge_group(self, group: list[Extent]) -> Extent:
         width = group[0].record_width
-        readers = [
-            RunReader(self.device, run, f"merge-in:{self.label}")
-            for run in group
-        ]
-        writer = RunWriter(self.device, width, f"merge-out:{self.label}")
-        try:
-            streams = [iter(r) for r in readers]
+        with ExitStack() as stack:
+            readers = [
+                stack.enter_context(
+                    PageReader(self.device, run, f"merge-in:{self.label}")
+                )
+                for run in group
+            ]
+            writer = stack.enter_context(
+                PageWriter(self.device, width, f"merge-out:{self.label}")
+            )
+            streams = [r.scan() for r in readers]
             heap = []
             for idx, stream in enumerate(streams):
                 raw = next(stream, None)
@@ -195,20 +162,17 @@ class RunMerger:
                 nxt = next(streams[idx], None)
                 if nxt is not None:
                     heapq.heappush(heap, (self.key(nxt), idx, nxt))
-        finally:
-            for reader in readers:
-                reader.close()
-        return writer.finish()
+        return writer.extent
 
 
 def external_merge(
     device: SmartUsbDevice,
-    runs: list[Run],
+    runs: list[Extent],
     key,
     label: str,
     fan_in: int | None = None,
     dedup: bool = False,
-) -> Run:
+) -> Extent:
     """Convenience wrapper: merge ``runs`` into one sorted run."""
     merger = RunMerger(device, key, label, fan_in=fan_in, dedup=dedup)
     return merger.merge(runs)

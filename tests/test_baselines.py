@@ -69,7 +69,7 @@ class TestHashJoinBaseline:
         session.reset_measurements()
         baseline = run_hash_join_query(session, demo_query())
         # Scanning the root heap alone needs this many page reads.
-        root_pages = len(session.hidden.heaps["prescription"].pages)
+        root_pages = len(session.hidden.heaps["prescription"].extent.pages)
         assert baseline.metrics.flash_page_reads >= root_pages
 
     def test_neq_rejected(self, session):

@@ -28,7 +28,7 @@ def test_every_table_has_a_heap(loaded):
     _d, tree, db, data = loaded
     for table in tree.schema:
         name = table.name.lower()
-        assert db.heaps[name].count == len(data[name])
+        assert db.heaps[name].extent.count == len(data[name])
 
 
 def test_heap_holds_device_columns_only(loaded):

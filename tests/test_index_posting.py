@@ -1,104 +1,114 @@
-"""Packed posting files and bounded-fan-in stream unions."""
+"""Posting lists as slices of one ID extent, and bounded-fan-in unions."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.columns import ID_WIDTH
 from repro.hardware.device import SmartUsbDevice
-from repro.index.posting import (
-    PostingFileWriter,
-    merge_posting_streams,
-)
+from repro.index.posting import merge_posting_streams
+from repro.storage.pagestore import PageReader, PageWriter
 
 
 def build_file(device, lists):
-    writer = PostingFileWriter(device, "t")
+    """Pack ``lists`` back to back; return the extent and each list's
+    ``(first, count)`` slice, as a climbing index level stores them."""
     refs = []
-    for ids in lists:
-        writer.begin_list()
-        for value in ids:
-            writer.append(value)
-        refs.append(writer.end_list())
-    return writer.close(), refs
+    with PageWriter(device, ID_WIDTH, "t") as writer:
+        for ids in lists:
+            refs.append((writer.extent.count, len(ids)))
+            writer.append_ids(ids)
+    return writer.extent, refs
 
 
 def test_single_list_roundtrip(device):
-    file, refs = build_file(device, [[1, 5, 9, 200]])
-    with file.open("r") as reader:
-        assert list(reader.read_list(refs[0])) == [1, 5, 9, 200]
+    extent, refs = build_file(device, [[1, 5, 9, 200]])
+    with PageReader(device, extent, "r") as reader:
+        assert list(reader.ids(*refs[0])) == [1, 5, 9, 200]
 
 
 def test_many_lists_packed_into_one_extent(device):
     lists = [[i, i + 1000, i + 2000] for i in range(100)]
-    file, refs = build_file(device, lists)
+    extent, refs = build_file(device, lists)
     # 300 ids x 4 B = 1200 B: everything fits on a single page.
-    assert len(file.pages) == 1
-    with file.open("r") as reader:
+    assert len(extent.pages) == 1
+    with PageReader(device, extent, "r") as reader:
         for ids, ref in zip(lists, refs):
-            assert list(reader.read_list(ref)) == ids
+            assert list(reader.ids(*ref)) == ids
 
 
 def test_list_spanning_pages(device):
     per_page = device.profile.page_size // 4
     big = list(range(per_page * 2 + 50))
-    file, refs = build_file(device, [[7], big, [9]])
-    with file.open("r") as reader:
-        assert list(reader.read_list(refs[1])) == big
-        assert list(reader.read_list(refs[0])) == [7]
-        assert list(reader.read_list(refs[2])) == [9]
+    extent, refs = build_file(device, [[7], big, [9]])
+    with PageReader(device, extent, "r") as reader:
+        assert list(reader.ids(*refs[1])) == big
+        assert list(reader.ids(*refs[0])) == [7]
+        assert list(reader.ids(*refs[2])) == [9]
 
 
 def test_small_list_uses_partial_read(device):
-    file, refs = build_file(device, [[1, 2, 3]])
-    with file.open("r") as reader:
+    extent, refs = build_file(device, [[1, 2, 3]])
+    with PageReader(device, extent, "r") as reader:
         before = device.flash.stats.snapshot()
-        list(reader.read_list(refs[0]))
+        list(reader.ids(*refs[0]))
         after = device.flash.stats
         assert after.page_reads_partial == before.page_reads_partial + 1
         assert after.page_reads_full == before.page_reads_full
 
 
 def test_empty_list(device):
-    file, refs = build_file(device, [[]])
-    assert refs[0].count == 0
-    with file.open("r") as reader:
-        assert list(reader.read_list(refs[0])) == []
+    extent, refs = build_file(device, [[]])
+    assert refs[0] == (0, 0)
+    with PageReader(device, extent, "r") as reader:
+        assert list(reader.ids(*refs[0])) == []
 
 
-def test_unsorted_list_rejected(device):
-    writer = PostingFileWriter(device, "t")
-    writer.begin_list()
-    writer.append(5)
+def test_unsorted_list_rejected(monkeypatch):
+    """The climbing build checks every posting list is sorted, and a
+    refused build leaves no RAM reserved and no page mapped."""
+    import heapq
+
+    from repro.catalog.schema import Schema
+    from repro.catalog.tree import SchemaTree
+    from repro.engine.database import HiddenDatabase
+    from repro.index.climbing import ClimbingIndex
+    from repro.sql.ddl import create_table
+    from repro.sql.parser import parse_statement
+    from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
+    from repro.workload.queries import DEMO_SCHEMA_DDL
+
+    schema = Schema()
+    for ddl in DEMO_SCHEMA_DDL:
+        create_table(schema, parse_statement(ddl))
+    tree = SchemaTree(schema)
+    data = MedicalDataGenerator(DatasetConfig(n_prescriptions=200)).generate()
+    device = SmartUsbDevice()
+    db = HiddenDatabase.load(device, tree, data, index_columns=[])
+    mapped = device.ftl.mapped_lpages()
+    sorted_merge = heapq.merge
+    monkeypatch.setattr(
+        heapq, "merge", lambda *lists: reversed(list(sorted_merge(*lists)))
+    )
     with pytest.raises(ValueError, match="sorted"):
-        writer.append(3)
-
-
-def test_writer_protocol_enforced(device):
-    writer = PostingFileWriter(device, "t")
-    with pytest.raises(ValueError, match="no posting list open"):
-        writer.append(1)
-    writer.begin_list()
-    with pytest.raises(ValueError, match="not finished"):
-        writer.begin_list()
-    writer.end_list()
-    writer.begin_list()
-    with pytest.raises(ValueError, match="still open"):
-        writer.close()
+        ClimbingIndex.build(device, tree, db.heaps, "visit", "purpose")
+    assert device.ram.used - device.ram.reclaimable_used == 0
+    assert device.ftl.mapped_lpages() == mapped
 
 
 def test_flash_bytes_reports_whole_pages(device):
-    file, _refs = build_file(device, [[1, 2, 3]])
-    assert file.flash_bytes == device.profile.page_size
+    extent, _refs = build_file(device, [[1, 2, 3]])
+    assert extent.flash_bytes == device.profile.page_size
 
 
 class TestMergePostingStreams:
     @staticmethod
     def factories_for(device, lists):
-        file, refs = build_file(device, lists)
+        extent, refs = build_file(device, lists)
 
         def make(ref):
             def open_stream():
-                reader = file.open("m")
-                return reader.read_list(ref), reader.close
+                reader = PageReader(device, extent, "m")
+                return reader.ids(*ref), reader.close
 
             return open_stream
 

@@ -51,8 +51,8 @@ def test_skt_visit_exists(loaded):
 
 def test_row_count_matches_root(loaded):
     _device, _tree, db, data = loaded
-    assert db.skts["prescription"].count == len(data["prescription"])
-    assert db.skts["visit"].count == len(data["visit"])
+    assert db.skts["prescription"].extent.count == len(data["prescription"])
+    assert db.skts["visit"].extent.count == len(data["visit"])
 
 
 def test_rows_sorted_by_root_id(loaded):
@@ -72,7 +72,7 @@ def test_skt_rows_denormalise_the_joins(loaded):
     skt = db.skts["prescription"]
     positions = {t: skt.column_index(t) for t in skt.tables}
     with skt.reader("t") as reader:
-        for rowid in (0, 10, 399, skt.count - 1):
+        for rowid in (0, 10, 399, skt.extent.count - 1):
             row = skt.decode(reader.record(rowid))
             pre = full_row_index(data, "prescription", row[positions["prescription"]])
             # Prescription row: (PreID, Quantity, Frequency, WhenWritten, MedID, VisID)
@@ -99,5 +99,5 @@ def test_tables_must_start_with_root():
 def test_flash_footprint_reported(loaded):
     _device, _tree, db, data = loaded
     skt = db.skts["prescription"]
-    minimum = skt.count * skt.record_width
-    assert skt.flash_bytes >= minimum
+    minimum = skt.extent.count * skt.extent.record_width
+    assert skt.extent.flash_bytes >= minimum

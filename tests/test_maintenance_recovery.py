@@ -39,9 +39,9 @@ def build_session(data) -> GhostDB:
 def new_prescriptions(db: GhostDB, n: int = 3) -> list[tuple]:
     """Fresh rows with keys above the current maximum."""
     heap = db.hidden.heaps["prescription"]
-    max_pk = heap.pk_of_rowid(heap.count - 1)
+    max_pk = heap.pk_of_rowid(heap.extent.count - 1)
     visits = db.hidden.heaps["visit"]
-    vis_pk = visits.pk_of_rowid(visits.count - 1)
+    vis_pk = visits.pk_of_rowid(visits.extent.count - 1)
     return [
         (
             max_pk + i,

@@ -420,7 +420,7 @@ def _warm_pool(session, n_pages=3):
     reservations shed the pool), so lifetime tests warm it directly.
     """
     heap = session.hidden.heaps["prescription"]
-    for lpage in heap.pages[:n_pages]:
+    for lpage in heap.extent.pages[:n_pages]:
         session.device.ftl.read(lpage)
     assert session.device.page_cache.page_count > 0
 

@@ -116,12 +116,13 @@ def test_wrong_version_rejected(tmp_path):
         load_session(str(path))
 
 
-@pytest.mark.parametrize("version", [3, 4, 5])
+@pytest.mark.parametrize("version", [3, 4, 5, 6])
 def test_v3_file_refused(saved_path, version):
     """A v3 file pickles a tracer without a window or running count, a
-    v4 file a facade wrapping a separate default session, and a v5 file
-    a float-second clock; all must be refused, not restored into one
-    that fails on first use."""
+    v4 file a facade wrapping a separate default session, a v5 file a
+    float-second clock and a v6 file page lists and posting files
+    instead of extents; all must be refused, not restored into one that
+    fails on first use."""
     from repro.core.persistence import MAGIC
 
     _original, path = saved_path

@@ -15,6 +15,7 @@ from repro.core.ghostdb import GhostDB, SessionConfig, SessionError
 from repro.core.scheduler import Scheduler, jain_index
 from repro.engine.executor import ExecConfig
 from repro.faults import PowerCutError
+from repro.storage.pagestore import ExtentFreedError
 from tests.test_sessions import STATEMENTS, build_db
 
 
@@ -146,6 +147,52 @@ def test_dml_is_one_atomic_step():
     assert ticket.error is None
     assert ticket.steps == 1
     assert ticket.result.matched == 0
+
+
+# ---------------------------------------------------------------------------
+# DML committing under an in-flight scan.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sql, operator",
+    [
+        ("SELECT Pre.PreID FROM Prescription Pre", "DeviceScanSelect"),
+        (
+            "SELECT Pre.PreID, Vis.VisID FROM Prescription Pre, Visit Vis "
+            "WHERE Pre.VisID = Vis.VisID",
+            "SktAccess[SKT_prescription, full scan]",
+        ),
+    ],
+    ids=["device-scan", "skt-scan"],
+)
+def test_scan_under_committed_delete_never_returns_a_truncated_set(
+    sql, operator
+):
+    """A DELETE's rebuild frees the extents a scan in flight is reading:
+    the scan's ticket fails with a typed error or returns every row,
+    never the rows read before the free."""
+    db = build_db()
+    assert operator in db.explain(sql)
+    before = sorted(db.query(sql).rows)
+    reader = db.open_session("reader", config=WINDOWED)
+    writer = db.open_session("writer")
+    # A quantum shorter than any step: the sessions alternate per window.
+    sched = Scheduler(db.core, quantum_s=1e-9)
+    scan = sched.submit(reader, sql)
+    delete = sched.submit(writer, "DELETE FROM Prescription WHERE Quantity = 9")
+    sched.run()
+    after = sorted(db.query(sql).rows)
+
+    assert delete.error is None and delete.result.changed > 0
+    assert before != after
+    # The DELETE committed while the scan was still in flight.
+    assert 1 < scan.steps and delete.completed_at <= scan.completed_at
+    if scan.error is None:
+        assert sorted(scan.result.rows) in (before, after)
+    else:
+        assert isinstance(scan.error, ExtentFreedError), scan.error
+    assert reader.lease.firm_ram_used == 0
 
 
 # ---------------------------------------------------------------------------

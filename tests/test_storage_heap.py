@@ -113,7 +113,7 @@ def test_double_load_rejected(device, codec):
 def test_empty_table(device, codec):
     table = HeapTable(device, "t", codec, pk_field=0)
     table.load([])
-    assert table.count == 0
+    assert table.extent.count == 0
     assert list(table.scan()) == []
     with pytest.raises(KeyNotFoundError):
         table.rowid_for_pk(1)

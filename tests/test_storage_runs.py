@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.device import SmartUsbDevice
-from repro.storage.runs import (
-    RunMerger,
-    RunReader,
-    RunWriter,
-    external_merge,
-    make_runs,
-)
+from repro.storage.pagestore import PageReader, PageWriter
+from repro.storage.runs import RunMerger, external_merge, make_runs
 
 _PACK = struct.Struct(">I")
 
@@ -22,15 +17,15 @@ def pack_all(values):
 
 
 def unpack_run(device, run):
-    with RunReader(device, run, "check") as reader:
-        return [_PACK.unpack(raw)[0] for raw in reader]
+    with PageReader(device, run, "check") as reader:
+        return [_PACK.unpack(raw)[0] for raw in reader.scan()]
 
 
 def test_run_writer_reader_roundtrip(device):
-    writer = RunWriter(device, 4, "t")
-    for value in range(100):
-        writer.append(_PACK.pack(value))
-    run = writer.finish()
+    with PageWriter(device, 4, "t") as writer:
+        for value in range(100):
+            writer.append(_PACK.pack(value))
+    run = writer.extent
     assert run.count == 100
     assert unpack_run(device, run) == list(range(100))
 
@@ -116,14 +111,59 @@ def test_merge_frees_input_runs(device):
 
 
 def test_borrowed_runs_not_freed(device):
-    writer = RunWriter(device, 4, "t")
-    for value in range(10):
-        writer.append(_PACK.pack(value))
-    run = writer.finish()
-    run.free(device)
-    # Freeing an already-freed page set must not corrupt the FTL: pages
-    # were returned once; a Run is single-owner by convention.
-    assert True
+    with PageWriter(device, 4, "t") as writer:
+        for value in range(10):
+            writer.append(_PACK.pack(value))
+    run = writer.extent
+    other = make_runs(
+        device, pack_all([3, 1, 2]), 4,
+        key=lambda r: r, sort_buffer_bytes=64, label="t",
+    )[0]
+    run.free(device.ftl)
+    run.free(device.ftl)
+    # A second free returns nothing: the pages went back once and the
+    # handle holds none, so no other extent's pages are disturbed.
+    assert run.pages == [] and run.freed
+    assert unpack_run(device, other) == [1, 2, 3]
+
+
+def test_failed_input_frees_finished_runs(device):
+    """A source failing after some runs were written frees them all."""
+
+    def records():
+        yield from pack_all(range(40))
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError):
+        make_runs(
+            device, records(), 4,
+            key=lambda r: r, sort_buffer_bytes=16, label="t",
+        )
+    assert device.ftl.mapped_pages == 0
+    assert device.ram.used == 0
+
+
+def test_failed_merge_frees_inputs_and_intermediates(device, monkeypatch):
+    from repro.hardware.ftl import DeviceReadOnlyError
+
+    runs = make_runs(
+        device, pack_all(range(600, 0, -1)), 4,
+        key=lambda r: r, sort_buffer_bytes=512, label="t",
+    )
+    real = device.ftl.write
+    writes = []
+
+    def refuse_third(lpage, data):
+        writes.append(lpage)
+        if len(writes) == 3:
+            raise DeviceReadOnlyError("refused")
+        return real(lpage, data)
+
+    monkeypatch.setattr(device.ftl, "write", refuse_third)
+    with pytest.raises(DeviceReadOnlyError):
+        external_merge(device, runs, key=lambda r: r, label="t", fan_in=2)
+    assert device.ftl.mapped_pages == 0
+    assert device.ram.used - device.ram.reclaimable_used == 0
 
 
 @settings(max_examples=20, deadline=None)
