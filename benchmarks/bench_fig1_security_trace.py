@@ -40,4 +40,4 @@ def test_fig1_security_trace(bench_session, bench_data, benchmark):
     outbound_kinds = {
         r.kind for r in records if r.direction.value == "device->host"
     }
-    assert outbound_kinds <= {"request", "fetch_ids"}
+    assert outbound_kinds <= {"request"}

@@ -56,7 +56,11 @@ def main() -> None:
             f"        {result.row_count} rows | spy saw "
             f"{len(db.usb_log)} messages, {spy.total_bytes} B "
             f"({spy.observed_ids().get('ids', 0)} visible-selection ids, "
-            f"{spy.observed_ids().get('fetch_ids', 0)} projected ids)"
+            f"{spy.observed_ids().get('fetch', 0)} projected ids)"
+        )
+        print(
+            "        by kind: "
+            + ", ".join(f"{s.kind} x{s.messages}" for s in spy.summary())
         )
         for request in spy.requests():
             print(f"        spy reads: {request[:100]}")

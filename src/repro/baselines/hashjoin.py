@@ -26,6 +26,7 @@ from repro.engine.plan import PlanNode
 from repro.hardware.ram import RamExhaustedError
 from repro.sql.binder import BoundQuery, NEQ, Predicate
 from repro.storage.pagestore import Extent, PageReader, PageWriter
+from repro.visible.link import Fetch
 
 #: Modeled bytes of device RAM per entry of an in-RAM hash set
 #: (4 B key + bucket pointer overhead on a 32-bit chip).
@@ -262,7 +263,6 @@ class HashJoinBaseline:
                 writer.append(ID_STRUCT.pack(pk))
             vis_run = writer.close()
             run = self._membership_join(run, 0, vis_run, label=root)
-            vis_run.free(session.device.ftl)
         return run, tables
 
     # ------------------------------------------------------------------
@@ -273,7 +273,11 @@ class HashJoinBaseline:
         self, tuples_run: Extent, key_position: int, ids_run: Extent | None,
         label: str,
     ) -> Extent:
-        """Filter a tuple run by membership of one field in an ID run."""
+        """Filter a tuple run by membership of one field in an ID run.
+
+        Both input runs are consumed: their pages are freed before the
+        filtered run is returned.
+        """
         device = self.session.device
         if ids_run is None:
             return tuples_run
@@ -308,13 +312,16 @@ class HashJoinBaseline:
         finally:
             alloc.release()
         tuples_run.free(device.ftl)
+        ids_run.free(device.ftl)
         return result
 
     def _grace_join(
         self, tuples_run: Extent, key_position: int, ids_run: Extent | None,
         label: str, op: OperatorStats,
     ) -> Extent:
-        """Partition both sides to flash, join partition by partition."""
+        """Partition both sides to flash, join partition by partition.
+
+        Like :meth:`_membership_join`, frees both input runs."""
         device = self.session.device
         budget = max(ID_WIDTH * 64, device.ram.soft_available // 2)
         partitions = max(
@@ -344,6 +351,7 @@ class HashJoinBaseline:
         id_parts = partition_run(ids_run, 0, f"{label}-ids")
         tuple_parts = partition_run(tuples_run, key_position, f"{label}-tup")
         tuples_run.free(device.ftl)
+        ids_run.free(device.ftl)
         out = self._writer(tuple_parts[0].record_width, f"hj-out:{label}")
         for id_part, tuple_part in zip(id_parts, tuple_parts):
             needed = max(1, id_part.count) * HASH_SET_ENTRY_BYTES
@@ -359,7 +367,6 @@ class HashJoinBaseline:
                     for raw in reader.scan():
                         out.append(raw)
                 sub.free(device.ftl)
-                id_part.free(device.ftl)
                 continue
             try:
                 members = set()
@@ -479,11 +486,13 @@ class HashJoinBaseline:
             batch = []
             for tup in self._replay(tuples_run, arity):
                 batch.append(tup)
-            fetched: dict[str, dict[int, tuple]] = {}
-            for table, cols in visible_cols.items():
-                position = tables.index(table)
-                ids = sorted({t[position] for t in batch})
-                fetched[table] = session.link.fetch_values(table, ids, cols)
+            fetches = [
+                Fetch(table, sorted({t[tables.index(table)] for t in batch}), cols)
+                for table, cols in visible_cols.items()
+            ]
+            fetched = dict(
+                zip(visible_cols, session.link.fetch_values(fetches))
+            )
             for tup in batch:
                 out = []
                 usable = True

@@ -1,8 +1,8 @@
 """The packed-ID layout and typed columnar batch payloads.
 
 An ID is an unsigned 32-bit integer, packed big-endian on flash (posting
-lists, SKT records, spilled runs) and on the USB wire (``ids`` /
-``fetch_ids`` payloads).  :data:`ID_WIDTH`, :data:`MAX_ID` and
+lists, SKT records, spilled runs) and on the USB wire (``ids`` payloads
+and the ID tail of a fetch request).  :data:`ID_WIDTH`, :data:`MAX_ID` and
 :data:`ID_STRUCT` are that layout's one definition; every packer,
 unpacker and observer imports them from here.
 

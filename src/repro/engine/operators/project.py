@@ -5,10 +5,11 @@ For each surviving key tuple the projection
 * serves primary keys straight from the tuple,
 * reads hidden attributes from the device heaps (cheap partial reads via
   a persistent per-table reader),
-* fetches visible attributes from the PC in batches, with the visible
-  predicates re-checked host-side -- which is also what eliminates Bloom
-  false positives: an ID that fails the re-check simply comes back
-  absent and its tuple is dropped,
+* fetches visible attributes from the PC, one fetch round per
+  ``fetch_batch`` window covering every table the window needs, with
+  the visible predicates re-checked host-side -- which is also what
+  eliminates Bloom false positives: an ID that fails the re-check
+  simply comes back absent and its tuple is dropped,
 * evaluates residual hidden predicates (e.g. <>) the indexes could not.
 
 The assembled rows never leave the device over the untrusted link; the
@@ -22,6 +23,7 @@ from repro.columns import ID_WIDTH
 from repro.engine.operators.base import ExecContext, Operator, PlanExecutionError
 from repro.sql.binder import Predicate
 from repro.storage.heap import KeyNotFoundError
+from repro.visible.link import Fetch
 
 
 class ProjectOp(Operator):
@@ -69,8 +71,8 @@ class ProjectOp(Operator):
         ctx = self.ctx
         db = ctx.db
         # Fetch grouping stays at ``fetch_batch`` regardless of the
-        # execution batch size: the groups decide the observable
-        # fetch_values messages, which must not depend on host batching.
+        # execution batch size: the groups decide the observable fetch
+        # rounds, which must not depend on host batching.
         batch_size = ctx.fetch_batch
 
         # Persistent readers for tables we read hidden fields from.
@@ -131,17 +133,18 @@ class ProjectOp(Operator):
             for table, reader in readers.items():
                 if len(batch) * reader.extent.slots_per_page >= 2 * reader.extent.count:
                     dense_tables.add(table)
-        # 1. Fetch visible values (and presence under recheck) per table.
-        fetched: dict[str, dict[int, tuple]] = {}
-        for table in fetch_tables:
-            position = self._position(table)
-            ids = sorted({row[position] for row in batch})
-            fetched[table] = ctx.link.fetch_values(
+        # 1. Fetch visible values (and presence under recheck) of every
+        #    table in one round.
+        fetches = [
+            Fetch(
                 table,
-                ids,
+                sorted({row[self._position(table)] for row in batch}),
                 visible_cols.get(table, []),
                 recheck_by_table.get(table, []),
             )
+            for table in fetch_tables
+        ]
+        fetched = dict(zip(fetch_tables, ctx.link.fetch_values(fetches)))
         # 2. Assemble rows, dropping tuples that failed a recheck or a
         #    residual hidden predicate.
         for row in batch:

@@ -160,13 +160,15 @@ class CostModel:
     def _id_stream_usb(self, count: float) -> float:
         """USB cost of streaming ``count`` IDs between PC and device.
 
-        Per-batch term: one message per ``id_batch`` IDs, plus the
-        request and the end marker (each paying ``usb_setup_s``).
-        Per-tuple term: the ID payload itself plus ~150 B of framing,
-        at line rate.  Shared by every operator that ships an ID list
-        over the wire (visible selection, Bloom construction).
+        Per-batch term: the request, then ``floor(count / id_batch) + 1``
+        batches, since the stream ends on its first short batch (an
+        empty one when the last is full); each message pays
+        ``usb_setup_s``.  Per-tuple term: the ID payload itself plus
+        ~150 B of framing, at line rate.  Shared by every operator that
+        ships an ID list over the wire (visible selection, Bloom
+        construction).
         """
-        messages = 2 + math.ceil(count / self.id_batch)
+        messages = 2 + math.floor(count / self.id_batch)
         return self._usb_transfer(count * ID_WIDTH + 150, messages)
 
     def _sequential_read_s(self, total_bytes: float) -> float:
@@ -418,16 +420,18 @@ class CostModel:
             else:
                 est.flash_read_s += partial_cost
         est.cpu_s += self._cpu("decode_field", n * max(1, hidden_reads))
-        # Visible fetches: group per table; approximate one round trip per
-        # fetch batch with ~40 B per row of JSON.
+        # Visible fetches: one round trip (a request and a reply) per
+        # fetch batch, whatever the table count; ~40 B per row of JSON
+        # and ~150 B of headers per table and batch.
         visible_tables = {
             t for t, c in node.projections if not c.hidden and not c.primary_key
         }
         visible_tables |= {p.table for p in node.visible_recheck}
-        for _table in visible_tables:
+        if visible_tables:
             batches = math.ceil(n / self.fetch_batch) if n else 0
             est.usb_s += self._usb_transfer(
-                n * (ID_WIDTH + 40) + batches * 150, 3 * batches
+                len(visible_tables) * (n * (ID_WIDTH + 40) + batches * 150),
+                2 * batches,
             )
         est.ram_bytes += self.fetch_batch * ID_WIDTH * max(
             1, len(node.child.output_tables)

@@ -2,10 +2,9 @@
 
 Three independent checks over the captured traffic:
 
-1. **Structural**: device->host messages may only be ``request`` and
-   ``fetch_ids`` -- the protocol's two outbound verbs.  Anything else is
-   a protocol violation (there is no verb for hidden data, but a bug
-   could invent one).
+1. **Structural**: device->host messages may only be ``request`` -- the
+   protocol's one outbound verb.  Anything else is a protocol violation
+   (there is no verb for hidden data, but a bug could invent one).
 2. **Hidden value scan**: no hidden *string* value may appear (as UTF-8)
    in any payload, in either direction after load.  Strings of three or
    more characters are distinctive enough to scan for; numeric and date
@@ -14,7 +13,10 @@ Three independent checks over the captured traffic:
    guarantee.  The query text the user poses is exempt: the paper
    accepts revealing "the queries he poses", constants included.
 3. **Request transparency**: outbound requests must parse as the known
-   JSON request forms and may only name visible columns.
+   request forms (:func:`repro.visible.frame.parse_request`: a JSON
+   header, and for a fetch round an ID tail that matches its bodies'
+   counts), every body must carry a known op, and bodies may only name
+   visible columns.
 
 The checker is deliberately adversarial toward the engine: it is built
 from the raw dataset, not from engine internals.
@@ -22,12 +24,11 @@ from the raw dataset, not from engine internals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.catalog.schema import Schema
 from repro.hardware.usb import Direction, TrafficRecord
-from repro.visible.frame import payload_of
+from repro.visible.frame import RequestError, parse_request, payload_of
 
 #: Byte patterns shorter than this are too unspecific to scan for.
 MIN_PATTERN_LEN = 3
@@ -39,7 +40,7 @@ MIN_PATTERN_LEN = 3
 #: pattern-scanned -- corruption must not be a leak loophole).
 MANGLING_FAULTS = {"corrupt", "truncate"}
 
-ALLOWED_OUTBOUND_KINDS = {"request", "fetch_ids"}
+ALLOWED_OUTBOUND_KINDS = {"request"}
 ALLOWED_REQUEST_OPS = {"select_ids", "count_ids", "fetch_values"}
 
 
@@ -166,44 +167,44 @@ class LeakChecker:
 
     def _check_request(self, record: TrafficRecord, report: LeakReport) -> None:
         try:
-            body = json.loads(payload_of(record.payload).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            bodies = parse_request(payload_of(record.payload))
+        except RequestError as exc:
             report.violations.append(
                 LeakViolation(
                     record.seq, record.kind,
-                    "outbound request is not readable JSON; requests must "
-                    "be transparent",
+                    f"outbound request is not transparent: {exc}",
                 )
             )
             return
-        op = body.get("op")
-        if op not in ALLOWED_REQUEST_OPS:
-            report.violations.append(
-                LeakViolation(
-                    record.seq, record.kind,
-                    f"unknown request op {op!r}",
-                )
-            )
-            return
-        named_columns: list[tuple[str, str]] = []
-        predicate = body.get("predicate")
-        if predicate:
-            named_columns.append((predicate["table"], predicate["column"]))
-        for wire in body.get("recheck", []):
-            named_columns.append((wire["table"], wire["column"]))
-        for column in body.get("columns", []):
-            named_columns.append((body["table"], column))
-        for table_name, column_name in named_columns:
-            table = self.schema.table(table_name)
-            column = table.column(column_name)
-            if column.hidden:
+        for body, _ids in bodies:
+            op = body.get("op")
+            if op not in ALLOWED_REQUEST_OPS:
                 report.violations.append(
                     LeakViolation(
                         record.seq, record.kind,
-                        f"request names hidden column "
-                        f"{table_name}.{column_name}",
+                        f"unknown request op {op!r}",
                     )
                 )
+                continue
+            named_columns: list[tuple[str, str]] = []
+            predicate = body.get("predicate")
+            if predicate:
+                named_columns.append((predicate["table"], predicate["column"]))
+            for wire in body.get("recheck", []):
+                named_columns.append((wire["table"], wire["column"]))
+            for column in body.get("columns", []):
+                named_columns.append((body["table"], column))
+            for table_name, column_name in named_columns:
+                table = self.schema.table(table_name)
+                column = table.column(column_name)
+                if column.hidden:
+                    report.violations.append(
+                        LeakViolation(
+                            record.seq, record.kind,
+                            f"request names hidden column "
+                            f"{table_name}.{column_name}",
+                        )
+                    )
 
     def _scan_payload(self, record: TrafficRecord, report: LeakReport) -> None:
         if record.kind == "query" and record.direction is Direction.TO_DEVICE:

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import zlib
 from dataclasses import dataclass, field
 
 from repro.hardware.usb import Direction, TrafficRecord
 from repro.obs.vetted import SIGNATURE_KEYS, load, serialize, write_atomic
-from repro.privacy.spy import ID_KINDS, IdStats, SpyView
+from repro.privacy.spy import ID_STREAMS, IdStats, SpyView
 from repro.visible.frame import payload_of
 
 #: Bump on any incompatible change to the scorecard layout.
@@ -58,7 +57,7 @@ KIND = "ghostdb-leakage"
 LOST_FAULTS = frozenset({"corrupt", "truncate", "drop"})
 
 #: The protocol's message kinds in wire order, fixing the feature layout.
-KIND_ORDER = ("query", "request", "ids", "ids_end", "count", "fetch_ids", "values")
+KIND_ORDER = ("query", "request", "ids", "count", "values")
 
 #: Outbound request verbs, fixing the feature layout.
 OP_ORDER = ("select_ids", "count_ids", "fetch_values")
@@ -103,9 +102,10 @@ class TrafficProfile:
     #: Per-kind message counts and on-the-wire byte totals.
     kind_messages: dict[str, int]
     kind_bytes: dict[str, int]
-    #: Outbound request verbs, decoded from the readable JSON requests.
+    #: Outbound request verbs, one per request body, decoded from the
+    #: readable JSON requests.
     request_ops: dict[str, int]
-    #: ID statistics per ID-carrying kind (from :meth:`SpyView.id_stats`).
+    #: ID statistics per ID stream (from :meth:`SpyView.id_stats`).
     id_stats: dict[str, IdStats]
     #: Distinct (direction, kind, size) message shapes.
     distinct_shapes: int
@@ -168,8 +168,8 @@ class TrafficProfile:
         for kind in KIND_ORDER:
             features.append(float(self.kind_messages.get(kind, 0)))
             features.append(float(self.kind_bytes.get(kind, 0)))
-        for kind in ID_KINDS:
-            stats = self.id_stats.get(kind)
+        for stream in ID_STREAMS:
+            stats = self.id_stats.get(stream)
             features.append(float(stats.total if stats else 0))
             features.append(float(stats.distinct if stats else 0))
             features.append(stats.repeated_ratio if stats else 0.0)
@@ -190,8 +190,8 @@ FEATURE_NAMES: tuple[str, ...] = (
         f"{kind}_{suffix}" for kind in KIND_ORDER for suffix in ("messages", "bytes")
     )
     + tuple(
-        f"{kind}_{suffix}"
-        for kind in ID_KINDS
+        f"{stream}_{suffix}"
+        for stream in ID_STREAMS
         for suffix in ("ids", "distinct_ids", "repeated_ratio")
     )
     + tuple(f"op_{op}" for op in OP_ORDER)
@@ -209,28 +209,38 @@ def _is_lost(record: TrafficRecord) -> bool:
     return bool(LOST_FAULTS.intersection(record.faults))
 
 
+def _ops(bodies: list[tuple[dict, list[int]]] | None) -> list[str]:
+    """The op of each body of one request, ``["?"]`` if it did not parse."""
+    if bodies is None:
+        return ["?"]
+    return [str(body.get("op", "?")) for body, _ids in bodies]
+
+
 def request_signature(records: list[TrafficRecord]) -> str:
     """CRC32 over the logical message sequence, as 8 hex digits.
 
     The sequence element for each message is direction, kind, unframed
-    payload size -- plus the request verb for outbound requests, which
-    the spy reads off the readable JSON.  Copies of messages that were
-    mangled or dropped in flight (and therefore retransmitted) are
-    excluded, so fault-injected runs produce the *same* signature as
-    clean ones: retries shift timing, never the logical sequence.
+    payload size -- plus the request verbs for outbound requests, one
+    per body, which the spy reads off the readable JSON.  Copies of
+    messages that were mangled or dropped in flight (and therefore
+    retransmitted) are excluded, so fault-injected runs produce the
+    *same* signature as clean ones: retries shift timing, never the
+    logical sequence.
     """
+    return _signature(SpyView(list(records)))
+
+
+def _signature(spy: SpyView) -> str:
     parts: list[str] = []
-    for record in records:
+    for position, record in enumerate(spy.records):
         if _is_lost(record):
             continue
-        payload = payload_of(record.payload)
-        element = f"{record.direction.value}:{record.kind}:{len(payload)}"
-        if record.direction is Direction.TO_HOST and record.kind == "request":
-            try:
-                op = json.loads(payload.decode("utf-8")).get("op", "")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                op = ""
-            element += f":{op}"
+        element = (
+            f"{record.direction.value}:{record.kind}:"
+            f"{len(payload_of(record.payload))}"
+        )
+        if position in spy.request_bodies:
+            element += ":" + "+".join(_ops(spy.request_bodies[position]))
         parts.append(element)
     crc = zlib.crc32("|".join(parts).encode("utf-8"))
     return f"{crc:08x}"
@@ -242,10 +252,11 @@ def profile_records(records: list[TrafficRecord]) -> TrafficProfile:
     kind_bytes: dict[str, int] = {}
     request_ops: dict[str, int] = {}
     shapes: dict[tuple[str, str, int], int] = {}
+    spy = SpyView(list(records))
     bytes_to_device = 0
     bytes_to_host = 0
     retransmissions = 0
-    for record in records:
+    for position, record in enumerate(records):
         kind_messages[record.kind] = kind_messages.get(record.kind, 0) + 1
         kind_bytes[record.kind] = kind_bytes.get(record.kind, 0) + record.size
         if record.direction is Direction.TO_DEVICE:
@@ -256,18 +267,9 @@ def profile_records(records: list[TrafficRecord]) -> TrafficProfile:
             retransmissions += 1
         shape = (record.direction.value, record.kind, record.size)
         shapes[shape] = shapes.get(shape, 0) + 1
-        if (
-            record.direction is Direction.TO_HOST
-            and record.kind == "request"
-            and not _is_lost(record)
-        ):
-            try:
-                op = json.loads(payload_of(record.payload).decode("utf-8")).get(
-                    "op", "?"
-                )
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                op = "?"
-            request_ops[op] = request_ops.get(op, 0) + 1
+        if position in spy.request_bodies and not _is_lost(record):
+            for op in _ops(spy.request_bodies[position]):
+                request_ops[op] = request_ops.get(op, 0) + 1
 
     total = len(records)
     entropy = 0.0
@@ -298,13 +300,13 @@ def profile_records(records: list[TrafficRecord]) -> TrafficProfile:
         kind_messages=kind_messages,
         kind_bytes=kind_bytes,
         request_ops=request_ops,
-        id_stats=SpyView(list(records)).id_stats(),
+        id_stats=spy.id_stats(),
         distinct_shapes=len(shapes),
         shape_entropy_bits=entropy,
         sim_duration_s=duration,
         gaps=gap_stats,
         retransmissions=retransmissions,
-        signature=request_signature(records),
+        signature=_signature(spy),
     )
 
 

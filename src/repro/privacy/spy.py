@@ -13,14 +13,18 @@ query-fingerprinting attack the traffic shape enables.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.hardware.usb import Direction, TrafficRecord
-from repro.visible.frame import payload_of
+from repro.visible.frame import RequestError, parse_request, payload_of
 
-#: Message kinds whose payloads are packed ID lists.
-ID_KINDS = ("ids", "fetch_ids")
+#: The ID streams the spy reads: ``ids`` are the packed batches of
+#: visible-selection results sent to the device, ``fetch`` the IDs each
+#: fetch request names after its JSON header.
+ID_STREAMS = ("ids", "fetch")
 
 
 def unpack_ids(payload: bytes) -> list[int]:
@@ -45,7 +49,7 @@ class TrafficSummary:
 
 @dataclass(frozen=True)
 class IdStats:
-    """What the spy learns about the IDs crossing in one message kind."""
+    """What the spy learns about the IDs crossing in one ID stream."""
 
     kind: str
     #: IDs observed, counting repeats.
@@ -87,24 +91,48 @@ class SpyView:
             bucket.bytes += record.size
         return [buckets[k] for k in sorted(buckets)]
 
+    @cached_property
+    def request_bodies(self) -> dict[int, list[tuple[dict, list[int]]] | None]:
+        """Each device->host request's bodies with the IDs they name
+        (:func:`~repro.visible.frame.parse_request`), keyed by the
+        request's position in :attr:`records`; ``None`` for a payload
+        that does not parse (a mangled copy).  Parsed once per view."""
+        bodies: dict[int, list[tuple[dict, list[int]]] | None] = {}
+        for position, record in enumerate(self.records):
+            if record.direction is Direction.TO_HOST and record.kind == "request":
+                try:
+                    bodies[position] = parse_request(payload_of(record.payload))
+                except RequestError:
+                    bodies[position] = None
+        return bodies
+
+    def _readable(self, position: int) -> str:
+        """A request as the spy reads it: each body's JSON, followed by
+        the IDs a fetch body names; a payload that does not parse is
+        shown as text, as far as it decodes."""
+        bodies = self.request_bodies[position]
+        if bodies is None:
+            return payload_of(self.records[position].payload).decode(
+                "utf-8", errors="replace"
+            )
+        return " ".join(
+            json.dumps(body) + (f" ids {ids}" if ids else "")
+            for body, ids in bodies
+        )
+
     def requests(self) -> list[str]:
         """The decoded device->host requests (readable by design)."""
-        out = []
-        for record in self.records:
-            if record.direction is Direction.TO_HOST and record.kind == "request":
-                out.append(
-                    payload_of(record.payload).decode("utf-8", errors="replace")
-                )
-        return out
+        return [self._readable(position) for position in self.request_bodies]
 
     def observed_ids(self) -> dict[str, int]:
-        """How many IDs crossed, by message kind (repeats counted)."""
+        """How many IDs crossed, by ID stream (repeats counted)."""
         return {
             kind: stats.total for kind, stats in self.id_stats().items()
         }
 
     def id_stats(self) -> dict[str, IdStats]:
-        """Total, distinct and repeated-ID statistics per message kind.
+        """Total, distinct and repeated-ID statistics per ID stream
+        (see :data:`ID_STREAMS`).
 
         The leakage meter consumes these: ID-list cardinalities are the
         single most query-identifying observable, and the repeated-ID
@@ -112,10 +140,14 @@ class SpyView:
         """
         observed: dict[str, list[int]] = {}
         for record in self.records:
-            if record.kind in ID_KINDS:
-                observed.setdefault(record.kind, []).extend(
+            if record.kind == "ids":
+                observed.setdefault("ids", []).extend(
                     unpack_ids(payload_of(record.payload))
                 )
+        for bodies in self.request_bodies.values():
+            for _body, ids in bodies or ():
+                if ids:
+                    observed.setdefault("fetch", []).extend(ids)
         return {
             kind: IdStats(kind=kind, total=len(ids), distinct=len(set(ids)))
             for kind, ids in observed.items()
@@ -126,18 +158,24 @@ class SpyView:
 
         CRC frames are unwrapped first (:func:`payload_of`), so readable
         JSON payloads render as JSON instead of a hex-dumped frame
-        header; the reported size stays the on-the-wire (framed) size.
+        header, and requests render as :meth:`requests` shows them; the
+        reported size stays the on-the-wire (framed) size.
         """
         lines = []
-        for record in self.records:
+        for position, record in enumerate(self.records):
             payload = payload_of(record.payload)
-            shown_bytes = payload[:max_payload]
-            try:
-                shown = shown_bytes.decode("utf-8")
-                shown = shown.replace("\n", "\\n").replace("\r", "\\r")
-            except UnicodeDecodeError:
-                shown = shown_bytes.hex()
-            suffix = "..." if len(payload) > max_payload else ""
+            if position in self.request_bodies:
+                text = self._readable(position)
+                shown, length = text[:max_payload], len(text)
+            else:
+                shown_bytes = payload[:max_payload]
+                try:
+                    shown = shown_bytes.decode("utf-8")
+                except UnicodeDecodeError:
+                    shown = shown_bytes.hex()
+                length = len(payload)
+            suffix = "..." if length > max_payload else ""
+            shown = shown.replace("\n", "\\n").replace("\r", "\\r")
             lines.append(
                 f"[{record.seq:4d}] {record.direction.value:14s} "
                 f"{record.kind:13s} {record.size:6d} B  {shown}{suffix}"

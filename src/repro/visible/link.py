@@ -4,9 +4,9 @@ Every byte of this protocol crosses the USB trust boundary, so its design
 *is* the privacy argument:
 
 * device -> host messages carry only **requests**: a visible predicate to
-  evaluate, or a list of IDs whose visible attributes the projection
-  needs.  Both are information the paper accepts revealing ("the queries
-  he poses and the visible data he accesses").
+  evaluate, or the IDs whose visible attributes the projection needs.
+  Both are information the paper accepts revealing ("the queries he
+  poses and the visible data he accesses").
 * host -> device messages carry visible data only: sorted ID lists
   (packed 32-bit, in batches) and projected visible values (JSON).
 * there is **no verb** for moving hidden data or intermediate results out
@@ -14,13 +14,22 @@ Every byte of this protocol crosses the USB trust boundary, so its design
   payloads, but the protocol's shape is the first line of defence.
 
 Requests are JSON for observability -- a spy (and our tests) can read
-them, which is the point.
+them, which is the point.  A fetch request carries its IDs after its
+JSON header (:func:`repro.visible.frame.fetch_request`).
+
+Every message pays a fixed setup cost on the bus, so the protocol spends
+as few as it can: an ID stream ends on its first batch shorter than
+``id_batch`` (an empty one when the last batch is full), and one fetch
+round -- one request, one ``values`` reply -- serves every table a
+projection window needs.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from repro.columns import ID_WIDTH, IdColumn
 from repro.faults.errors import UsbTransferError
@@ -28,13 +37,19 @@ from repro.hardware.clock import to_ticks
 from repro.hardware.device import SmartUsbDevice
 from repro.hardware.usb import Direction, UsbDroppedError
 from repro.sql.binder import EQ, IN, NEQ, RANGE, Predicate
-from repro.visible.frame import FrameError, frame, unframe
+from repro.visible.frame import (
+    FrameError,
+    fetch_request,
+    frame,
+    parse_request,
+    unframe,
+)
 from repro.visible.site import VisibleSite
 
 #: IDs per host->device batch message (1 KiB of payload at 4 B/ID).
 DEFAULT_ID_BATCH = 256
 
-#: Rows per fetch_values batch.
+#: IDs per table in one fetch round.
 DEFAULT_FETCH_BATCH = 128
 
 #: How many times a corrupted or dropped frame is retransmitted before
@@ -48,6 +63,16 @@ RETRY_BACKOFF_S = 0.002
 
 class ProtocolError(Exception):
     """Malformed or corrupted link traffic."""
+
+
+class Fetch(NamedTuple):
+    """One table's share of a fetch: the PKs whose ``columns`` the
+    projection needs, with the visible predicates to re-check."""
+
+    table: str
+    pks: list[int]
+    columns: list[str]
+    recheck: Sequence[Predicate] = ()
 
 
 def encode_value(value):
@@ -205,10 +230,13 @@ class DeviceLink:
         The request crosses to the host; the host evaluates the predicate
         on its copy of the data (free of device cost) and streams the IDs
         back in packed batches.  The device holds one batch in RAM.  The
-        batch boundaries *are* the USB message boundaries -- consuming
-        per message or per ID produces identical observable traffic,
-        because each message is only requested when its first ID is
-        demanded either way.
+        first batch shorter than ``id_batch`` ends the stream, so a
+        stream whose last batch is full ends on an empty one.  The frame's
+        length check makes that safe: a truncated batch fails it and is
+        retransmitted, never read as an early end.  The batch boundaries
+        *are* the USB message boundaries -- consuming per message or per
+        ID produces identical observable traffic, because each message is
+        only requested when its first ID is demanded either way.
         """
         request = json.dumps(
             {"op": "select_ids", "predicate": predicate_to_wire(predicate)}
@@ -221,23 +249,22 @@ class DeviceLink:
         with self.device.ram.allocate(
             self.id_batch * ID_WIDTH, f"usb-rx:{table}"
         ):
-            for start in range(0, len(ids), self.id_batch):
+            start = 0
+            while True:
                 batch = ids[start : start + self.id_batch]
+                start += self.id_batch
                 delivered = self._send(
                     Direction.TO_DEVICE, "ids",
                     IdColumn.from_ids(batch).to_be_bytes(),
                     description=f"{len(batch)} ids of {table}",
                 )
-                if len(delivered) % ID_WIDTH:
+                count, rest = divmod(len(delivered), ID_WIDTH)
+                if rest:
                     raise ProtocolError("truncated ID batch")
-                yield IdColumn.from_be_bytes(
-                    delivered, len(delivered) // ID_WIDTH
-                )
-        end = json.dumps({"op": "ids_end", "count": len(ids)}).encode("utf-8")
-        self._send(
-            Direction.TO_DEVICE, "ids_end", end,
-            description=f"end of ids for {table}",
-        )
+                if count:
+                    yield IdColumn.from_be_bytes(delivered, count)
+                if count < self.id_batch:
+                    return
 
     def count_ids(self, table: str, predicate: Predicate) -> int:
         """Ask the host for an exact visible-selection cardinality."""
@@ -260,59 +287,76 @@ class DeviceLink:
     # Projection -> visible value fetch
     # ------------------------------------------------------------------
 
-    def fetch_values(
-        self,
-        table: str,
-        pks: list[int],
-        columns: list[str],
-        recheck: list[Predicate] | None = None,
-    ) -> dict[int, tuple]:
-        """Fetch visible values for ``pks``, batch by batch.
+    def fetch_values(self, fetches: list[Fetch]) -> list[dict[int, tuple]]:
+        """Fetch visible values for every table in ``fetches``.
 
-        The host re-checks ``recheck`` predicates while serving, so IDs
-        that were Bloom-filter false positives simply come back absent.
-        Requested IDs are visible on the wire -- the accepted revelation.
+        Each round is one request and one ``values`` reply, and carries
+        up to ``fetch_batch`` PKs of every table that still has some, so
+        a projection window of at most ``fetch_batch`` rows is exactly
+        one round.  The host endpoint reads the IDs off the request that
+        crossed, and re-checks each table's ``recheck`` predicates while
+        serving, so IDs that were Bloom-filter false positives simply
+        come back absent.  Requested IDs are visible on the wire -- the
+        accepted revelation.  Returns one ``{pk: values}`` map per fetch,
+        in order.
         """
-        recheck = recheck or []
-        result: dict[int, tuple] = {}
-        for start in range(0, len(pks), self.fetch_batch):
-            batch = pks[start : start + self.fetch_batch]
-            header = json.dumps(
+        results: list[dict[int, tuple]] = [{} for _ in fetches]
+        longest = max((len(fetch.pks) for fetch in fetches), default=0)
+        for start in range(0, longest, self.fetch_batch):
+            members = [
+                (i, fetch.pks[start : start + self.fetch_batch])
+                for i, fetch in enumerate(fetches)
+                if len(fetch.pks) > start
+            ]
+            bodies = [
                 {
                     "op": "fetch_values",
-                    "table": table,
-                    "columns": columns,
-                    "recheck": [predicate_to_wire(p) for p in recheck],
-                    "count": len(batch),
+                    "table": fetches[i].table,
+                    "columns": fetches[i].columns,
+                    "recheck": [predicate_to_wire(p) for p in fetches[i].recheck],
+                    "count": len(pks),
                 }
-            ).encode("utf-8")
-            self._send(
-                Direction.TO_HOST, "request", header,
-                description=f"fetch {len(batch)} rows of {table}",
+                for i, pks in members
+            ]
+            tables = ", ".join(body["table"] for body in bodies)
+            delivered = self._send(
+                Direction.TO_HOST, "request",
+                fetch_request(
+                    bodies,
+                    [IdColumn.from_ids(pks).to_be_bytes() for _i, pks in members],
+                ),
+                description=f"fetch from {tables}",
             )
-            self._send(
-                Direction.TO_HOST, "fetch_ids",
-                IdColumn.from_ids(batch).to_be_bytes(),
-                description=f"ids to fetch from {table}",
-            )
-            rows = self.site.fetch_values(table, batch, columns, recheck)
+            # The host endpoint serves the IDs that crossed.
+            served = [
+                self.site.fetch_values(
+                    body["table"], ids, body["columns"], fetches[i].recheck
+                )
+                for (body, ids), (i, _pks) in zip(
+                    parse_request(delivered), members
+                )
+            ]
             reply = json.dumps(
-                {
-                    str(pk): [encode_value(v) for v in values]
-                    for pk, values in rows.items()
-                }
+                [
+                    {
+                        str(pk): [encode_value(v) for v in values]
+                        for pk, values in rows.items()
+                    }
+                    for rows in served
+                ]
             ).encode("utf-8")
-            with self.device.ram.allocate(
-                max(64, len(reply)), f"usb-rx-values:{table}"
-            ):
+            with self.device.ram.allocate(max(64, len(reply)), "usb-rx-values"):
                 delivered = self._send(
                     Direction.TO_DEVICE, "values", reply,
-                    description=f"{len(rows)} rows of {table}",
+                    description=f"{sum(map(len, served))} rows of {tables}",
                 )
                 try:
                     decoded = json.loads(delivered.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise ProtocolError(f"corrupted values reply: {exc}")
-            for pk_str, values in decoded.items():
-                result[int(pk_str)] = tuple(decode_value(v) for v in values)
-        return result
+            for (i, _pks), rows in zip(members, decoded):
+                results[i].update(
+                    (int(pk_str), tuple(decode_value(v) for v in values))
+                    for pk_str, values in rows.items()
+                )
+        return results

@@ -72,6 +72,17 @@ class TestHashJoinBaseline:
         root_pages = len(session.hidden.heaps["prescription"].extent.pages)
         assert baseline.metrics.flash_page_reads >= root_pages
 
+    def test_frees_every_temporary_run(self, session):
+        """Each query's qualifying-ID and tuple runs go back to the FTL:
+        afterwards the device maps exactly the pages the database
+        references, query after query."""
+        for _ in range(3):
+            run_hash_join_query(session, demo_query())
+            assert (
+                session.device.ftl.mapped_lpages()
+                == session.hidden.referenced_pages()
+            )
+
     def test_neq_rejected(self, session):
         with pytest.raises(ValueError, match="<>"):
             run_hash_join_query(
@@ -118,6 +129,8 @@ class TestGraceSpill:
         ]
         assert spills
         assert result.metrics.flash_page_writes > 0
+        # The spilled partitions and both inputs are freed too.
+        assert db.device.ftl.mapped_lpages() == db.hidden.referenced_pages()
 
 
 class TestJoinIndexBaseline:

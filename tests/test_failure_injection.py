@@ -11,6 +11,7 @@ from repro.faults import FaultProfile, UsbTransferError
 from repro.hardware.ftl import DeviceReadOnlyError
 from repro.hardware.profiles import DEMO_DEVICE
 from repro.hardware.ram import RamExhaustedError
+from repro.visible.link import Fetch
 from repro.workload.queries import demo_query
 
 
@@ -23,7 +24,9 @@ class TestUsbCorruption:
         )
         try:
             with pytest.raises(UsbTransferError):
-                fresh_session.link.fetch_values("visit", [1, 2], ["date"])
+                fresh_session.link.fetch_values(
+                    [Fetch("visit", [1, 2], ["date"])]
+                )
         finally:
             fresh_session.clear_faults()
 

@@ -30,7 +30,7 @@ def test_outbound_traffic_is_only_requests_and_ids(demo_session):
         if r.direction is Direction.TO_HOST
     ]
     assert outbound
-    assert {r.kind for r in outbound} <= {"request", "fetch_ids"}
+    assert {r.kind for r in outbound} == {"request"}
 
 
 def test_spy_learns_only_queries_and_visible_data(demo_session):
@@ -44,11 +44,9 @@ def test_spy_learns_only_queries_and_visible_data(demo_session):
     allowed = {
         ("host->device", "query"),
         ("host->device", "ids"),
-        ("host->device", "ids_end"),
         ("host->device", "count"),
         ("host->device", "values"),
         ("device->host", "request"),
-        ("device->host", "fetch_ids"),
     }
     assert kinds <= allowed
 

@@ -13,7 +13,7 @@ from repro.hardware.usb import Direction
 from repro.optimizer.space import enumerate_strategies
 from repro.privacy.leakcheck import LeakChecker
 from repro.privacy.spy import IdStats, SpyView, unpack_ids
-from repro.visible.frame import frame
+from repro.visible.frame import fetch_request, frame
 from repro.workload.queries import demo_query
 
 
@@ -74,8 +74,17 @@ class TestSpyView:
 
     def test_id_stats_counts_totals_and_repeats(self, session):
         ids = b"".join(i.to_bytes(4, "big") for i in (1, 2, 3, 2, 1, 1))
-        session.device.usb.transfer(Direction.TO_DEVICE, "fetch_ids", frame(ids))
-        stats = SpyView(session.usb_log).id_stats()["fetch_ids"]
+        bodies = [
+            {"op": "fetch_values", "table": "visit", "columns": ["date"],
+             "recheck": [], "count": 4},
+            {"op": "fetch_values", "table": "patient", "columns": ["age"],
+             "recheck": [], "count": 2},
+        ]
+        session.device.usb.transfer(
+            Direction.TO_HOST, "request",
+            frame(fetch_request(bodies, [ids[:16], ids[16:]])),
+        )
+        stats = SpyView(session.usb_log).id_stats()["fetch"]
         assert stats.total == 6
         assert stats.distinct == 3
         assert stats.repeated_ratio == pytest.approx(0.5)
@@ -159,6 +168,59 @@ class TestLeakCheckerPositive:
         report = checker.check(session.usb_log)
         assert any("unknown request op" in v.reason for v in report.violations)
 
+    def test_fused_request_second_body_naming_hidden_column_detected(
+        self, session, checker
+    ):
+        bodies = [
+            {"op": "fetch_values", "table": "visit", "columns": ["date"],
+             "recheck": [], "count": 1},
+            {"op": "fetch_values", "table": "visit", "columns": ["purpose"],
+             "recheck": [], "count": 1},
+        ]
+        session.device.usb.transfer(
+            Direction.TO_HOST, "request",
+            frame(fetch_request(bodies, [b"\x00\x00\x00\x01"] * 2)),
+        )
+        report = checker.check(session.usb_log)
+        assert [v.reason for v in report.violations] == [
+            "request names hidden column visit.purpose"
+        ]
+
+    @pytest.mark.parametrize("tail_ids", [0, 1, 3])
+    def test_fused_request_tail_disagreeing_with_counts_detected(
+        self, session, checker, tail_ids
+    ):
+        """Two IDs announced, ``tail_ids`` carried: a tail the counts do
+        not account for could smuggle bytes out."""
+        bodies = [
+            {"op": "fetch_values", "table": "visit", "columns": ["date"],
+             "recheck": [], "count": 2},
+        ]
+        session.device.usb.transfer(
+            Direction.TO_HOST, "request",
+            frame(fetch_request(bodies, [b"\x00\x00\x00\x07" * tail_ids])),
+        )
+        report = checker.check(session.usb_log)
+        assert len(report.violations) == 1
+        assert "tail" in report.violations[0].reason
+        assert "transparent" in report.violations[0].reason
+
+    def test_fused_request_unknown_op_detected(self, session, checker):
+        bodies = [
+            {"op": "fetch_values", "table": "visit", "columns": ["date"],
+             "recheck": [], "count": 1},
+            {"op": "dump_hidden", "table": "visit", "count": 0},
+        ]
+        session.device.usb.transfer(
+            Direction.TO_HOST, "request",
+            frame(fetch_request(bodies, [b"\x00\x00\x00\x01"])),
+        )
+        report = checker.check(session.usb_log)
+        assert any(
+            "unknown request op 'dump_hidden'" in v.reason
+            for v in report.violations
+        )
+
     def test_request_naming_hidden_column_detected(self, session, checker):
         session.device.usb.transfer(
             Direction.TO_HOST, "request",
@@ -215,27 +277,23 @@ class TestProtocolContract:
         assert emitted <= ALLOWED_OUTBOUND_KINDS
 
     def test_request_ops_whitelist_matches_link(self, session):
-        import json
-
         from repro.privacy.leakcheck import ALLOWED_REQUEST_OPS
-        from repro.visible.frame import payload_of
+        from repro.visible.frame import parse_request, payload_of
 
         session.query(demo_query())
         ops = {
-            json.loads(payload_of(r.payload))["op"]
+            body["op"]
             for r in session.usb_log
             if r.direction is Direction.TO_HOST and r.kind == "request"
+            for body, _ids in parse_request(payload_of(r.payload))
         }
         assert ops
         assert ops <= ALLOWED_REQUEST_OPS
 
     def test_documented_kinds_cover_observations(self, session):
-        """docs/PROTOCOL.md lists seven message kinds; the captured
+        """docs/PROTOCOL.md lists five message kinds; the captured
         traffic must not contain anything undocumented."""
-        documented = {
-            "query", "request", "ids", "ids_end", "count",
-            "fetch_ids", "values",
-        }
+        documented = {"query", "request", "ids", "count", "values"}
         session.query(demo_query())
         observed = {r.kind for r in session.usb_log}
         assert observed <= documented
