@@ -2,9 +2,10 @@
 
 An ID is an unsigned 32-bit integer, packed big-endian on flash (posting
 lists, SKT records, spilled runs) and on the USB wire (``ids`` payloads
-and the ID tail of a fetch request).  :data:`ID_WIDTH`, :data:`MAX_ID` and
-:data:`ID_STRUCT` are that layout's one definition; every packer,
-unpacker and observer imports them from here.
+and the ID tail of a fetch request).  :data:`ID_WIDTH`, :data:`MAX_ID`,
+:data:`ID_STRUCT` and :func:`ids_struct` (a run of IDs, such as an SKT
+record) are that layout's one definition; every packer, unpacker and
+observer imports them from here.
 
 The batch protocol (:mod:`repro.engine.operators.base`) moves windows of
 items between operators.  For the ID-heavy inner plans -- climbing
@@ -29,6 +30,7 @@ hardware does.
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 from array import array
@@ -42,6 +44,15 @@ MAX_ID = (1 << 32) - 1
 
 #: Packs and unpacks one ID.
 ID_STRUCT = struct.Struct(">I")
+
+
+@functools.cache
+def ids_struct(arity: int) -> struct.Struct:
+    """Packs and unpacks ``arity`` consecutive IDs in one call (an SKT
+    record): :data:`ID_STRUCT`'s layout, repeated.  Kept here rather
+    than on the records' owner, which is pickled with its session."""
+    byte_order, code = ID_STRUCT.format[:1], ID_STRUCT.format[1:]
+    return struct.Struct(byte_order + code * arity)
 
 # ``array`` typecodes are C types, so 'I' (unsigned int) is 4 bytes on
 # every mainstream platform -- but pick by itemsize, not by faith.

@@ -3,8 +3,11 @@
 For each surviving key tuple the projection
 
 * serves primary keys straight from the tuple,
-* reads hidden attributes from the device heaps (cheap partial reads via
-  a persistent per-table reader),
+* reads hidden attributes from the device heaps through a persistent
+  per-table reader: each field's place, read routes and decoder are
+  resolved once per execution, so a row pays only its rowid, one field
+  read (partial, or a full page through the buffer pool when the window
+  is dense) and one decode,
 * fetches visible attributes from the PC, one fetch round per
   ``fetch_batch`` window covering every table the window needs, with
   the visible predicates re-checked host-side -- which is also what
@@ -61,9 +64,6 @@ class ProjectOp(Operator):
                     f"covered by plan tuples {self.tables}"
                 )
 
-    def _position(self, table: str) -> int:
-        return self.tables.index(table)
-
     def _open(self):
         self.reserve(self.ctx.fetch_batch * len(self.tables) * ID_WIDTH)
 
@@ -81,6 +81,36 @@ class ProjectOp(Operator):
         readers = {
             t: db.heaps[t].reader(f"project:{t}") for t in hidden_tables
         }
+        try:
+            plan = self._resolve(readers)
+            batch: list[tuple] = []
+            for row in self.child.rows():
+                batch.append(row)
+                if len(batch) >= batch_size:
+                    yield from self._emit_batch(batch, readers, plan)
+                    batch = []
+            if batch:
+                yield from self._emit_batch(batch, readers, plan)
+        finally:
+            for reader in readers.values():
+                reader.close()
+
+    def _resolve(self, readers) -> tuple:
+        """Work out, once per execution, everything the per-row loop
+        needs: each fetch table's request and tuple position, each
+        residual predicate as ``(tuple position, hidden field,
+        matcher)``, and each output column as ``(tuple position, hidden
+        field, fetch index, value index)`` (a key column has neither
+        field nor fetch index).  A hidden field is ``(table, getters)``:
+        one ``pk -> value`` getter per read route, partial then
+        full-page.
+
+        Only plain data and this execution's bound methods are held, so
+        every statement looks its callees up afresh.
+        """
+        db = self.ctx.db
+        charge = self.ctx.device.chip.charge
+        position = {table: i for i, table in enumerate(self.tables)}
         # Group visible needs per table.
         visible_cols: dict[str, list[str]] = {}
         for table, column in self.projections:
@@ -93,31 +123,55 @@ class ProjectOp(Operator):
             recheck_by_table.setdefault(predicate.table, []).append(predicate)
         # Tables we must consult the host about (values or recheck-only).
         fetch_tables = sorted(set(visible_cols) | set(recheck_by_table))
+        fetches = [
+            (
+                table,
+                position[table],
+                visible_cols.get(table, []),
+                recheck_by_table.get(table, []),
+            )
+            for table in fetch_tables
+        ]
 
-        try:
-            batch: list[tuple] = []
-            for row in self.child.rows():
-                batch.append(row)
-                if len(batch) >= batch_size:
-                    yield from self._emit_batch(
-                        batch, readers, visible_cols, recheck_by_table,
-                        fetch_tables,
-                    )
-                    batch = []
-            if batch:
-                yield from self._emit_batch(
-                    batch, readers, visible_cols, recheck_by_table,
-                    fetch_tables,
+        def hidden_field(table: str, column: str) -> tuple:
+            heap = db.heaps[table]
+            index = db.tree.table(table).device_column_index(column)
+            offset, width = heap.codec.field_slice(index)
+            getters = tuple(
+                _field_getter(
+                    table,
+                    heap.rowid_for_pk,
+                    readers[table].field_reader(offset, width, full_page),
+                    heap.codec.types[index].decode,
+                    charge,
                 )
-        finally:
-            for reader in readers.values():
-                reader.close()
+                for full_page in (False, True)
+            )
+            return table, getters
 
-    def _emit_batch(
-        self, batch, readers, visible_cols, recheck_by_table, fetch_tables
-    ):
+        residuals = [
+            (position[p.table], hidden_field(p.table, p.column), p.matches)
+            for p in self.residual_hidden
+        ]
+        columns = []
+        for table, column in self.projections:
+            if column.primary_key:
+                columns.append((position[table], None, None, 0))
+            elif column.hidden:
+                field = hidden_field(table, column.name)
+                columns.append((position[table], field, None, 0))
+            else:
+                columns.append((
+                    position[table],
+                    None,
+                    fetch_tables.index(table),
+                    visible_cols[table].index(column.name.lower()),
+                ))
+        return fetches, residuals, columns
+
+    def _emit_batch(self, batch, readers, plan):
         ctx = self.ctx
-        db = ctx.db
+        fetches, residuals, columns = plan
         # Hidden-field fetch route per table: dense row sets go through
         # the buffer pool (one full-page read serves every field on the
         # page), sparse ones stay on cheap partial reads.  Same density
@@ -135,22 +189,41 @@ class ProjectOp(Operator):
                     dense_tables.add(table)
         # 1. Fetch visible values (and presence under recheck) of every
         #    table in one round.
-        fetches = [
-            Fetch(
-                table,
-                sorted({row[self._position(table)] for row in batch}),
-                visible_cols.get(table, []),
-                recheck_by_table.get(table, []),
-            )
-            for table in fetch_tables
+        fetched = ctx.link.fetch_values([
+            Fetch(table, sorted({row[pos] for row in batch}), cols, recheck)
+            for table, pos, cols, recheck in fetches
+        ])
+        present = [
+            (pos, values)
+            for (_table, pos, _cols, _recheck), values in zip(fetches, fetched)
         ]
-        fetched = dict(zip(fetch_tables, ctx.link.fetch_values(fetches)))
+
+        def route(field):
+            table, getters = field
+            return getters[table in dense_tables]
+
+        checks = [
+            (pos, route(field), matches) for pos, field, matches in residuals
+        ]
+        out_columns = [
+            (
+                pos,
+                None if field is None else route(field),
+                None if fetch_i is None else fetched[fetch_i],
+                value_i,
+            )
+            for pos, field, fetch_i, value_i in columns
+        ]
+        charge = ctx.device.chip.charge
         # 2. Assemble rows, dropping tuples that failed a recheck or a
-        #    residual hidden predicate.
+        #    residual hidden predicate.  Each row's reads happen right
+        #    before it is yielded, never a window ahead: a consumer that
+        #    charges per row (Aggregate's hash) sees the same device
+        #    state at every read as under per-row pulls.
         for row in batch:
             dropped = False
-            for table in fetch_tables:
-                if row[self._position(table)] not in fetched[table]:
+            for pos, values in present:
+                if row[pos] not in values:
                     dropped = True
                     break
             if dropped:
@@ -158,58 +231,41 @@ class ProjectOp(Operator):
                 # positive surviving post-filtering; count it for the
                 # cross-query metrics.
                 if self.visible_recheck:
-                    self.ctx.bump("bloom_recheck_dropped")
+                    ctx.bump("bloom_recheck_dropped")
                 continue
-            for predicate in self.residual_hidden:
-                value = self._hidden_value(
-                    readers, predicate.table,
-                    row[self._position(predicate.table)],
-                    db.tree.table(predicate.table).device_column_index(
-                        predicate.column
-                    ),
-                    cached=predicate.table in dense_tables,
-                )
-                ctx.device.chip.charge("compare")
-                if not predicate.matches(value):
+            for pos, get, matches in checks:
+                value = get(row[pos])
+                charge("compare")
+                if not matches(value):
                     dropped = True
                     break
             if dropped:
                 continue
             out = []
-            for table, column in self.projections:
-                key = row[self._position(table)]
-                if column.primary_key:
-                    out.append(key)
-                elif column.hidden:
-                    field_idx = db.tree.table(table).device_column_index(
-                        column.name
-                    )
-                    out.append(
-                        self._hidden_value(
-                            readers, table, key, field_idx,
-                            cached=table in dense_tables,
-                        )
-                    )
+            for pos, get, values, value_i in out_columns:
+                key = row[pos]
+                if get is not None:
+                    out.append(get(key))
+                elif values is not None:
+                    out.append(values[key][value_i])
                 else:
-                    col_pos = visible_cols[table].index(column.name.lower())
-                    out.append(fetched[table][key][col_pos])
+                    out.append(key)
             yield tuple(out)
 
-    def _hidden_value(
-        self, readers, table: str, pk: int, field_idx: int,
-        cached: bool = False,
-    ):
-        db = self.ctx.db
-        heap = db.heaps[table]
+
+def _field_getter(table: str, rowid_for_pk, read, decode, charge):
+    """``pk -> value`` for one hidden field on one read route: the
+    rowid, one field read, one ``decode_field`` charge and one decode."""
+
+    def get(pk: int):
         try:
-            rowid = heap.rowid_for_pk(pk)
+            rowid = rowid_for_pk(pk)
         except KeyNotFoundError:
             raise PlanExecutionError(
                 f"dangling key {pk} for table {table!r} during projection"
             ) from None
-        off, width = heap.codec.field_slice(field_idx)
-        reader = readers[table]
-        fetch = reader.field_cached if cached else reader.field
-        raw = fetch(rowid, off, width)
-        self.ctx.device.chip.charge("decode_field")
-        return heap.codec.types[field_idx].decode(raw)
+        raw = read(rowid)
+        charge("decode_field")
+        return decode(raw)
+
+    return get

@@ -58,21 +58,24 @@ class SktAccessOp(Operator):
         )
         chip = self.ctx.device.chip
         ntables = len(skt.tables)
+        rowid_for_pk = root_heap.rowid_for_pk
         with skt.reader("skt-access") as reader:
-            fetch = reader.record_cached if use_cache else reader.record
+            fetch = reader.field_reader(
+                0, reader.extent.record_width, full_page=use_cache
+            )
             out: list[tuple] = []
             for batch in self.child.batches():
                 raws = []
                 for root_id in batch:
                     try:
-                        rowid = root_heap.rowid_for_pk(root_id)
+                        rowid = rowid_for_pk(root_id)
                     except KeyNotFoundError:
                         continue
                     raws.append(fetch(rowid))
                 if not raws:
                     continue
                 chip.charge("decode_field", len(raws) * ntables)
-                out.extend(skt.decode(raw) for raw in raws)
+                out.extend(map(skt.decode, raws))
                 while len(out) >= cap:
                     yield out[:cap]
                     del out[:cap]
@@ -114,7 +117,7 @@ class SktScanOp(Operator):
                     raws = list(islice(scan, take))
                     rowid += take
                     chip.charge("decode_field", len(raws) * ntables)
-                    out.extend(skt.decode(raw) for raw in raws)
+                    out.extend(map(skt.decode, raws))
                     while len(out) >= cap:
                         yield out[:cap]
                         del out[:cap]

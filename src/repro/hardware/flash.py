@@ -30,7 +30,7 @@ from repro.faults.errors import PowerCutError
 from repro.faults.injector import FaultInjector
 from repro.hardware.clock import SimClock
 from repro.hardware.profiles import HardwareProfile
-from repro.obs.registry import NO_COUNTER, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 
 class FlashError(Exception):
@@ -125,9 +125,15 @@ class NandFlash:
     #: Bound unlabelled counter children by name -- one registry
     #: resolution per site instead of one per simulated op.
     _bound: dict = field(default_factory=dict, repr=False)
-    #: The page-read counter children ``(full, partial)``, bound on
-    #: first use so the family registers only once a read is counted.
-    _read_counters: tuple | None = field(default=None, repr=False)
+    #: Page reads not yet folded into ``ghostdb_device_flash_reads_total``
+    #: (full, partial).  A read only bumps these plain integers;
+    #: :meth:`settle_metrics` runs before every registry read.
+    _unsettled_full: int = field(default=0, repr=False)
+    _unsettled_partial: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.metrics is not None:
+            self.metrics.add_settler(self.settle_metrics)
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is None:
@@ -138,31 +144,31 @@ class NandFlash:
             self._bound[name] = bound
         bound.inc(amount)
 
-    def _bind_read_counters(self) -> tuple:
-        if self.metrics is None:
-            counters = (NO_COUNTER, NO_COUNTER)
-        else:
-            family = self.metrics.counter("ghostdb_device_flash_reads_total")
-            counters = (
-                family.labelled(kind="full"),
-                family.labelled(kind="partial"),
-            )
-        self._read_counters = counters
-        return counters
+    def settle_metrics(self) -> None:
+        """Fold the unsettled page-read tallies into the registry (the
+        family registers with the first read it counts)."""
+        full, partial = self._unsettled_full, self._unsettled_partial
+        if not (full or partial):
+            return
+        self._unsettled_full = self._unsettled_partial = 0
+        family = self.metrics.counter("ghostdb_device_flash_reads_total")
+        if full:
+            family.inc(full, kind="full")
+        if partial:
+            family.inc(partial, kind="partial")
 
     def _charge_read(self, partial: bool) -> None:
         """Count and time one page read (full or partial)."""
-        counters = self._read_counters or self._bind_read_counters()
         if partial:
             self.stats.page_reads_partial += 1
+            self._unsettled_partial += 1
             self.clock.advance(
                 self.profile.flash_read_partial_ticks, "flash_read"
             )
-            counters[1].inc()
         else:
             self.stats.page_reads_full += 1
+            self._unsettled_full += 1
             self.clock.advance(self.profile.flash_read_full_ticks, "flash_read")
-            counters[0].inc()
 
     @property
     def num_pages(self) -> int:
@@ -340,11 +346,10 @@ class NandFlash:
         if count < 0:
             raise FlashError("negative read count")
         self.stats.page_reads_partial += count
+        self._unsettled_partial += count
         self.clock.advance(
             count * self.profile.flash_read_partial_ticks, "flash_read"
         )
-        counters = self._read_counters or self._bind_read_counters()
-        counters[1].inc(count)
 
     # ------------------------------------------------------------------
     # Spare-area journal and bad-block marks (recovery interface)

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.hardware.ram import Allocation, RamBudget, RamExhaustedError
-from repro.obs.registry import NO_COUNTER, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 #: RAM-budget label under which the pool's pages are accounted.
 CACHE_LABEL = "page-cache"
@@ -94,11 +94,15 @@ class PageCache:
         self._pages: OrderedDict[int, bytes] = OrderedDict()
         self._alloc: Allocation | None = None
         # Bound counter children -- one registry resolution per name
-        # instead of one per event.  The pool is probed per flash read,
-        # so the ``(hits, misses)`` pair is held apart and bound on
-        # first use (the families register when first counted).
+        # instead of one per event.
         self._bound: dict = {}
-        self._lookup_counters: tuple | None = None
+        # The pool is probed per flash read, so a lookup only bumps
+        # these plain integers; :meth:`settle_metrics` folds them into
+        # the hit and miss families before every registry read.
+        self._unsettled_hits = 0
+        self._unsettled_misses = 0
+        if metrics is not None:
+            metrics.add_settler(self.settle_metrics)
         self._attach(budget)
 
     # ------------------------------------------------------------------
@@ -151,16 +155,15 @@ class PageCache:
         """
         if not self.enabled:
             return None
-        counters = self._lookup_counters or self._bind_lookup_counters()
         data = self._pages.get(lpage)
         if data is None:
             self.stats.misses += 1
-            counters[1].inc()
+            self._unsettled_misses += 1
             return None
         if promote:
             self._pages.move_to_end(lpage)
         self.stats.hits += 1
-        counters[0].inc()
+        self._unsettled_hits += 1
         return data
 
     def admit(self, lpage: int, data: bytes) -> None:
@@ -274,16 +277,19 @@ class PageCache:
             self._bound[name] = bound
         bound.inc(amount)
 
-    def _bind_lookup_counters(self) -> tuple:
-        if self.metrics is None:
-            counters = (NO_COUNTER, NO_COUNTER)
-        else:
-            counters = (
-                self.metrics.counter("ghostdb_cache_hits_total").labelled(),
-                self.metrics.counter("ghostdb_cache_misses_total").labelled(),
-            )
-        self._lookup_counters = counters
-        return counters
+    def settle_metrics(self) -> None:
+        """Fold the unsettled lookup tallies into the registry.  Both
+        families register with the first lookup counted, hit or miss."""
+        hits, misses = self._unsettled_hits, self._unsettled_misses
+        if not (hits or misses):
+            return
+        self._unsettled_hits = self._unsettled_misses = 0
+        hit_family = self.metrics.counter("ghostdb_cache_hits_total")
+        miss_family = self.metrics.counter("ghostdb_cache_misses_total")
+        if hits:
+            hit_family.inc(hits)
+        if misses:
+            miss_family.inc(misses)
 
     def _gauge(self) -> None:
         if self.metrics is not None:

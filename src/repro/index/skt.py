@@ -13,7 +13,7 @@ fetch yields the matching key of every table at once.
 from __future__ import annotations
 
 from repro.catalog.tree import SchemaTree
-from repro.columns import ID_STRUCT, ID_WIDTH
+from repro.columns import ID_WIDTH, ids_struct
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.heap import HeapTable
 from repro.storage.pagestore import Extent, PageReader, PageWriter
@@ -76,6 +76,7 @@ class SubtreeKeyTable:
             for name in tables
             if fk_layout[name] or name == root
         }
+        record = ids_struct(len(tables))
         try:
             with PageWriter(
                 device, skt.extent.record_width, f"skt:{root}"
@@ -86,9 +87,7 @@ class SubtreeKeyTable:
                         tree, heaps, readers, fk_layout, column_of,
                         root, raw, row_ids,
                     )
-                    writer.append(
-                        b"".join(ID_STRUCT.pack(v) for v in row_ids)
-                    )
+                    writer.append(record.pack(*row_ids))
             skt.extent = writer.extent
         finally:
             for reader in readers.values():
@@ -136,7 +135,4 @@ class SubtreeKeyTable:
 
     def decode(self, raw: bytes) -> tuple[int, ...]:
         """Decode one SKT row into a tuple of IDs (subtree pre-order)."""
-        return tuple(
-            ID_STRUCT.unpack_from(raw, i * ID_WIDTH)[0]
-            for i in range(len(self.tables))
-        )
+        return ids_struct(len(self.tables)).unpack(raw)

@@ -83,7 +83,7 @@ class BoundCounter:
     """A counter child with its label key pre-resolved.
 
     The hardware layer bumps the same counter with the same labels once
-    per simulated flash/USB/CPU event; binding once moves the label
+    per simulated USB message or flash write; binding once moves the label
     validation and key construction out of the per-event path.  The
     child writes into the parent's value dict, which ``reset()`` clears
     in place, so bound children survive measurement resets.
@@ -102,19 +102,6 @@ class BoundCounter:
             )
         values = self._parent._values
         values[self._key] = values.get(self._key, 0) + amount
-
-
-class _NoCounter:
-    """Stands in for a bound counter where no registry is attached."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-
-#: The shared do-nothing bound counter.
-NO_COUNTER = _NoCounter()
 
 
 @dataclass
@@ -324,7 +311,8 @@ class MetricsRegistry:
         #: deltas to a shared gauge notice its past share was wiped.
         self.resets = 0
         #: Callables that fold counts held back elsewhere (the secure
-        #: chip's cycle tally) into their families; run before the
+        #: chip's cycle tally, the flash's page-read tallies, the buffer
+        #: pool's lookup tallies) into their families; run before the
         #: registry is iterated, exposed or reset.
         self._settlers: list = []
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.hardware.usb import Direction, TrafficRecord
 from repro.obs.vetted import SIGNATURE_KEYS, load, serialize, write_atomic
-from repro.privacy.spy import ID_STREAMS, IdStats, SpyView
+from repro.privacy.spy import ID_STREAMS, IdStats, SpyView, is_lost
 from repro.visible.frame import payload_of
 
 #: Bump on any incompatible change to the scorecard layout.
@@ -48,13 +48,6 @@ SCHEMA_VERSION = 1
 
 #: Artifact discriminator, so tooling can reject arbitrary JSON.
 KIND = "ghostdb-leakage"
-
-#: Fault tags marking a copy of a message that never arrived intact.
-#: The link retransmits such frames, and the intact retransmission is
-#: also captured, so these copies are excluded from the *logical*
-#: request sequence (they still count toward observable bytes -- the
-#: spy sees them).  A "stall" arrives intact, merely late, and stays.
-LOST_FAULTS = frozenset({"corrupt", "truncate", "drop"})
 
 #: The protocol's message kinds in wire order, fixing the feature layout.
 KIND_ORDER = ("query", "request", "ids", "count", "values")
@@ -205,10 +198,6 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def _is_lost(record: TrafficRecord) -> bool:
-    return bool(LOST_FAULTS.intersection(record.faults))
-
-
 def _ops(bodies: list[tuple[dict, list[int]]] | None) -> list[str]:
     """The op of each body of one request, ``["?"]`` if it did not parse."""
     if bodies is None:
@@ -233,7 +222,7 @@ def request_signature(records: list[TrafficRecord]) -> str:
 def _signature(spy: SpyView) -> str:
     parts: list[str] = []
     for position, record in enumerate(spy.records):
-        if _is_lost(record):
+        if is_lost(record):
             continue
         element = (
             f"{record.direction.value}:{record.kind}:"
@@ -263,11 +252,11 @@ def profile_records(records: list[TrafficRecord]) -> TrafficProfile:
             bytes_to_device += record.size
         else:
             bytes_to_host += record.size
-        if _is_lost(record):
+        if is_lost(record):
             retransmissions += 1
         shape = (record.direction.value, record.kind, record.size)
         shapes[shape] = shapes.get(shape, 0) + 1
-        if position in spy.request_bodies and not _is_lost(record):
+        if position in spy.request_bodies and not is_lost(record):
             for op in _ops(spy.request_bodies[position]):
                 request_ops[op] = request_ops.get(op, 0) + 1
 

@@ -26,6 +26,19 @@ from repro.visible.frame import RequestError, parse_request, payload_of
 #: fetch request names after its JSON header.
 ID_STREAMS = ("ids", "fetch")
 
+#: Fault tags marking a copy of a message that never arrived intact.
+#: The link retransmits such frames, and the intact retransmission is
+#: also captured, so these copies are excluded from the *logical*
+#: message sequence: the request signature, the request verbs and the
+#: ID statistics (they still count toward observable bytes -- the spy
+#: sees them).  A "stall" arrives intact, merely late, and stays.
+LOST_FAULTS = frozenset({"corrupt", "truncate", "drop"})
+
+
+def is_lost(record: TrafficRecord) -> bool:
+    """Is ``record`` a mangled or dropped copy the link retransmitted?"""
+    return not LOST_FAULTS.isdisjoint(record.faults)
+
 
 def unpack_ids(payload: bytes) -> list[int]:
     """Decode a packed ID-list payload the way the spy would.
@@ -136,15 +149,20 @@ class SpyView:
 
         The leakage meter consumes these: ID-list cardinalities are the
         single most query-identifying observable, and the repeated-ID
-        ratio separates re-probing plans from streaming ones.
+        ratio separates re-probing plans from streaming ones.  Copies
+        lost in flight are skipped (:data:`LOST_FAULTS`): their intact
+        retransmission carries the same IDs, so counting both would
+        make the figures depend on fault luck.
         """
         observed: dict[str, list[int]] = {}
         for record in self.records:
-            if record.kind == "ids":
+            if record.kind == "ids" and not is_lost(record):
                 observed.setdefault("ids", []).extend(
                     unpack_ids(payload_of(record.payload))
                 )
-        for bodies in self.request_bodies.values():
+        for position, bodies in self.request_bodies.items():
+            if is_lost(self.records[position]):
+                continue
             for _body, ids in bodies or ():
                 if ids:
                     observed.setdefault("fetch", []).extend(ids)

@@ -199,29 +199,36 @@ class PageReader:
         """
         return self.field(rowid, 0, self.extent.record_width)
 
-    def record_cached(self, rowid: int) -> bytes:
-        """Fetch one record via a full-page read through the buffer pool.
-
-        Pays a full-page read on a pool miss but serves every further
-        record on the same page for free (the pool holds the page) --
-        the right choice when hits are dense (e.g. SKT access at high
-        selectivity) *and* the device cache is enabled.  With the pool
-        disabled this degrades to one full read per record, so callers
-        gate the choice on ``device.page_cache.enabled``.
-        """
-        return self.field_cached(rowid, 0, self.extent.record_width)
-
     def field(self, rowid: int, offset: int, width: int) -> bytes:
         """Fetch one field of one record (cheapest possible flash read)."""
         lpage, base = self.extent.locate(rowid)
         return self._device.ftl.read(lpage, base + offset, width)
 
-    def field_cached(self, rowid: int, offset: int, width: int) -> bytes:
-        """Fetch one field via a full-page read through the buffer pool
-        (the same density gate as :meth:`record_cached`)."""
-        lpage, base = self.extent.locate(rowid)
-        base += offset
-        return self._device.ftl.read(lpage)[base : base + width]
+    def field_reader(self, offset: int, width: int, full_page: bool = False):
+        """A function from a rowid to the ``width`` bytes at ``offset``
+        of that record, for readers that fetch the same field of many
+        records: the field's place in the record is resolved once, and
+        each call makes exactly one FTL read.
+
+        By default each call is a cheap partial read.  With
+        ``full_page`` it reads the whole page through the buffer pool:
+        a miss pays a full-page read, but every further record on the
+        page is then served for free -- the right choice when hits are
+        dense (at least two per page) *and* the pool is enabled.  With
+        the pool disabled that degrades to one full read per call, so
+        callers gate the choice on ``device.page_cache.enabled``.
+        """
+        locate, device = self.extent.locate, self._device
+        if full_page:
+            def read(rowid: int) -> bytes:
+                lpage, base = locate(rowid)
+                base += offset
+                return device.ftl.read(lpage)[base : base + width]
+        else:
+            def read(rowid: int) -> bytes:
+                lpage, base = locate(rowid)
+                return device.ftl.read(lpage, base + offset, width)
+        return read
 
     def scan(self, start: int = 0, stop: int | None = None):
         """Yield raw records in rowid order using full-page reads.

@@ -1,7 +1,9 @@
 """Subtree Key Tables: construction and semantics (Figure 3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.columns import ID_STRUCT, ID_WIDTH, MAX_ID
 from repro.engine.database import HiddenDatabase
 from repro.hardware.device import SmartUsbDevice
 from repro.catalog.schema import Schema
@@ -101,3 +103,17 @@ def test_flash_footprint_reported(loaded):
     skt = db.skts["prescription"]
     minimum = skt.extent.count * skt.extent.record_width
     assert skt.extent.flash_bytes >= minimum
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.integers(0, MAX_ID), min_size=1, max_size=5))
+def test_decode_unpacks_like_per_id_reads(ids):
+    """One precompiled unpack per record equals unpacking it ID by ID,
+    for every subtree arity from 1 to 5."""
+    tables = [f"t{i}" for i in range(len(ids))]
+    skt = SubtreeKeyTable(SmartUsbDevice(), tables[0], tables)
+    raw = b"".join(ID_STRUCT.pack(value) for value in ids)
+    assert len(raw) == skt.extent.record_width
+    assert skt.decode(raw) == tuple(
+        ID_STRUCT.unpack_from(raw, i * ID_WIDTH)[0] for i in range(len(ids))
+    )

@@ -1,5 +1,6 @@
 """Session persistence: save, unplug, replug."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,38 @@ def test_round_trip_after_queries_rebuilds_warm_caches(fresh_session, tmp_path):
     ]
 
 
+def test_round_trip_after_queries_decodes_skts_and_counts_reads(
+    fresh_session, tmp_path
+):
+    """SKT records decode through a per-arity ``struct.Struct`` that
+    stays out of the file (a Struct cannot be pickled), and the flash
+    and buffer-pool tallies settle through the pickled registry: a
+    session saved after queries answers with the same rows and keeps
+    its read families moving."""
+    sqls = [
+        demo_query(),
+        "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre "
+        "WHERE Pre.Quantity <> 3 AND Pre.PreID < 300",
+        "SELECT Vis.Purpose, COUNT(*), SUM(Pre.Quantity) "
+        "FROM Prescription Pre, Visit Vis WHERE Vis.VisID = Pre.VisID "
+        "AND Vis.Date BETWEEN DATE '2006-01-14' AND DATE '2007-01-13' "
+        "GROUP BY Vis.Purpose",
+    ]
+    before = [fresh_session.query(sql).rows for sql in sqls]
+    path = str(tmp_path / "skt.ghostdb")
+    fresh_session.save(path)
+    restored = GhostDB.restore(path)
+    restored.reset_measurements()
+    assert [restored.query(sql).rows for sql in sqls] == before
+    text = restored.metrics_text()
+    for sample in (
+        r'ghostdb_device_flash_reads_total\{kind="partial"\}',
+        "ghostdb_cache_misses_total",
+    ):
+        value = re.search(rf"^{sample} (\d+)$", text, re.MULTILINE)
+        assert value and int(value[1]) > 0, sample
+
+
 def test_wear_counters_survive(fresh_session, tmp_path, demo_data):
     import datetime
 
@@ -116,13 +149,14 @@ def test_wrong_version_rejected(tmp_path):
         load_session(str(path))
 
 
-@pytest.mark.parametrize("version", [3, 4, 5, 6])
+@pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
 def test_v3_file_refused(saved_path, version):
     """A v3 file pickles a tracer without a window or running count, a
     v4 file a facade wrapping a separate default session, a v5 file a
-    float-second clock and a v6 file page lists and posting files
-    instead of extents; all must be refused, not restored into one that
-    fails on first use."""
+    float-second clock, a v6 file page lists and posting files instead
+    of extents and a v7 file a registry with no settler for the flash's
+    and the buffer pool's tallies; all must be refused, not restored
+    into one that fails (or stops counting) on first use."""
     from repro.core.persistence import MAGIC
 
     _original, path = saved_path

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.hardware.usb import Direction
 from repro.optimizer.space import enumerate_strategies
 from repro.privacy.leakcheck import LeakChecker
-from repro.privacy.spy import IdStats, SpyView, unpack_ids
+from repro.privacy.spy import IdStats, SpyView, is_lost, unpack_ids
 from repro.visible.frame import fetch_request, frame
 from repro.workload.queries import demo_query
 
@@ -94,6 +94,19 @@ class TestSpyView:
         stats = SpyView(session.usb_log).id_stats()
         assert stats["ids"].total >= stats["ids"].distinct > 0
         assert 0.0 <= stats["ids"].repeated_ratio < 1.0
+
+    @pytest.mark.parametrize("seed", [None, 2, 3, 4])
+    def test_id_stats_skip_copies_lost_in_flight(self, session, seed):
+        """A corrupted, truncated or dropped copy is retransmitted and
+        the intact copy is captured too; counting both would make the
+        spy's ID figures depend on fault luck (seeds 2-4 each lose one
+        copy of the demo query's traffic)."""
+        if seed is not None:
+            session.set_faults("usb", seed)
+        session.query(demo_query())
+        records = list(session.usb_log)
+        assert any(is_lost(r) for r in records) == (seed is not None)
+        assert SpyView(records).observed_ids() == {"ids": 76, "fetch": 6}
 
     def test_repeated_ratio_of_nothing_is_zero(self):
         assert IdStats(kind="ids", total=0, distinct=0).repeated_ratio == 0.0

@@ -6,7 +6,7 @@ import pytest
 from repro.hardware.flash import FlashError
 from repro.hardware.ftl import DeviceReadOnlyError
 from repro.hardware.ram import RamExhaustedError
-from repro.storage.pagestore import PageReader, PageWriter
+from repro.storage.pagestore import ExtentFreedError, PageReader, PageWriter
 
 
 def write_records(device, count, width=16):
@@ -65,19 +65,44 @@ def test_record_uses_partial_read(device):
 def test_record_cached_amortises_full_reads(device):
     extent = write_records(device, 256)  # 128 records per page
     with PageReader(device, extent, "r") as reader:
+        record = reader.field_reader(0, extent.record_width, full_page=True)
         before = device.flash.stats.snapshot()
         for rowid in range(0, 100):
-            reader.record_cached(rowid)
+            assert record(rowid) == reader.record(rowid)
         after = device.flash.stats
-        # 100 hits on the same page: one full read total.
+        # 100 hits on the same page: one full read total (the partial
+        # ``record`` reads are served from the pooled page).
         assert after.page_reads_full == before.page_reads_full + 1
+        assert after.page_reads_partial == before.page_reads_partial
 
 
 def test_field_reads_only_the_slice(device):
     extent = write_records(device, 10)
     with PageReader(device, extent, "r") as reader:
         assert reader.field(3, 0, 4) == (3).to_bytes(4, "big")
-        assert reader.field_cached(3, 4, 4) == (3).to_bytes(4, "big")
+        assert reader.field_reader(4, 4, full_page=True)(3) == (
+            (3).to_bytes(4, "big")
+        )
+
+
+def test_field_reader_makes_one_read_per_call(device):
+    """The partial route is one partial read a call, like ``field``;
+    the layout is resolved once, the range and freed checks are not."""
+    extent = write_records(device, 300)
+    with PageReader(device, extent, "r") as reader:
+        second = reader.field_reader(4, 4)
+        before = device.flash.stats.snapshot()
+        assert [second(rowid) for rowid in (0, 150, 299)] == [
+            reader.field(rowid, 4, 4) for rowid in (0, 150, 299)
+        ]
+        after = device.flash.stats
+        assert after.page_reads_partial == before.page_reads_partial + 6
+        assert after.page_reads_full == before.page_reads_full
+        with pytest.raises(IndexError):
+            second(300)
+        extent.free(device.ftl)
+        with pytest.raises(ExtentFreedError):
+            second(0)
 
 
 def test_buffers_are_ram_charged(device):
