@@ -230,7 +230,9 @@ class GhostDB(SessionContext):
         instead of one full read per touched page.
         """
         if capacity_pages is None:
-            capacity_pages = default_cache_pages(self.profile)
+            capacity_pages = default_cache_pages(
+                self.profile.ram_bytes, self.profile.page_size
+            )
         self.device.page_cache.resize(capacity_pages)
         if self.optimizer is not None:
             self.optimizer.cost_model.cache_pages = (

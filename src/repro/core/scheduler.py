@@ -23,14 +23,19 @@ sequence, which the flight recorder journals (``sched_*`` events) so a
 postmortem shows exactly who held the device when.
 
 DML statements are a single atomic step (a rebuild transaction cannot
-be preempted mid-flight); SELECTs yield every batch window.  A fault
-aborts only the ticket that hit it -- except power loss, which kills
-the device out from under everyone: every in-flight ticket is aborted
-and torn down, and the core is flagged for remount.
+be preempted mid-flight); SELECTs yield every batch window.  A write is
+also a barrier: it starts only when no other statement is in flight,
+and no statement submitted after it starts until it has run, so no
+rebuild commits inside a statement and every statement reads one
+catalog version.  A fault aborts only the ticket that hit it -- except
+power loss, which kills the device out from under everyone: every
+pending ticket is aborted and torn down, and the core is flagged for
+remount.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.session import SessionContext, SessionError
@@ -94,11 +99,13 @@ class QueryTicket:
         return self.completed_at - self.submitted_at
 
 
-@dataclass
+@dataclass(eq=False)
 class _Runner:
     ticket: QueryTicket
     session: SessionContext
     gen: object
+    #: UPDATE or DELETE: runs behind the write barrier.
+    write: bool
     deficit: float = 0.0
 
 
@@ -119,16 +126,22 @@ class Scheduler:
     more and calling ``run`` again is fine -- ticket numbering and the
     flight journal continue.
 
-    A session has one statement in flight: each round services only
-    its oldest pending ticket, so its statements run in submission
-    order, one after another.  A ticket's metrics are lease-counter
-    diffs, which a sibling ticket running in between would inflate.
+    A session has one statement in flight: each session keeps a FIFO
+    of its pending tickets, and a round visits the sessions in the order
+    of their heads' ticket indexes and services only the heads, so its
+    statements run in submission order, one after another.  A ticket's
+    metrics are lease-counter diffs, which a sibling ticket running in
+    between would inflate.  Tickets submitted before a write keep their
+    turn, so a write never overtakes an earlier read.
     """
 
     core: object
     quantum_s: float = DEFAULT_QUANTUM_S
     tickets: list[QueryTicket] = field(default_factory=list)
-    _runners: list[_Runner] = field(default_factory=list)
+    #: Session name -> its pending runners, oldest first.
+    _queues: dict[str, deque] = field(default_factory=dict)
+    #: Pending DML runners, oldest first.
+    _writes: deque = field(default_factory=deque)
 
     def submit(self, session: SessionContext, sql: str) -> QueryTicket:
         """Enqueue one statement on a leased session."""
@@ -143,7 +156,7 @@ class Scheduler:
             )
         # Parse/validate first so an unsupported statement fails at
         # submit, not mid-schedule, and takes no ticket.
-        gen = session.statement_steps(sql)
+        gen, write = session.statement_steps(sql)
         ticket = QueryTicket(
             index=len(self.tickets),
             session=session.name,
@@ -151,7 +164,10 @@ class Scheduler:
             submitted_at=self.core.device.clock.now,
         )
         self.tickets.append(ticket)
-        self._runners.append(_Runner(ticket=ticket, session=session, gen=gen))
+        runner = _Runner(ticket=ticket, session=session, gen=gen, write=write)
+        self._queues.setdefault(session.name, deque()).append(runner)
+        if write:
+            self._writes.append(runner)
         self.core.obs.flight.record(
             "sched_submit", ticket=ticket.index, session=session.name
         )
@@ -159,25 +175,56 @@ class Scheduler:
 
     @property
     def pending(self) -> int:
-        return len(self._runners)
+        return sum(len(queue) for queue in self._queues.values())
 
     def run(self) -> list[QueryTicket]:
         """Interleave every pending ticket to completion, one in flight
         per session; returns all tickets ever submitted (completed ones
         included)."""
-        while self._runners:
-            serviced = set()
-            for runner in list(self._runners):
-                if runner not in self._runners:
+        while self._queues:
+            heads = sorted(
+                self._queues.values(), key=lambda queue: queue[0].ticket.index
+            )
+            for queue in heads:
+                if not queue:
                     continue  # aborted by a power cut this round
-                if runner.ticket.session in serviced:
-                    continue  # an older ticket of its session ran
-                serviced.add(runner.ticket.session)
+                runner = queue[0]
+                if runner.ticket.started_at is None and self._held(runner):
+                    continue
                 runner.deficit += self.quantum_s
                 self._service(runner)
         return self.tickets
 
+    def abort_all(self, cause: BaseException) -> None:
+        """Power loss (or a failed serve round) killed every pending
+        statement: tear each one down, oldest first (releasing its
+        reservations into its own lease), and mark its ticket aborted."""
+        now = self.core.device.clock.now
+        pending = sorted(
+            (runner for queue in self._queues.values() for runner in queue),
+            key=lambda runner: runner.ticket.index,
+        )
+        for runner in pending:
+            try:
+                with self.core.activated(runner.session.lease):
+                    runner.gen.close()
+            except GhostDBFaultError:
+                pass  # teardown tripped the dead device again
+            self._abort(runner, cause, now)
+
     # ------------------------------------------------------------------
+
+    def _held(self, runner: _Runner) -> bool:
+        """Whether the write barrier keeps a not-yet-started head back."""
+        if not self._writes:
+            return False
+        first = self._writes[0]
+        if runner is first:
+            return any(
+                queue[0].ticket.started_at is not None
+                for queue in self._queues.values()
+            )
+        return runner.ticket.index > first.ticket.index
 
     def _service(self, runner: _Runner) -> None:
         """Step one runner until its deficit is spent or it finishes."""
@@ -202,7 +249,7 @@ class Scheduler:
             except GhostDBFaultError as exc:
                 self._abort(runner, exc, clock.now)
                 if isinstance(exc, PowerCutError):
-                    self._abort_survivors(exc, clock.now)
+                    self.abort_all(exc)
                 return
             except Exception as exc:
                 # A statement error (bad binding, unknown table...) is
@@ -218,7 +265,7 @@ class Scheduler:
         ticket = runner.ticket
         ticket.steps += 1
         ticket.completed_at = now
-        self._runners.remove(runner)
+        self._retire(runner)
         core = self.core
         core.obs.flight.record(
             "sched_done",
@@ -246,7 +293,7 @@ class Scheduler:
         ticket = runner.ticket
         ticket.error = exc
         ticket.completed_at = now
-        self._runners.remove(runner)
+        self._retire(runner)
         self.core.obs.flight.record(
             "sched_abort",
             ticket=ticket.index,
@@ -257,14 +304,12 @@ class Scheduler:
             session=ticket.session
         )
 
-    def _abort_survivors(self, cause: BaseException, now: float) -> None:
-        """Power loss (or a failed serve round) killed every in-flight
-        query: tear each one down (releasing its reservations into its
-        own lease) and mark its ticket aborted."""
-        for other in list(self._runners):
-            try:
-                with self.core.activated(other.session.lease):
-                    other.gen.close()
-            except GhostDBFaultError:
-                pass  # teardown tripped the dead device again
-            self._abort(other, cause, now)
+    def _retire(self, runner: _Runner) -> None:
+        """Drop a finished or aborted runner, its session's head."""
+        name = runner.ticket.session
+        queue = self._queues[name]
+        queue.popleft()
+        if not queue:
+            del self._queues[name]
+        if runner.write:
+            self._writes.remove(runner)

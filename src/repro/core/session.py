@@ -55,7 +55,11 @@ from repro.faults import (
     PowerCutError,
 )
 from repro.hardware.clock import SimClock
-from repro.hardware.device import DeviceCounters, SmartUsbDevice
+from repro.hardware.device import (
+    DeviceCounters,
+    SmartUsbDevice,
+    default_cache_pages,
+)
 from repro.hardware.flash import FlashStats
 from repro.hardware.pagecache import CacheStats, PageCache
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
@@ -152,10 +156,9 @@ class HardwareLease:
         self.ram = RamBudget(capacity=ram_bytes, flight=flight)
         self.flash_stats = FlashStats()
         if cache_pages is None:
-            # Same shape as the device default: a quarter of (partition)
-            # RAM, so a full-RAM lease behaves exactly like the classic
-            # single-session device.
-            cache_pages = ram_bytes // (4 * profile.page_size)
+            # The device default over the partition: a full-RAM lease
+            # behaves exactly like the classic single-session device.
+            cache_pages = default_cache_pages(ram_bytes, profile.page_size)
         self.cache = PageCache(
             budget=self.ram,
             page_size=profile.page_size,
@@ -859,22 +862,24 @@ class SessionContext:
         return Binder(self.core.tree).bind(self._parse_select(sql, "bind"))
 
     def statement_steps(self, sql: str):
-        """The statement as a step generator for the scheduler.
+        """The statement as a step generator for the scheduler, and
+        whether it writes (an UPDATE or DELETE).
 
-        Yields at every batch-window boundary (SELECT) or not at all
-        (DML runs as one atomic rebuild transaction); the result object
-        is the generator's return value.  The caller owns activation.
+        The generator yields at every batch-window boundary (SELECT) or
+        not at all (DML runs as one atomic rebuild transaction); the
+        result object is its return value.  The caller owns activation.
         Parsing happens here, so an unsupported statement fails now;
         a SELECT text the plan table knows needs no parse.
         """
         if sql in self._plans:
-            return self._steps(sql, None)
+            return self._steps(sql, None), False
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.Select, ast.Update, ast.Delete)):
             raise SessionError(
                 "the scheduler runs SELECT, UPDATE and DELETE statements"
             )
-        return self._steps(sql, statement)
+        write = not isinstance(statement, ast.Select)
+        return self._steps(sql, statement), write
 
     @staticmethod
     def _parse_select(sql: str, surface: str) -> ast.Select:

@@ -89,7 +89,6 @@ class HiddenDatabase:
         tree: SchemaTree,
         rows_by_table: dict[str, list],
         index_columns: list[tuple[str, str]] | None = None,
-        build_key_indexes: bool = True,
     ) -> "HiddenDatabase":
         """Load full rows (schema column order) and build all structures.
 
@@ -136,16 +135,14 @@ class HiddenDatabase:
                 device, tree, db.heaps, table, column, edge_cache
             )
             db.climbing[(table.lower(), column.lower())] = index
-        if build_key_indexes:
-            for table_def in tree.schema:
-                name = table_def.name.lower()
-                if name == tree.root:
-                    continue
-                index = ClimbingIndex.build(
-                    device, tree, db.heaps, name,
-                    table_def.pk.name, edge_cache,
-                )
-                db.key_indexes[name] = index
+        for table_def in tree.schema:
+            name = table_def.name.lower()
+            if name == tree.root:
+                continue
+            index = ClimbingIndex.build(
+                device, tree, db.heaps, name, table_def.pk.name, edge_cache
+            )
+            db.key_indexes[name] = index
         return db
 
     def default_index_columns(self) -> list[tuple[str, str]]:

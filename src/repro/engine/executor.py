@@ -23,7 +23,6 @@ from repro.engine.operators import (
     DeviceScanSelectOp,
     ExecContext,
     MergeIntersectOp,
-    MergeUnionOp,
     Operator,
     PlanExecutionError,
     ProjectOp,
@@ -446,10 +445,6 @@ class Executor:
         if isinstance(node, lp.MergeIntersect):
             children = [self.lower(c, ctx) for c in node.inputs]
             return MergeIntersectOp(ctx, children)
-
-        if isinstance(node, lp.MergeUnion):
-            children = [self.lower(c, ctx) for c in node.inputs]
-            return MergeUnionOp(ctx, children)
 
         if isinstance(node, lp.SktAccess):
             skt = self.db.skt_for_root(node.skt_root)

@@ -4,7 +4,7 @@ from repro.engine.operators.base import ExecContext, Operator, PlanExecutionErro
 from repro.engine.operators.climbing_select import ClimbingSelectOp
 from repro.engine.operators.visible_select import VisibleSelectOp
 from repro.engine.operators.convert import ConvertIdsOp
-from repro.engine.operators.merge import MergeIntersectOp, MergeUnionOp
+from repro.engine.operators.merge import MergeIntersectOp
 from repro.engine.operators.skt_access import SktAccessOp, SktScanOp
 from repro.engine.operators.bloom_probe import BloomProbeOp
 from repro.engine.operators.scan import DeviceScanSelectOp
@@ -18,7 +18,6 @@ __all__ = [
     "DeviceScanSelectOp",
     "ExecContext",
     "MergeIntersectOp",
-    "MergeUnionOp",
     "Operator",
     "PlanExecutionError",
     "ProjectOp",

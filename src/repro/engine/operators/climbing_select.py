@@ -79,7 +79,6 @@ class ClimbingSelectOp(Operator):
             factories,
             label=f"{self.index.table}.{self.index.column}",
             fan_in=fan_in,
-            dedup=True,
         )
 
     def _produce_batches(self, cap: int):

@@ -67,7 +67,6 @@ class ConvertIdsOp(Operator):
             factories,
             label=f"convert:{self.key_index.table}",
             fan_in=fan_in,
-            dedup=True,
         )
 
     def _produce_batches(self, cap: int):

@@ -1,9 +1,11 @@
-"""Sorted-ID merge operators: streaming intersection and union.
+"""Sorted-ID merge operator: streaming intersection.
 
 The core RAM trick of the paper: every predicate arm yields IDs of the
 same table in sorted order, so a conjunction is a multi-way merge that
 holds one cursor per arm -- "merging all these PreID lists" costs O(1)
-working memory per input regardless of list length.
+working memory per input regardless of list length.  Unions of sorted
+ID streams (ranges, IN lists, ID conversion) are
+:func:`~repro.index.posting.merge_posting_streams`.
 """
 
 from __future__ import annotations
@@ -56,44 +58,3 @@ class MergeIntersectOp(Operator):
                     if value is _SENTINEL:
                         return
                     currents[i] = value
-
-
-class MergeUnionOp(Operator):
-    """Deduplicating union of k sorted ID streams."""
-
-    name = "merge-union"
-
-    def __init__(self, ctx: ExecContext, children: list[Operator]):
-        if not children:
-            raise PlanExecutionError("union needs at least 1 input")
-        super().__init__(
-            ctx, detail=f"{len(children)} inputs", children=children
-        )
-        self.stats.attrs["inputs"] = len(children)
-
-    def _produce(self):
-        import heapq
-
-        # The heap advances one arm at a time but always drains every
-        # arm completely, so batch windows (which run a pulled arm up to
-        # ``exec_batch`` items ahead) never over-produce here -- the
-        # arms keep their own attribution and the per-item pulls are
-        # served from the window buffer.
-        streams = [child.rows() for child in self.children]
-        heap = []
-        for idx, stream in enumerate(streams):
-            value = next(stream, _SENTINEL)
-            if value is not _SENTINEL:
-                heap.append((value, idx))
-        heapq.heapify(heap)
-        chip = self.ctx.device.chip
-        last = _SENTINEL
-        while heap:
-            value, idx = heapq.heappop(heap)
-            chip.charge("merge_step")
-            if value != last:
-                yield value
-                last = value
-            nxt = next(streams[idx], _SENTINEL)
-            if nxt is not _SENTINEL:
-                heapq.heappush(heap, (nxt, idx))

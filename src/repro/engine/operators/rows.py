@@ -14,7 +14,7 @@ from repro.engine.operators.base import ExecContext, Operator, PlanExecutionErro
 from repro.hardware.ram import RamExhaustedError
 from repro.storage.pagestore import PageReader
 from repro.storage.record import RecordCodec
-from repro.storage.runs import external_merge, make_runs
+from repro.storage.runs import make_runs, merge_runs
 
 #: Modeled per-group bookkeeping overhead (hash bucket + accumulators).
 GROUP_ENTRY_OVERHEAD = 48
@@ -172,50 +172,26 @@ class AggregateOp(Operator):
         yield from self._sorted_aggregate()
 
     def _sorted_aggregate(self):
-        device = self.ctx.device
         codec = RecordCodec(self.input_dtypes)
         key_slices = [codec.field_slice(i) for i in self.group_indexes]
 
         def sort_key(raw: bytes) -> bytes:
             return b"".join(raw[off : off + width] for off, width in key_slices)
 
-        fresh = self.child.rows()
-        sort_buffer = max(
-            codec.width * 4,
-            min(device.ram.soft_available // 2, 8 * device.profile.page_size),
-        )
-        runs = make_runs(
-            device,
-            (codec.encode(row) for row in fresh),
-            codec.width,
-            key=sort_key,
-            sort_buffer_bytes=sort_buffer,
-            label="aggregate-spill",
-        )
-        merged = external_merge(
-            device, runs, key=sort_key, label="aggregate-spill",
-            fan_in=self.ctx.fan_in(),
-        )
         current_key = None
         acc = None
-        try:
-            with PageReader(device, merged, "aggregate-read") as reader:
-                for raw in reader.scan():
-                    row = codec.decode(raw)
-                    device.chip.charge("decode_field", len(row))
-                    key = tuple(row[i] for i in self.group_indexes)
-                    if key != current_key:
-                        if acc is not None and self._passes_having(
-                            current_key, acc
-                        ):
-                            yield self._emit(current_key, acc)
-                        current_key = key
-                        acc = _Accumulator(len(self.aggregates))
-                    acc.feed(self.aggregates, row)
+        for row in _external_sort(
+            self, self.child.rows(), codec, sort_key, "aggregate-spill"
+        ):
+            key = tuple(row[i] for i in self.group_indexes)
+            if key != current_key:
                 if acc is not None and self._passes_having(current_key, acc):
                     yield self._emit(current_key, acc)
-        finally:
-            merged.free(device.ftl)
+                current_key = key
+                acc = _Accumulator(len(self.aggregates))
+            acc.feed(self.aggregates, row)
+        if acc is not None and self._passes_having(current_key, acc):
+            yield self._emit(current_key, acc)
 
 
 class OrderByOp(Operator):
@@ -243,7 +219,6 @@ class OrderByOp(Operator):
         self.row_dtypes = row_dtypes
 
     def _produce(self):
-        device = self.ctx.device
         codec = RecordCodec(self.row_dtypes)
         slices = [
             (codec.field_slice(i), ascending) for i, ascending in self.keys
@@ -258,30 +233,43 @@ class OrderByOp(Operator):
                 parts.append(chunk)
             return b"".join(parts)
 
-        sort_buffer = max(
-            codec.width * 4,
-            min(device.ram.soft_available // 2, 8 * device.profile.page_size),
+        yield from _external_sort(
+            self, self.child.rows(), codec, sort_key, "order-by"
         )
-        self.reserve(sort_buffer)
-        runs = make_runs(
-            device,
-            (codec.encode(row) for row in self.child.rows()),
-            codec.width,
-            key=sort_key,
-            sort_buffer_bytes=sort_buffer,
-            label="order-by",
-        )
-        merged = external_merge(
-            device, runs, key=sort_key, label="order-by",
-            fan_in=self.ctx.fan_in(),
-        )
-        try:
-            with PageReader(device, merged, "order-by-read") as reader:
+
+
+def _external_sort(op: Operator, rows, codec: RecordCodec, sort_key, label):
+    """Value rows in ``sort_key`` order of their encodings, through flash.
+
+    Sorted runs fill a RAM-budgeted sort buffer (declared as ``op``'s
+    reservation), :func:`~repro.storage.runs.merge_runs` merges them down
+    to one run at the fan-in free RAM affords, and the run is read back
+    and decoded row by row, then freed.
+    """
+    device = op.ctx.device
+    sort_buffer = max(
+        codec.width * 4,
+        min(device.ram.soft_available // 2, 8 * device.profile.page_size),
+    )
+    op.reserve(sort_buffer)
+    runs = make_runs(
+        device,
+        (codec.encode(row) for row in rows),
+        codec.width,
+        key=sort_key,
+        sort_buffer_bytes=sort_buffer,
+        label=label,
+    )
+    runs = merge_runs(device, runs, label, op.ctx.fan_in(), key=sort_key)
+    try:
+        for run in runs:
+            with PageReader(device, run, f"{op.name}-read") as reader:
                 for raw in reader.scan():
                     device.chip.charge("decode_field", codec.arity)
                     yield codec.decode(raw)
-        finally:
-            merged.free(device.ftl)
+    finally:
+        for run in runs:
+            run.free(device.ftl)
 
 
 class LimitOp(Operator):

@@ -163,31 +163,6 @@ class MergeIntersect(PlanNode):
         return self.inputs[0].output_table
 
 
-@dataclass
-class MergeUnion(PlanNode):
-    """Streaming deduplicating union of same-table sorted ID streams."""
-
-    inputs: list[PlanNode]
-
-    def __post_init__(self):
-        tables = {c.output_table for c in self.inputs}
-        if None in tables or len(tables) != 1:
-            raise PlanError(
-                f"MergeUnion inputs must be ID streams of one table, "
-                f"got {tables}"
-            )
-
-    def children(self) -> list[PlanNode]:
-        return list(self.inputs)
-
-    def label(self) -> str:
-        return f"MergeUnion[{len(self.inputs)} inputs]"
-
-    @property
-    def output_table(self) -> str:
-        return self.inputs[0].output_table
-
-
 # ----------------------------------------------------------------------
 # Tuple-stream nodes
 # ----------------------------------------------------------------------

@@ -21,14 +21,14 @@ from repro.hardware.ram import RamBudget
 from repro.hardware.usb import UsbChannel
 
 
-def default_cache_pages(profile: HardwareProfile) -> int:
-    """Default buffer-pool bound: a quarter of RAM, in pages.
+def default_cache_pages(ram_bytes: int, page_size: int) -> int:
+    """Default buffer-pool bound: a quarter of ``ram_bytes``, in pages.
 
     Generous enough that intra-query re-reads (SKT pages, posting
     extents) hit, small enough that firm operator reservations rarely
     need to shed it -- and shedding is cheap anyway (clean pages only).
     """
-    return profile.ram_bytes // (4 * profile.page_size)
+    return ram_bytes // (4 * page_size)
 
 
 @dataclass
@@ -68,7 +68,9 @@ class SmartUsbDevice:
             profile=profile, clock=self.clock, metrics=metrics
         )
         if cache_pages is None:
-            cache_pages = default_cache_pages(profile)
+            cache_pages = default_cache_pages(
+                profile.ram_bytes, profile.page_size
+            )
         self.page_cache = PageCache(
             budget=self.ram,
             page_size=profile.page_size,

@@ -280,20 +280,6 @@ class CostModel:
         est.cpu_s += self._cpu("merge_step", total_in)
         return est
 
-    def _est_MergeUnion(self, node: lp.MergeUnion) -> CostEstimate:
-        est = CostEstimate()
-        table_rows = max(1.0, float(self.stats.row_count(node.output_table)))
-        miss = 1.0
-        total_in = 0.0
-        for child in node.inputs:
-            c = self.estimate(child)
-            est.absorb(c)
-            miss *= max(0.0, 1.0 - c.out_count / table_rows)
-            total_in += c.out_count
-        est.out_count = (1.0 - miss) * table_rows
-        est.cpu_s += self._cpu("merge_step", total_in)
-        return est
-
     def _est_SktAccess(self, node: lp.SktAccess) -> CostEstimate:
         skt = self.db.skt_for_root(node.skt_root)
         rows_per_page = skt.extent.slots_per_page

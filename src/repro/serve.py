@@ -143,9 +143,7 @@ class GhostDBServer:
                 # A dead pump would leave every client blocked in call():
                 # tear down the round's queries and answer the rest.
                 log.exception("serve round failed")
-                self.scheduler._abort_survivors(
-                    exc, self.db.core.device.clock.now
-                )
+                self.scheduler.abort_all(exc)
                 for command in batch:
                     if not command.done.is_set():
                         command.resolve(_error(

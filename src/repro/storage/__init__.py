@@ -24,7 +24,7 @@ from repro.storage.types import (
 from repro.storage.record import RecordCodec
 from repro.storage.pagestore import Extent, PageReader, PageWriter
 from repro.storage.heap import HeapTable
-from repro.storage.runs import RunMerger, external_merge
+from repro.storage.runs import merge_runs, merge_sorted
 
 __all__ = [
     "CharType",
@@ -37,10 +37,10 @@ __all__ = [
     "PageReader",
     "PageWriter",
     "RecordCodec",
-    "RunMerger",
     "TypeError_",
     "date_to_days",
     "days_to_date",
-    "external_merge",
+    "merge_runs",
+    "merge_sorted",
     "type_from_sql",
 ]

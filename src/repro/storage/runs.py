@@ -1,4 +1,4 @@
-"""Sorted runs and external merging under the RAM budget.
+"""Sorted runs and the one k-way merge under the RAM budget.
 
 Several pieces of GhostDB need to sort or merge more data than fits in the
 secure chip's RAM: sorting and grouping value rows, converting a long
@@ -12,9 +12,11 @@ Post-filtering strategy exists to avoid.
 A *run* is an :class:`~repro.storage.pagestore.Extent` of fixed-width
 records in non-decreasing key order, where the key is a byte slice of
 the record (all codecs in :mod:`repro.storage.types` are
-order-preserving, so byte order == value order).  :func:`make_runs` and
-:meth:`RunMerger.merge` own the runs they hold: when a step raises,
-every run not yet freed is freed before the error propagates.
+order-preserving, so byte order == value order).  :func:`merge_sorted`
+is the only merge loop on the device; :func:`merge_runs` is the one
+multi-pass ladder over runs.  :func:`make_runs` and :func:`merge_runs`
+own the runs they hold: when a step raises, every run not yet freed is
+freed before the error propagates.
 """
 
 from __future__ import annotations
@@ -24,6 +26,31 @@ from contextlib import ExitStack
 
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.pagestore import Extent, PageReader, PageWriter
+
+_NOTHING = object()
+
+
+def merge_sorted(chip, streams, key=None, dedup=False):
+    """K-way merge of sorted ``streams``, optionally deduplicated.
+
+    The charge-order contract every merge on the device keeps: one
+    ``merge_step`` per item taken off the merge front, ties broken by
+    stream order, and a stream advanced only after its item was taken
+    (and consumed downstream).  Every stream yields its first item in
+    stream order on the first pull.  ``key`` maps an item to its sort
+    key; with ``dedup`` an item whose key equals the previous item's is
+    charged but not yielded.
+    """
+    charge = chip.charge
+    last = _NOTHING
+    for item in heapq.merge(*streams, key=key):
+        charge("merge_step")
+        if dedup:
+            current = item if key is None else key(item)
+            if current == last:
+                continue
+            last = current
+        yield item
 
 
 def make_runs(
@@ -72,107 +99,56 @@ def make_runs(
     return runs
 
 
-class RunMerger:
-    """K-way merges sorted runs within a fan-in limit (multi-pass)."""
-
-    def __init__(
-        self,
-        device: SmartUsbDevice,
-        key,
-        label: str,
-        fan_in: int | None = None,
-        dedup: bool = False,
-    ):
-        self.device = device
-        self.key = key
-        self.label = label
-        self.dedup = dedup
-        if fan_in is None:
-            # One page buffer per input plus one for the output, inside
-            # whatever RAM remains.
-            page = device.profile.page_size
-            fan_in = max(2, device.ram.soft_available // page - 1)
-        if fan_in < 2:
-            raise ValueError("merge fan-in must be at least 2")
-        self.fan_in = fan_in
-        #: Number of merge passes the last :meth:`merge` call performed.
-        self.passes = 0
-
-    def merge(self, runs: list[Extent]) -> Extent:
-        """Merge ``runs`` into a single sorted run, multi-pass if needed.
-
-        The input runs are consumed: each is freed once merged, and on
-        failure every input and intermediate run still held is freed.
-        """
-        ftl = self.device.ftl
-        if not runs:
-            return PageWriter(self.device, 1, f"merge:{self.label}").close()
-        self.passes = 0
-        next_level: list[Extent] = []
-        try:
-            if len(runs) == 1 and self.dedup:
-                # A lone run still needs its duplicates squeezed out.
-                merged = self._merge_group(runs)
-                runs[0].free(ftl)
-                return merged
-            while len(runs) > 1:
-                self.passes += 1
-                next_level = []
-                for start in range(0, len(runs), self.fan_in):
-                    group = runs[start : start + self.fan_in]
-                    if len(group) == 1:
-                        next_level.append(group[0])
-                        continue
-                    merged = self._merge_group(group)
-                    for run in group:
-                        run.free(ftl)
-                    next_level.append(merged)
-                runs = next_level
-        except BaseException:
-            for run in (*runs, *next_level):
-                run.free(ftl)
-            raise
-        return runs[0]
-
-    def _merge_group(self, group: list[Extent]) -> Extent:
-        width = group[0].record_width
-        with ExitStack() as stack:
-            readers = [
-                stack.enter_context(
-                    PageReader(self.device, run, f"merge-in:{self.label}")
-                )
-                for run in group
-            ]
-            writer = stack.enter_context(
-                PageWriter(self.device, width, f"merge-out:{self.label}")
-            )
-            streams = [r.scan() for r in readers]
-            heap = []
-            for idx, stream in enumerate(streams):
-                raw = next(stream, None)
-                if raw is not None:
-                    heapq.heappush(heap, (self.key(raw), idx, raw))
-            last_key = None
-            while heap:
-                k, idx, raw = heapq.heappop(heap)
-                self.device.chip.charge("merge_step")
-                if not (self.dedup and k == last_key):
-                    writer.append(raw)
-                    last_key = k
-                nxt = next(streams[idx], None)
-                if nxt is not None:
-                    heapq.heappush(heap, (self.key(nxt), idx, nxt))
-        return writer.extent
-
-
-def external_merge(
+def merge_runs(
     device: SmartUsbDevice,
     runs: list[Extent],
-    key,
     label: str,
-    fan_in: int | None = None,
+    fan_in: int,
+    key=None,
     dedup: bool = False,
-) -> Extent:
-    """Convenience wrapper: merge ``runs`` into one sorted run."""
-    merger = RunMerger(device, key, label, fan_in=fan_in, dedup=dedup)
-    return merger.merge(runs)
+    until: int = 1,
+) -> list[Extent]:
+    """Merge ``runs`` ``fan_in`` at a time, pass after pass, until at
+    most ``until`` runs remain; returns them in order.
+
+    Each pass merges consecutive groups of ``fan_in`` runs into one run
+    on flash (a lone trailing run passes through).  The input runs are
+    consumed: each is freed once merged, and on failure every input and
+    intermediate run still held is freed.
+    """
+    if fan_in < 2:
+        raise ValueError("merge fan-in must be at least 2")
+    ftl = device.ftl
+    level: list[Extent] = []
+    try:
+        while len(runs) > until:
+            level = []
+            for start in range(0, len(runs), fan_in):
+                group = runs[start : start + fan_in]
+                if len(group) > 1:
+                    merged = _merge_group(device, group, label, key, dedup)
+                    for run in group:
+                        run.free(ftl)
+                    group = [merged]
+                level.extend(group)
+            runs = level
+    except BaseException:
+        for run in (*runs, *level):
+            run.free(ftl)
+        raise
+    return runs
+
+
+def _merge_group(device, group: list[Extent], label: str, key, dedup) -> Extent:
+    with ExitStack() as stack:
+        readers = [
+            stack.enter_context(PageReader(device, run, f"merge-in:{label}"))
+            for run in group
+        ]
+        writer = stack.enter_context(
+            PageWriter(device, group[0].record_width, f"merge-out:{label}")
+        )
+        streams = [reader.scan() for reader in readers]
+        for raw in merge_sorted(device.chip, streams, key, dedup):
+            writer.append(raw)
+    return writer.extent

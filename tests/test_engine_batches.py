@@ -24,7 +24,6 @@ from repro.engine.operators import (
     DeviceScanSelectOp,
     ExecContext,
     MergeIntersectOp,
-    MergeUnionOp,
     Operator,
     PlanExecutionError,
     ProjectOp,
@@ -127,7 +126,7 @@ TUPLE_STREAM_OPERATORS = (
 #: only producer is per item.
 PER_ITEM_OPERATORS = (
     ClimbingSelectOp, VisibleSelectOp, DeviceScanSelectOp, ConvertIdsOp,
-    MergeIntersectOp, MergeUnionOp, ProjectOp, AggregateOp, OrderByOp,
+    MergeIntersectOp, ProjectOp, AggregateOp, OrderByOp,
     LimitOp,
 )
 

@@ -8,7 +8,6 @@ from repro.engine.operators import (
     DeviceScanSelectOp,
     ExecContext,
     MergeIntersectOp,
-    MergeUnionOp,
     Operator,
     PlanExecutionError,
     StoreOp,
@@ -92,31 +91,6 @@ class TestMergeIntersect:
         )
         expected = sorted(set.intersection(*sets)) if sets else []
         assert list(op.rows()) == expected
-
-
-class TestMergeUnion:
-    def test_basic_with_dedup(self, ctx):
-        op = MergeUnionOp(
-            ctx,
-            [ListSource(ctx, [1, 3, 5]), ListSource(ctx, [2, 3, 6])],
-        )
-        assert list(op.rows()) == [1, 2, 3, 5, 6]
-
-    def test_single_input(self, ctx):
-        op = MergeUnionOp(ctx, [ListSource(ctx, [4, 5])])
-        assert list(op.rows()) == [4, 5]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.sets(st.integers(0, 60), max_size=40),
-            min_size=1, max_size=5,
-        )
-    )
-    def test_union_property(self, sets):
-        ctx = bare_context()
-        op = MergeUnionOp(ctx, [ListSource(ctx, sorted(s)) for s in sets])
-        assert list(op.rows()) == sorted(set.union(*sets))
 
 
 class TestStore:

@@ -45,11 +45,11 @@ class TestStreamKindValidation:
         with pytest.raises(lp.PlanError, match="tuple-stream"):
             lp.Store(select)
 
-    def test_merge_union_same_table(self, bound):
+    def test_merge_intersect_same_table(self, bound):
         a = lp.ClimbingSelect(hidden_pred(bound), target_table="visit")
         b = lp.ClimbingSelect(hidden_pred(bound), target_table="prescription")
         with pytest.raises(lp.PlanError, match="one table"):
-            lp.MergeUnion([a, b])
+            lp.MergeIntersect([a, b])
 
 
 class TestRowNodeValidation:

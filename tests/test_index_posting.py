@@ -126,13 +126,6 @@ class TestMergePostingStreams:
         out = list(merge_posting_streams(device, factories, "t", fan_in=8))
         assert out == [1, 2, 3, 4]
 
-    def test_dedup_disabled(self, device):
-        factories = self.factories_for(device, [[1, 2], [2, 3]])
-        out = list(
-            merge_posting_streams(device, factories, "t", fan_in=8, dedup=False)
-        )
-        assert out == [1, 2, 2, 3]
-
     def test_fan_in_overflow_spills_to_flash(self, device):
         lists = [[i, i + 100] for i in range(20)]
         factories = self.factories_for(device, lists)

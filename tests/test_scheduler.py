@@ -15,7 +15,6 @@ from repro.core.ghostdb import GhostDB, SessionConfig, SessionError
 from repro.core.scheduler import Scheduler, jain_index
 from repro.engine.executor import ExecConfig
 from repro.faults import PowerCutError
-from repro.storage.pagestore import ExtentFreedError
 from tests.test_sessions import STATEMENTS, build_db
 
 
@@ -150,8 +149,32 @@ def test_dml_is_one_atomic_step():
 
 
 # ---------------------------------------------------------------------------
-# DML committing under an in-flight scan.
+# The write barrier: DML waits for the statements in flight.
 # ---------------------------------------------------------------------------
+
+
+def _scan_then_write(sql: str, operator: str, write_sql: str):
+    """A windowed scan, then another session's write, submitted before
+    one ``run()``: the rows before, the two tickets, the rows after."""
+    db = build_db()
+    assert operator in db.explain(sql)
+    before = sorted(db.query(sql).rows)
+    reader = db.open_session("reader", config=WINDOWED)
+    writer = db.open_session("writer")
+    # A quantum shorter than any step: the sessions would alternate per
+    # window if the write did not wait.
+    sched = Scheduler(db.core, quantum_s=1e-9)
+    scan = sched.submit(reader, sql)
+    write = sched.submit(writer, write_sql)
+    sched.run()
+    after = sorted(db.query(sql).rows)
+    assert write.error is None and write.result.changed > 0
+    assert before != after
+    # The scan was preempted many times, and the write started only
+    # once it had finished.
+    assert 1 < scan.steps and scan.completed_at <= write.started_at
+    assert reader.lease.firm_ram_used == 0
+    return before, scan
 
 
 @pytest.mark.parametrize(
@@ -169,30 +192,63 @@ def test_dml_is_one_atomic_step():
 def test_scan_under_committed_delete_never_returns_a_truncated_set(
     sql, operator
 ):
-    """A DELETE's rebuild frees the extents a scan in flight is reading:
-    the scan's ticket fails with a typed error or returns every row,
-    never the rows read before the free."""
-    db = build_db()
-    assert operator in db.explain(sql)
-    before = sorted(db.query(sql).rows)
-    reader = db.open_session("reader", config=WINDOWED)
-    writer = db.open_session("writer")
-    # A quantum shorter than any step: the sessions alternate per window.
-    sched = Scheduler(db.core, quantum_s=1e-9)
-    scan = sched.submit(reader, sql)
-    delete = sched.submit(writer, "DELETE FROM Prescription WHERE Quantity = 9")
-    sched.run()
-    after = sorted(db.query(sql).rows)
+    """A DELETE's rebuild frees the extents a scan reads, so it waits
+    for the scan in flight: the scan returns exactly the rows it
+    started on, with no error, and the DELETE commits after it."""
+    before, scan = _scan_then_write(
+        sql, operator, "DELETE FROM Prescription WHERE Quantity = 9"
+    )
+    assert scan.error is None
+    assert sorted(scan.result.rows) == before
 
-    assert delete.error is None and delete.result.changed > 0
-    assert before != after
-    # The DELETE committed while the scan was still in flight.
-    assert 1 < scan.steps and delete.completed_at <= scan.completed_at
-    if scan.error is None:
-        assert sorted(scan.result.rows) in (before, after)
-    else:
-        assert isinstance(scan.error, ExtentFreedError), scan.error
-    assert reader.lease.firm_ram_used == 0
+
+@pytest.mark.parametrize(
+    "sql, operator",
+    [
+        (
+            "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre",
+            "DeviceScanSelect",
+        ),
+        (
+            "SELECT Pre.PreID, Pre.Quantity, Vis.VisID "
+            "FROM Prescription Pre, Visit Vis WHERE Pre.VisID = Vis.VisID",
+            "SktAccess[SKT_prescription, full scan]",
+        ),
+    ],
+    ids=["device-scan", "skt-scan"],
+)
+def test_scan_under_committed_update_returns_the_rows_it_started_on(
+    sql, operator
+):
+    """An UPDATE rewrites the heap the scan projects from: it waits too,
+    and the scan sees none of its new values."""
+    before, scan = _scan_then_write(
+        sql, operator, "UPDATE Prescription SET Quantity = 8 WHERE Quantity = 9"
+    )
+    assert scan.error is None
+    assert sorted(scan.result.rows) == before
+
+
+def test_statements_after_a_write_wait_for_it():
+    """A read submitted after a pending write starts only once the write
+    has run; a read submitted before it keeps its turn."""
+    db = build_db()
+    sql = "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre"
+    first, writer, last = (
+        db.open_session(name, config=WINDOWED)
+        for name in ("first", "writer", "last")
+    )
+    sched = Scheduler(db.core, quantum_s=1e-9)
+    early = sched.submit(first, sql)
+    write = sched.submit(
+        writer, "UPDATE Prescription SET Quantity = 8 WHERE Quantity = 9"
+    )
+    late = sched.submit(last, sql)
+    sched.run()
+    assert early.completed_at <= write.started_at
+    assert write.completed_at <= late.started_at
+    assert sorted(early.result.rows) != sorted(late.result.rows)
+    assert sorted(late.result.rows) == sorted(db.query(sql).rows)
 
 
 # ---------------------------------------------------------------------------

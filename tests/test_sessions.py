@@ -215,9 +215,10 @@ def test_aborted_query_releases_full_partition():
     )
     # A full projection scan: hundreds of one-tuple windows, so the
     # generator is guaranteed to still be mid-flight after a few steps.
-    gen = ctx.statement_steps(
+    gen, write = ctx.statement_steps(
         "SELECT Pre.Quantity, Pre.Frequency FROM Prescription Pre"
     )
+    assert not write
     with db.core.activated(ctx.lease):
         for _ in range(3):
             next(gen)

@@ -1,4 +1,4 @@
-"""External sorting and bounded-fan-in merging."""
+"""External sorting, bounded-fan-in merging and the one k-way merge."""
 
 import struct
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.pagestore import PageReader, PageWriter
-from repro.storage.runs import RunMerger, external_merge, make_runs
+from repro.storage.runs import make_runs, merge_runs, merge_sorted
 
 _PACK = struct.Struct(">I")
 
@@ -58,7 +58,7 @@ def test_external_merge_single_pass(device):
         pack_all([9, 1, 5, 3, 7, 2, 8, 4, 6, 0]),
         4, key=lambda r: r, sort_buffer_bytes=12, label="t",
     )
-    merged = external_merge(device, runs, key=lambda r: r, label="t", fan_in=8)
+    [merged] = merge_runs(device, runs, "t", 8, key=lambda r: r)
     assert unpack_run(device, merged) == list(range(10))
 
 
@@ -70,33 +70,54 @@ def test_external_merge_multi_pass(device):
         key=lambda r: r, sort_buffer_bytes=8, label="t",  # 2 records/run
     )
     assert len(runs) == 100
-    merger = RunMerger(device, key=lambda r: r, label="t", fan_in=3)
     writes_before = device.flash.stats.page_writes
-    merged = merger.merge(runs)
-    assert merger.passes > 1
-    assert device.flash.stats.page_writes > writes_before
+    # One pass merges 33 groups of three and passes the lone last run
+    # through; every merged run fits one page.
+    level = merge_runs(device, runs, "t", 3, key=lambda r: r, until=99)
+    assert len(level) == 34
+    assert device.flash.stats.page_writes - writes_before == 33
+    # Four more passes (34 -> 12 -> 4 -> 2 -> 1) merge 11 + 4 + 1 + 1
+    # groups, each written to flash again.
+    [merged] = merge_runs(device, level, "t", 3, key=lambda r: r)
+    assert device.flash.stats.page_writes - writes_before == 33 + 17
     assert unpack_run(device, merged) == sorted(values)
 
 
-def test_merge_with_dedup(device):
+def test_merge_stops_at_until(device):
+    """A ladder asked for ``until`` runs stops as soon as it has that
+    many or fewer, and hands over fewer than ``until`` untouched."""
     runs = make_runs(
-        device, pack_all([1, 1, 2, 3, 3, 3, 4]), 4,
-        key=lambda r: r, sort_buffer_bytes=100, label="t",
+        device, pack_all(range(40, 0, -1)), 4,
+        key=lambda r: r, sort_buffer_bytes=8, label="t",
     )
-    merged = external_merge(
-        device, runs, key=lambda r: r, label="t", fan_in=4, dedup=True
+    assert len(runs) == 20
+    level = merge_runs(device, runs, "t", 4, key=lambda r: r, until=4)
+    assert len(level) == 2  # 20 -> 5 -> 2
+    assert merge_runs(device, level, "t", 4, until=4) == level
+    merged = [unpack_run(device, run) for run in level]
+    assert sorted(merged[0] + merged[1]) == list(range(1, 41))
+
+
+def test_merge_with_dedup(device):
+    """Duplicates inside a run and across runs are dropped, over a
+    multi-pass ladder."""
+    runs = make_runs(
+        device, pack_all([3, 1, 1, 2, 3, 3, 4, 2, 1, 4, 4, 5]), 4,
+        key=lambda r: r, sort_buffer_bytes=8, label="t",
     )
-    assert unpack_run(device, merged) == [1, 2, 3, 4]
+    assert len(runs) == 6
+    [merged] = merge_runs(device, runs, "t", 2, dedup=True)
+    assert unpack_run(device, merged) == [1, 2, 3, 4, 5]
 
 
 def test_merge_empty_input(device):
-    merged = external_merge(device, [], key=lambda r: r, label="t", fan_in=4)
-    assert merged.count == 0
+    assert merge_runs(device, [], "t", 4, key=lambda r: r) == []
+    assert device.ram.used == 0
 
 
 def test_fan_in_below_two_rejected(device):
     with pytest.raises(ValueError, match="fan-in"):
-        RunMerger(device, key=lambda r: r, label="t", fan_in=1)
+        merge_runs(device, [], "t", 1)
 
 
 def test_merge_frees_input_runs(device):
@@ -105,7 +126,7 @@ def test_merge_frees_input_runs(device):
         key=lambda r: r, sort_buffer_bytes=40, label="t",
     )
     mapped_with_runs = device.ftl.mapped_pages
-    external_merge(device, runs, key=lambda r: r, label="t", fan_in=2)
+    merge_runs(device, runs, "t", 2, key=lambda r: r)
     # Inputs were freed; only the final run remains (plus other state).
     assert device.ftl.mapped_pages < mapped_with_runs + len(runs)
 
@@ -161,7 +182,7 @@ def test_failed_merge_frees_inputs_and_intermediates(device, monkeypatch):
 
     monkeypatch.setattr(device.ftl, "write", refuse_third)
     with pytest.raises(DeviceReadOnlyError):
-        external_merge(device, runs, key=lambda r: r, label="t", fan_in=2)
+        merge_runs(device, runs, "t", 2, key=lambda r: r)
     assert device.ftl.mapped_pages == 0
     assert device.ram.used - device.ram.reclaimable_used == 0
 
@@ -178,7 +199,67 @@ def test_external_sort_property(values, fan_in):
         device, pack_all(values), 4,
         key=lambda r: r, sort_buffer_bytes=64, label="p",
     )
-    merged = external_merge(
-        device, runs, key=lambda r: r, label="p", fan_in=fan_in
+    merged = merge_runs(device, runs, "p", fan_in, key=lambda r: r)
+    assert [v for run in merged for v in unpack_run(device, run)] == sorted(
+        values
     )
-    assert unpack_run(device, merged) == sorted(values)
+
+
+# ---------------------------------------------------------------------------
+# merge_sorted: the one merge loop.
+# ---------------------------------------------------------------------------
+
+
+class _CountingChip:
+    """Stands in for the secure chip: counts each charge by primitive."""
+
+    def __init__(self):
+        self.ops: dict[str, int] = {}
+
+    def charge(self, op: str, count: int = 1) -> None:
+        self.ops[op] = self.ops.get(op, 0) + count
+
+
+def _merged(lists, **kwargs):
+    chip = _CountingChip()
+    out = list(merge_sorted(chip, [iter(x) for x in lists], **kwargs))
+    return out, chip.ops.get("merge_step", 0)
+
+
+def test_merge_sorted_union_with_dedup():
+    out, steps = _merged([[1, 3, 5], [2, 3, 6]], dedup=True)
+    assert out == [1, 2, 3, 5, 6]
+    assert steps == 6  # every item taken is charged, duplicates too
+
+
+def test_merge_sorted_single_stream():
+    assert _merged([[4, 5]], dedup=True) == ([4, 5], 2)
+
+
+def test_merge_sorted_keeps_duplicates_without_dedup():
+    assert _merged([[1, 2], [2, 3]]) == ([1, 2, 2, 3], 4)
+
+
+def test_merge_sorted_key_breaks_ties_by_stream_order():
+    """Equal keys come out in stream order; with dedup the first
+    stream's item is the one kept."""
+    lists = [[(1, "a"), (2, "a")], [(1, "b"), (2, "b")], [(2, "c")]]
+    out, _ = _merged(lists, key=lambda item: item[0])
+    assert out == [(1, "a"), (1, "b"), (2, "a"), (2, "b"), (2, "c")]
+    out, steps = _merged(lists, key=lambda item: item[0], dedup=True)
+    assert (out, steps) == ([(1, "a"), (2, "a")], 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(0, 60), max_size=40),
+        min_size=1, max_size=5,
+    )
+)
+def test_merge_sorted_union_property(sets):
+    """Property: a deduplicating merge of sorted sets is their sorted
+    union, charged one merge step per input item."""
+    out, steps = _merged([sorted(s) for s in sets], dedup=True)
+    assert out == sorted(set.union(*sets))
+    assert steps == sum(len(s) for s in sets)
