@@ -137,54 +137,46 @@ class TableStats:
 
 
 class StatisticsCollector:
-    """Single-pass stats builder: feed rows, then :meth:`finish`."""
+    """Single-pass stats builder: feed rows, then :meth:`finish`.
+
+    A pass keeps only each column's value counts; :meth:`finish` takes
+    min and max from the distinct values, which gives the bounds a
+    running comparison of every value would.
+    """
 
     def __init__(self, table: str, column_names: list[str]):
         self.table = table
         self.names = [n.lower() for n in column_names]
         self._counts: list[dict] = [{} for _ in column_names]
-        self._minmax: list[tuple | None] = [None] * len(column_names)
         self._row_count = 0
 
     def add(self, row) -> None:
         self._row_count += 1
-        for i, value in enumerate(row):
-            mm = self._minmax[i]
-            if mm is None:
-                self._minmax[i] = (value, value)
-            else:
-                lo, hi = mm
-                if value < lo:
-                    lo = value
-                if value > hi:
-                    hi = value
-                self._minmax[i] = (lo, hi)
-            counts = self._counts[i]
+        for counts, value in zip(self._counts, row):
             counts[value] = counts.get(value, 0) + 1
 
     def finish(self) -> TableStats:
         stats = TableStats(table=self.table, row_count=self._row_count)
-        for i, name in enumerate(self.names):
-            counts = self._counts[i]
-            mm = self._minmax[i]
+        for name, counts in zip(self.names, self._counts):
+            lo, hi = (min(counts), max(counts)) if counts else (None, None)
             col = ColumnStats(
                 column=name,
                 row_count=self._row_count,
                 n_distinct=len(counts),
-                min_value=mm[0] if mm else None,
-                max_value=mm[1] if mm else None,
+                min_value=lo,
+                max_value=hi,
             )
             if len(counts) <= EXACT_THRESHOLD:
                 col.frequencies = dict(counts)
             else:
-                col.histogram = self._build_histogram(counts, mm)
+                col.histogram = self._build_histogram(counts, lo, hi)
             stats.columns[name] = col
         return stats
 
     @staticmethod
-    def _build_histogram(counts: dict, mm: tuple) -> list[int]:
-        lo = _as_number(mm[0])
-        hi = _as_number(mm[1])
+    def _build_histogram(counts: dict, low, high) -> list[int]:
+        lo = _as_number(low)
+        hi = _as_number(high)
         buckets = [0] * HISTOGRAM_BUCKETS
         if hi <= lo:
             buckets[0] = sum(counts.values())

@@ -9,6 +9,13 @@ discipline (an UPDATE scoped to its assigned device columns), and only
 after the flash-free commit is the visible site re-synchronised.  A power cut at any flash operation therefore leaves
 the statement either fully applied or not at all -- never a torn mix.
 
+A statement works on the heap's device rows (primary key first, then
+the table's other device columns).  Its :class:`_RowPlan`, resolved once,
+says where each column it names lives and which public-only columns it
+fetches from the visible site: those its predicates name, or all of them
+when it assigns one, because the site's re-sync takes whole rows.  An
+UPDATE that assigns no public column leaves the visible site untouched.
+
 DELETE enforces RESTRICT semantics: deleting rows still referenced by a
 child table's foreign keys is refused (the schema tree's edges stay
 consistent), checked with device-charged scans of the child heaps.
@@ -24,9 +31,80 @@ from repro.visible.site import VisibleSite
 
 log = get_logger(__name__)
 
+#: Where a column's value sits in a row's ``(device row, public values)``.
+_DEVICE, _PUBLIC = 0, 1
+
 
 class DmlError(ValueError):
     """A DML statement violated a storage or referential constraint."""
+
+
+class _RowPlan:
+    """One statement's columns, located once in ``(device row, public
+    values)`` pairs: a device-resident column is read from the device
+    row, a public-only one from the values fetched for the row."""
+
+    def __init__(self, table_def, predicates, assignments=()):
+        device_pos = {
+            c.name.lower(): i for i, c in enumerate(table_def.device_columns())
+        }
+        public_only = [
+            c.name.lower() for c in table_def.columns
+            if c.name.lower() not in device_pos
+        ]
+        #: Whether an assignment names a public column (a site re-sync).
+        self.public_assigned = any(
+            not a.column.on_device for a in assignments
+        )
+        named = {p.column for p in predicates}
+        #: The public-only columns fetched from the visible site.
+        self.fetch = [
+            c for c in public_only if self.public_assigned or c in named
+        ]
+        fetch_pos = {name: i for i, name in enumerate(self.fetch)}
+
+        def locate(name: str) -> tuple[int, int]:
+            if name in device_pos:
+                return _DEVICE, device_pos[name]
+            return _PUBLIC, fetch_pos[name]
+
+        self.predicates = [(*locate(p.column), p) for p in predicates]
+        self.assignments = [
+            (*locate(a.column.name.lower()), a.column.dtype, a.value)
+            for a in assignments
+        ]
+        #: The rebuild's column scope: the assigned device columns.
+        self.device_scope = [
+            a.column.name for a in assignments if a.column.on_device
+        ]
+        #: Every column in schema order, for the site re-sync's full rows.
+        self.columns = [
+            locate(c.name.lower()) for c in table_def.columns
+        ] if self.public_assigned else []
+
+    def rows(self, db: HiddenDatabase, site: VisibleSite, table: str):
+        """Yield each row of ``table`` as ``(device row, public values)``.
+
+        The device rows come off the heap first, in one pass -- sequential
+        flash reads and per-field decode charges, exactly what the secure
+        chip would pay.  The public values come from the visible site,
+        which costs nothing in the paper's model (host CPU is free).
+        """
+        device_rows = list(db.heaps[table].scan())
+        public: dict[int, tuple] = {}
+        if self.fetch:
+            public = site.fetch_values(
+                table, [r[0] for r in device_rows], self.fetch
+            )
+        for row in device_rows:
+            yield row, public.get(row[0], ())
+
+    def matches(self, parts: tuple[tuple, tuple]) -> bool:
+        """Whether a row satisfies every predicate (charged by callers)."""
+        for side, i, predicate in self.predicates:
+            if not predicate.matches(parts[side][i]):
+                return False
+        return True
 
 
 def run_update(
@@ -39,53 +117,43 @@ def run_update(
     statement that matches nothing -- or assigns values already in
     place -- is a no-op: no rebuild, no flash writes.
     """
-    table_def = bound.table_def
     table = bound.table
-    rows = _full_rows(db, site, table_def)
-    col_pos = {c.name.lower(): i for i, c in enumerate(table_def.columns)}
-    pk_index = table_def.column_index(table_def.pk.name)
-    pred_idx = [(col_pos[p.column], p) for p in bound.predicates]
-    assign_idx = [
-        (col_pos[a.column.name.lower()], a.column, a.value)
-        for a in bound.assignments
-    ]
-    chip = db.device.chip
-    matched = changed = 0
+    plan = _RowPlan(bound.table_def, bound.predicates, bound.assignments)
+    charge, n_preds = db.device.chip.charge, len(plan.predicates)
+    matched = 0
     out_rows: list[tuple] = []
+    #: pk -> new full row (schema order), for the visible site's re-sync.
     touched: dict[int, tuple] = {}
-    for row in rows:
-        if pred_idx:
-            chip.charge("compare", len(pred_idx))
-        if all(p.matches(row[i]) for i, p in pred_idx):
+    changed = 0
+    for parts in plan.rows(db, site, table):
+        if n_preds:
+            charge("compare", n_preds)
+        row = parts[_DEVICE]
+        if plan.matches(parts):
             matched += 1
-            new_row = list(row)
-            for i, column, value in assign_idx:
-                new_row[i] = column.dtype.validate(value)
-            new_row = tuple(new_row)
-            if new_row != row:
+            new = [list(row), list(parts[_PUBLIC])]
+            for side, i, dtype, value in plan.assignments:
+                new[side][i] = dtype.validate(value)
+            new_parts = (tuple(new[_DEVICE]), tuple(new[_PUBLIC]))
+            if new_parts != parts:
                 changed += 1
-                touched[new_row[pk_index]] = new_row
-            out_rows.append(new_row)
-        else:
-            out_rows.append(row)
-    if not touched:
+                if plan.public_assigned:
+                    touched[row[0]] = tuple(
+                        new_parts[side][i] for side, i in plan.columns
+                    )
+            row = new_parts[_DEVICE]
+        out_rows.append(row)
+    if not changed:
         log.info("update on %s: %d matched, nothing changed", table, matched)
         return matched, 0
 
-    device_idx = [
-        table_def.column_index(c.name) for c in table_def.device_columns()
-    ]
     # Assignments never touch keys (the binder refuses them), so only
     # the assigned device columns' structures need rebuilding.
-    rebuild_table(
-        db,
-        table,
-        (tuple(r[i] for i in device_idx) for r in out_rows),
-        columns=[c.name for _, c, _ in assign_idx if c.on_device],
-    )
+    rebuild_table(db, table, out_rows, columns=plan.device_scope)
     # Only after the flash-free commit: a power cut during the rebuild
     # must leave the public side in step with the (old) device state.
-    site.update_rows(table, touched)
+    if plan.public_assigned:
+        site.update_rows(table, touched)
     log.info("update on %s: %d matched, %d changed", table, matched, changed)
     return matched, changed
 
@@ -94,76 +162,29 @@ def run_delete(
     db: HiddenDatabase, site: VisibleSite, bound: BoundDelete
 ) -> tuple[int, int]:
     """Apply a bound DELETE; returns ``(matched, matched)``."""
-    table_def = bound.table_def
     table = bound.table
-    rows = _full_rows(db, site, table_def)
-    col_pos = {c.name.lower(): i for i, c in enumerate(table_def.columns)}
-    pk_index = table_def.column_index(table_def.pk.name)
-    pred_idx = [(col_pos[p.column], p) for p in bound.predicates]
-    chip = db.device.chip
+    plan = _RowPlan(bound.table_def, bound.predicates)
+    charge, n_preds = db.device.chip.charge, len(plan.predicates)
     kept: list[tuple] = []
     deleted: set[int] = set()
-    for row in rows:
-        if pred_idx:
-            chip.charge("compare", len(pred_idx))
-        if all(p.matches(row[i]) for i, p in pred_idx):
-            deleted.add(row[pk_index])
+    for parts in plan.rows(db, site, table):
+        if n_preds:
+            charge("compare", n_preds)
+        row = parts[_DEVICE]
+        if plan.matches(parts):
+            deleted.add(row[0])
         else:
             kept.append(row)
     if not deleted:
         log.info("delete on %s: nothing matched", table)
         return 0, 0
 
-    _check_restrict(db, table_def, deleted)
+    _check_restrict(db, bound.table_def, deleted)
 
-    device_idx = [
-        table_def.column_index(c.name) for c in table_def.device_columns()
-    ]
-    rebuild_table(
-        db, table, (tuple(r[i] for i in device_idx) for r in kept)
-    )
+    rebuild_table(db, table, kept)
     site.delete_rows(table, sorted(deleted))
     log.info("delete on %s: %d rows removed", table, len(deleted))
     return len(deleted), len(deleted)
-
-
-def _full_rows(
-    db: HiddenDatabase, site: VisibleSite, table_def
-) -> list[tuple]:
-    """Materialise full rows (schema column order) for one table.
-
-    Device columns stream off the heap -- sequential flash reads and
-    per-field decode charges, exactly what the secure chip would pay.
-    Public-only columns are joined back in from the visible site, which
-    costs nothing in the paper's model (host CPU is free).
-    """
-    table = table_def.name.lower()
-    device_cols = table_def.device_columns()
-    device_pos = {c.name.lower(): i for i, c in enumerate(device_cols)}
-    fetch_cols = [
-        c.name.lower()
-        for c in table_def.columns
-        if c.name.lower() not in device_pos
-    ]
-    device_rows = list(db.heaps[table].scan())
-    public: dict[int, tuple] = {}
-    if fetch_cols:
-        public = site.fetch_values(
-            table, [r[0] for r in device_rows], fetch_cols
-        )
-    fetch_pos = {name: i for i, name in enumerate(fetch_cols)}
-    rows: list[tuple] = []
-    for drow in device_rows:
-        pub = public.get(drow[0], ())
-        rows.append(
-            tuple(
-                drow[device_pos[c.name.lower()]]
-                if c.name.lower() in device_pos
-                else pub[fetch_pos[c.name.lower()]]
-                for c in table_def.columns
-            )
-        )
-    return rows
 
 
 def _check_restrict(

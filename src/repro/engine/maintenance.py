@@ -40,7 +40,7 @@ from repro.engine.database import HiddenDatabase
 from repro.index.climbing import ClimbingIndex
 from repro.index.skt import SubtreeKeyTable
 from repro.obs.log import get_logger
-from repro.storage.heap import HeapTable
+from repro.storage.heap import HeapTable, KeyNotFoundError
 
 log = get_logger(__name__)
 
@@ -98,6 +98,7 @@ def append_rows(
             f"{table}: appended keys must exceed the current maximum "
             f"({old_heap.pk_of_rowid(last)})"
         )
+    _check_references(db, table, device_cols, reduced)
 
     def merged_rows():
         for row in old_heap.scan():
@@ -119,6 +120,29 @@ def append_rows(
         rebuilt_skts=rebuilt_skts,
         rebuilt_indexes=rebuilt_indexes,
     )
+
+
+def _check_references(
+    db: HiddenDatabase, table: str, device_cols, rows: list[tuple]
+) -> None:
+    """Refuse appended rows whose foreign keys name no parent row.
+
+    Checked before anything is written: the SKT build would otherwise
+    meet the dangling key halfway through the rebuild.  A dense parent
+    heap answers each probe arithmetically, with no flash I/O.
+    """
+    for i, column in enumerate(device_cols):
+        if column.references is None:
+            continue
+        parent = db.heaps[column.references.table.lower()]
+        for row in rows:
+            try:
+                parent.rowid_for_pk(row[i])
+            except KeyNotFoundError:
+                raise MaintenanceError(
+                    f"{table}: foreign key {column.name} = {row[i]} names "
+                    f"no row of {parent.name}"
+                ) from None
 
 
 def rebuild_table(

@@ -146,7 +146,9 @@ class RamBudget:
                     )
                 self.pressure_hook(shortfall)
             if self.used + size > self.capacity:
-                if self.flight is not None:
+                # A refused reclaimable reservation is how the buffer
+                # pool declines to cache a page, not an exhaustion.
+                if self.flight is not None and not reclaimable:
                     self.flight.record(
                         "ram_exhausted",
                         label=label,

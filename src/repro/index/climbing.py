@@ -60,12 +60,15 @@ def build_edge_map(
     One full scan of the parent heap, charged to the device.
     """
     heap = heaps[parent]
+    pk_of = heap.codec.field_decoder(heap.pk_field)
+    fk_of = heap.codec.field_decoder(fk_col_index)
+    charge = device.chip.charge
     mapping: dict[int, list[int]] = {}
     with heap.reader(f"edge-scan:{parent}") as reader:
         for raw in reader.scan():
-            parent_pk = heap.codec.decode_field(raw, heap.pk_field)
-            child_pk = heap.codec.decode_field(raw, fk_col_index)
-            device.chip.charge("decode_field", 2)
+            parent_pk = pk_of(raw)
+            child_pk = fk_of(raw)
+            charge("decode_field", 2)
             mapping.setdefault(child_pk, []).append(parent_pk)
     return mapping
 
@@ -133,12 +136,16 @@ class ClimbingIndex:
         # Level 0: scan the indexed table once.
         heap = heaps[table]
         value_ids: dict[object, list[int]] = {}
-        field_idx = table_def.device_column_index(column)
+        pk_of = heap.codec.field_decoder(heap.pk_field)
+        value_of = heap.codec.field_decoder(
+            table_def.device_column_index(column)
+        )
+        charge = device.chip.charge
         with heap.reader(f"index-scan:{table}.{column}") as reader:
             for raw in reader.scan():
-                pk = heap.codec.decode_field(raw, heap.pk_field)
-                value = heap.codec.decode_field(raw, field_idx)
-                device.chip.charge("decode_field", 2)
+                pk = pk_of(raw)
+                value = value_of(raw)
+                charge("decode_field", 2)
                 value_ids.setdefault(value, []).append(pk)
 
         per_level_ids: list[dict[object, list[int]]] = [value_ids]

@@ -57,25 +57,42 @@ class SubtreeKeyTable:
         root = root.lower()
         tables = tree.subtree_of(root)
         skt = cls(device, root, tables)
-        root_heap = heaps[root]
-        column_of = {name: i for i, name in enumerate(tables)}
+        charge = device.chip.charge
 
-        # Precompute, per table, where its FK fields live in its device
-        # record and which subtree slot each one fills.
-        fk_layout: dict[str, list[tuple[int, str]]] = {}
-        for name in tables:
-            table_def = tree.table(name)
-            entries = []
-            for fk_col, child in tree.children_of(name):
-                field_idx = table_def.device_column_index(fk_col)
-                entries.append((field_idx, child))
-            fk_layout[name] = entries
+        # Resolve, per table, its PK decoder and subtree slot, and for
+        # each FK field its decoder and the child table it names.
+        layout: dict[str, tuple] = {}
+        for slot, name in enumerate(tables):
+            table_def, codec = tree.table(name), heaps[name].codec
+            fks = [
+                (
+                    codec.field_decoder(table_def.device_column_index(fk_col)),
+                    child,
+                )
+                for fk_col, child in tree.children_of(name)
+            ]
+            layout[name] = (codec.field_decoder(heaps[name].pk_field), slot, fks)
 
         readers = {
             name: heaps[name].reader(f"skt-build:{name}")
             for name in tables
-            if fk_layout[name] or name == root
+            if layout[name][2] or name == root
         }
+
+        def resolve(table: str, raw: bytes, row_ids: list[int]) -> None:
+            """Fill ``row_ids`` for ``table``'s subtree from its record."""
+            pk_of, slot, fks = layout[table]
+            row_ids[slot] = pk_of(raw)
+            charge("decode_field")
+            for fk_of, child in fks:
+                fk_value = fk_of(raw)
+                charge("decode_field")
+                child_rowid = heaps[child].rowid_for_pk(fk_value)
+                if layout[child][2]:
+                    resolve(child, readers[child].record(child_rowid), row_ids)
+                else:
+                    row_ids[layout[child][1]] = fk_value
+
         record = ids_struct(len(tables))
         try:
             with PageWriter(
@@ -83,39 +100,13 @@ class SubtreeKeyTable:
             ) as writer:
                 for raw in readers[root].scan():
                     row_ids = [0] * len(tables)
-                    skt._resolve(
-                        tree, heaps, readers, fk_layout, column_of,
-                        root, raw, row_ids,
-                    )
+                    resolve(root, raw, row_ids)
                     writer.append(record.pack(*row_ids))
             skt.extent = writer.extent
         finally:
             for reader in readers.values():
                 reader.close()
         return skt
-
-    def _resolve(
-        self, tree, heaps, readers, fk_layout, column_of,
-        table: str, raw: bytes, row_ids: list[int],
-    ) -> None:
-        """Fill ``row_ids`` for ``table``'s subtree, given its raw record."""
-        heap = heaps[table]
-        pk = heap.codec.decode_field(raw, heap.pk_field)
-        self.device.chip.charge("decode_field")
-        row_ids[column_of[table]] = pk
-        for field_idx, child in fk_layout[table]:
-            fk_value = heap.codec.decode_field(raw, field_idx)
-            self.device.chip.charge("decode_field")
-            child_heap = heaps[child]
-            child_rowid = child_heap.rowid_for_pk(fk_value)
-            if fk_layout[child]:
-                child_raw = readers[child].record(child_rowid)
-                self._resolve(
-                    tree, heaps, readers, fk_layout, column_of,
-                    child, child_raw, row_ids,
-                )
-            else:
-                row_ids[column_of[child]] = fk_value
 
     # ------------------------------------------------------------------
     # Access

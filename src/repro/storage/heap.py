@@ -72,6 +72,7 @@ class HeapTable:
         try:
             writer = PageWriter(self.device, self.codec.width, f"load:{self.name}")
             writers.append(writer)
+            encode, pack_id = self.codec.encode, ID_STRUCT.pack
             for row in rows:
                 pk = row[self.pk_field]
                 if last_pk is not None and pk <= last_pk:
@@ -89,8 +90,8 @@ class HeapTable:
                     raise ValueError(
                         f"{self.name}: PK {pk} outside 32-bit ID range"
                     )
-                pk_writer.append(ID_STRUCT.pack(pk))
-                writer.append(self.codec.encode(row))
+                pk_writer.append(pack_id(pk))
+                writer.append(encode(row))
             self.extent, self.pk_extent = writer.close(), pk_writer.close()
         except BaseException:
             for w in writers:
@@ -127,10 +128,12 @@ class HeapTable:
 
     def scan(self):
         """Yield decoded rows in PK order (full-page sequential reads)."""
+        charge, arity = self.device.chip.charge, self.codec.arity
+        decode = self.codec.decode
         with self.reader(f"scan:{self.name}") as r:
             for raw in r.scan():
-                self.device.chip.charge("decode_field", self.codec.arity)
-                yield self.codec.decode(raw)
+                charge("decode_field", arity)
+                yield decode(raw)
 
     def rowid_for_pk(self, pk: int) -> int:
         """Resolve a primary key to its rowid.

@@ -9,6 +9,13 @@ simulated time.
 Encodings are chosen so that unsigned byte-wise comparison of encodings
 matches value order where we rely on it (integers and dates use
 offset-binary big-endian), which keeps sorted-run merging trivial.
+
+A type's byte format is declared once: a big-endian ``struct`` field
+``code`` and one transform pair, ``to_field`` (validate a value and map
+it to the field ``struct`` packs) and ``from_field`` (its inverse on an
+unpacked field).  :meth:`DataType.encode`, :meth:`DataType.decode` and
+every compiled record layout (:class:`repro.storage.record.RecordCodec`)
+go through that pair.
 """
 
 from __future__ import annotations
@@ -21,8 +28,20 @@ from dataclasses import dataclass
 #: sorts like the values do.
 _I64_BIAS = 1 << 63
 
+#: Offset applied to day numbers so dates before 1970 encode unsigned.
+_DAYS_BIAS = 1 << 31
+
 #: Day number of 1970-01-01 in ``datetime.date.toordinal()`` terms.
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+#: A stored DATE field minus this is the date's ordinal.
+_DATE_FIELD_SHIFT = _DAYS_BIAS - _EPOCH_ORDINAL
+
+_SIGN = 1 << 63
+_ALL_BITS = (1 << 64) - 1
+_U64 = struct.Struct(">Q")
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
 
 
 class TypeError_(ValueError):
@@ -46,11 +65,24 @@ class DataType:
     """Base class: a fixed-width, order-preserving value codec."""
 
     @property
-    def width(self) -> int:
+    def code(self) -> str:
+        """The ``struct`` code of the stored field (byte order ``>``)."""
         raise NotImplementedError
+
+    @property
+    def width(self) -> int:
+        return struct.calcsize(">" + self.code)
 
     def validate(self, value):
         """Return ``value`` normalised, or raise :class:`TypeError_`."""
+        raise NotImplementedError
+
+    def to_field(self, value):
+        """``value`` validated and mapped to the field ``code`` packs."""
+        raise NotImplementedError
+
+    def from_field(self, field):
+        """The value of a field ``code`` unpacked."""
         raise NotImplementedError
 
     def encode(self, value) -> bytes:
@@ -67,22 +99,29 @@ class DataType:
 class IntegerType(DataType):
     """64-bit signed integer, offset-binary big-endian."""
 
-    @property
-    def width(self) -> int:
-        return 8
+    code = "Q"
 
     def validate(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
+        self.to_field(value)
+        return value
+
+    def to_field(self, value):
+        if value.__class__ is not int and (
+            isinstance(value, bool) or not isinstance(value, int)
+        ):
             raise TypeError_(f"INTEGER requires an int, got {value!r}")
         if not -(1 << 63) <= value < (1 << 63):
             raise TypeError_(f"INTEGER out of 64-bit range: {value!r}")
-        return value
+        return value + _I64_BIAS
+
+    def from_field(self, field):
+        return field - _I64_BIAS
 
     def encode(self, value) -> bytes:
-        return struct.pack(">Q", self.validate(value) + _I64_BIAS)
+        return _U64.pack(self.to_field(value))
 
     def decode(self, data: bytes):
-        return struct.unpack(">Q", data)[0] - _I64_BIAS
+        return self.from_field(_U64.unpack(data)[0])
 
     def sql_name(self) -> str:
         return "INTEGER"
@@ -99,30 +138,28 @@ class FloatType(DataType):
     rely on this monotonicity.
     """
 
-    @property
-    def width(self) -> int:
-        return 8
+    code = "Q"
 
     def validate(self, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError_(f"FLOAT requires a number, got {value!r}")
         return float(value)
 
+    def to_field(self, value):
+        bits = _U64.unpack(_F64.pack(self.validate(value)))[0]
+        if bits & _SIGN:
+            return bits ^ _ALL_BITS  # negative: flip everything
+        return bits ^ _SIGN  # non-negative: flip the sign bit
+
+    def from_field(self, field):
+        bits = field ^ _SIGN if field & _SIGN else field ^ _ALL_BITS
+        return _F64.unpack(_U64.pack(bits))[0]
+
     def encode(self, value) -> bytes:
-        bits = struct.unpack(">Q", struct.pack(">d", self.validate(value)))[0]
-        if bits & (1 << 63):
-            bits ^= (1 << 64) - 1  # negative: flip everything
-        else:
-            bits ^= 1 << 63  # non-negative: flip the sign bit
-        return struct.pack(">Q", bits)
+        return _U64.pack(self.to_field(value))
 
     def decode(self, data: bytes):
-        bits = struct.unpack(">Q", data)[0]
-        if bits & (1 << 63):
-            bits ^= 1 << 63
-        else:
-            bits ^= (1 << 64) - 1
-        return struct.unpack(">d", struct.pack(">Q", bits))[0]
+        return self.from_field(_U64.unpack(data)[0])
 
     def sql_name(self) -> str:
         return "FLOAT"
@@ -132,9 +169,7 @@ class FloatType(DataType):
 class DateType(DataType):
     """Calendar date, stored as biased days-since-epoch (4 bytes)."""
 
-    @property
-    def width(self) -> int:
-        return 4
+    code = "I"
 
     def validate(self, value):
         if isinstance(value, datetime.datetime):
@@ -143,13 +178,17 @@ class DateType(DataType):
             raise TypeError_(f"DATE requires a datetime.date, got {value!r}")
         return value
 
+    def to_field(self, value):
+        return date_to_days(self.validate(value)) + _DAYS_BIAS
+
+    def from_field(self, field):
+        return datetime.date.fromordinal(field - _DATE_FIELD_SHIFT)
+
     def encode(self, value) -> bytes:
-        days = date_to_days(self.validate(value))
-        return struct.pack(">I", days + (1 << 31))
+        return _U32.pack(self.to_field(value))
 
     def decode(self, data: bytes):
-        days = struct.unpack(">I", data)[0] - (1 << 31)
-        return days_to_date(days)
+        return self.from_field(_U32.unpack(data)[0])
 
     def sql_name(self) -> str:
         return "DATE"
@@ -166,24 +205,34 @@ class CharType(DataType):
             raise TypeError_(f"CHAR length must be positive, got {self.length}")
 
     @property
-    def width(self) -> int:
-        return self.length
+    def code(self) -> str:
+        return f"{self.length}s"
 
     def validate(self, value):
+        self.to_field(value)
+        return value
+
+    def to_field(self, value):
+        # ``struct``'s ``s`` code pads with NULs but silently truncates a
+        # longer string, so the length check has to stay here.
         if not isinstance(value, str):
             raise TypeError_(f"CHAR requires a str, got {value!r}")
-        if len(value.encode("utf-8")) > self.length:
+        raw = value.encode("utf-8")
+        if len(raw) > self.length:
             raise TypeError_(
                 f"string of {len(value)} chars exceeds CHAR({self.length})"
             )
-        return value
+        return raw
+
+    def from_field(self, field):
+        return field.rstrip(b"\x00").decode("utf-8")
 
     def encode(self, value) -> bytes:
-        raw = self.validate(value).encode("utf-8")
-        return raw + b"\x00" * (self.length - len(raw))
+        return self.to_field(value).ljust(self.length, b"\x00")
 
     def decode(self, data: bytes):
-        return data.rstrip(b"\x00").decode("utf-8")
+        # An ``s`` field unpacks to its own bytes.
+        return self.from_field(data)
 
     def sql_name(self) -> str:
         return f"CHAR({self.length})"

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.hardware.pagecache import CacheStats, PageCache
 from repro.hardware.ram import Allocation, RamBudget, RamExhaustedError
+from repro.obs.flight import FlightRecorder
 
 
 def test_allocate_and_release():
@@ -117,3 +119,24 @@ def test_alloc_release_sequence_conserves_budget(sizes):
     for alloc in allocations:
         alloc.release()
     assert budget.used == 0
+
+
+def test_only_firm_refusals_journal_exhaustion():
+    """A full budget refusing the buffer pool a page is the pool declining
+    to cache it, not an exhaustion: only firm refusals are journalled."""
+    flight = FlightRecorder()
+    budget = RamBudget(capacity=4096, flight=flight)
+    pool = PageCache(budget, page_size=2048, capacity_pages=None)
+    held = budget.allocate(4096, "scan-buffer")
+    pool.admit(7, b"\x00" * 2048)
+    assert pool.stats == CacheStats()  # declined: nothing cached
+    assert [e.kind for e in flight.events()] == []
+    with pytest.raises(RamExhaustedError):
+        budget.allocate(1024, "sort-buffer")
+    kinds = [(e.kind, dict(e.data).get("label")) for e in flight.events()]
+    # The pool holds no page to shed, so the firm refusal still raises.
+    assert kinds == [
+        ("ram_pressure", "sort-buffer"),
+        ("ram_exhausted", "sort-buffer"),
+    ]
+    held.release()

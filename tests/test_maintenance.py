@@ -131,6 +131,35 @@ class TestAppendValidation:
             assert session.site.row_count("patient") == visible_rows
             assert session.device.flash.stats.page_writes == page_writes
 
+    def test_dangling_foreign_key_is_refused_before_any_write(
+        self, session, demo_data
+    ):
+        """A Prescription naming a visit that does not exist fails typed,
+        before the rebuild reads or writes a page; a valid append after
+        it succeeds."""
+        next_pre = len(demo_data["prescription"]) + 1
+        dangling = new_prescriptions(next_pre, 2, vis_id=1)
+        dangling[1] = (*dangling[1][:5], 10**6)
+        probe = "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre"
+        rows = session.query(probe).rows
+        site_rows = dict(session.site._tables["prescription"].rows)
+        before = session.device.counters()
+        with pytest.raises(
+            MaintenanceError, match=r"prescription: .*VisID = 1000000"
+        ):
+            session.append("prescription", dangling)
+        after = session.device.counters()
+        assert after.flash.page_writes == before.flash.page_writes
+        assert after.flash.page_reads == before.flash.page_reads
+        assert session.device.ftl.mapped_lpages() == (
+            session.hidden.referenced_pages()
+        )
+        assert session.query(probe).rows == rows
+        assert session.site._tables["prescription"].rows == site_rows
+        report = session.append("prescription", dangling[:1])
+        assert report.appended_rows == 1
+        assert session.query(probe).row_count == len(rows) + 1
+
     def test_empty_append_is_a_noop(self, session):
         before = session.device.counters()
         report = session.append("visit", [])

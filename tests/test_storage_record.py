@@ -1,6 +1,7 @@
 """Fixed-width record codec."""
 
 import datetime
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,3 +86,105 @@ def test_roundtrip_property(row):
         [IntegerType(), CharType(12), DateType(), FloatType()]
     )
     assert codec.decode(codec.encode(row)) == row
+
+
+# ---------------------------------------------------------------------------
+# The compiled layout against the per-field codecs
+# ---------------------------------------------------------------------------
+
+I64_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1)
+INTEGERS = st.one_of(
+    st.sampled_from(I64_EDGES), st.integers(-(2**63), 2**63 - 1)
+)
+FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, -1.0, -5e-324, -1.7976931348623157e308)),
+    st.floats(allow_nan=False),
+)
+DATES = st.one_of(
+    st.dates(max_value=datetime.date(1969, 12, 31)), st.dates()
+)
+#: CHAR text with multibyte UTF-8 and no NUL (the pad character).
+TEXT = st.text(
+    alphabet=st.characters(min_codepoint=1, exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def typed_rows(draw):
+    """``(types, row)``: every type, one CHAR filled to exactly its byte
+    length and one padded."""
+    exact, padded = draw(TEXT), draw(TEXT)
+    types = [
+        IntegerType(),
+        FloatType(),
+        DateType(),
+        CharType(len(exact.encode("utf-8"))),
+        CharType(len(padded.encode("utf-8")) + draw(st.integers(1, 5))),
+        IntegerType(),
+    ]
+    row = (
+        draw(INTEGERS), draw(FLOATS), draw(DATES), exact, padded,
+        draw(INTEGERS),
+    )
+    return types, row
+
+
+def _same(a, b) -> bool:
+    """Equal including the sign of zero."""
+    return repr(a) == repr(b)
+
+
+@given(typed_rows())
+def test_layout_matches_per_field_codecs(case):
+    types, row = case
+    codec = RecordCodec(types)
+    raw = codec.encode(row)
+    assert raw == b"".join(t.encode(v) for t, v in zip(types, row))
+    fields = [
+        t.decode(raw[off : off + t.width])
+        for t, off in zip(types, (codec.field_slice(i)[0] for i in range(6)))
+    ]
+    assert _same(codec.decode(raw), tuple(fields))
+    assert _same(fields, list(row))
+    for i, expected in enumerate(fields):
+        assert _same(codec.decode_field(raw, i), expected)
+        assert _same(codec.field_decoder(i)(raw), expected)
+
+
+@pytest.mark.parametrize(
+    "dtype, value, message",
+    [
+        (IntegerType(), True, "INTEGER requires an int, got True"),
+        (
+            IntegerType(),
+            2**63,
+            "INTEGER out of 64-bit range: 9223372036854775808",
+        ),
+        (
+            DateType(),
+            "2006-11-05",
+            "DATE requires a datetime.date, got '2006-11-05'",
+        ),
+        (CharType(4), "ééé", "string of 3 chars exceeds CHAR(4)"),
+    ],
+)
+def test_invalid_values_raise_the_type_message(dtype, value, message):
+    """The record path validates like the type (``struct``'s ``s`` code
+    would silently truncate an over-long CHAR)."""
+    codec = RecordCodec([IntegerType(), dtype])
+    with pytest.raises(TypeError_) as record_error:
+        codec.encode((1, value))
+    with pytest.raises(TypeError_) as field_error:
+        dtype.encode(value)
+    assert str(record_error.value) == str(field_error.value) == message
+
+
+def test_compiled_layout_stays_out_of_the_pickle(codec):
+    """Codecs travel with pickled sessions; a ``struct.Struct`` cannot."""
+    assert set(codec.__getstate__()) == {"types", "_offsets", "width"}
+    copy = pickle.loads(pickle.dumps(codec))
+    row = (42, "sclerosis", datetime.date(1961, 3, 5), -0.0)
+    assert copy.encode(row) == codec.encode(row)
+    assert _same(copy.decode(codec.encode(row)), row)
