@@ -65,6 +65,7 @@ from repro.hardware.profiles import PROFILES
 from repro.obs.vetted import SIGNATURE_KEYS, serialize, write_atomic
 from repro.privacy.leakcheck import LeakChecker
 from repro.privacy.spy import SpyView
+from repro.storage.runs import MAX_FAN_IN
 from repro.workload.queries import demo_query
 
 
@@ -395,10 +396,9 @@ class Shell:
         if argument.strip():
             self._print("settings are read-only; '.set' lists them")
             return
-        config = self.db.executor.config
-        self._print(f"fetch      {config.fetch_batch}  (visible-fetch rows/msg)")
-        self._print(f"fan-in     {config.max_fan_in}  (merge fan-in cap)")
-        self._print(f"bloom-fp   {config.bloom_fp_target}  (Bloom FP target)")
+        self._print(f"fetch      {self.db.link.fetch_batch}  (visible-fetch rows/msg)")
+        self._print(f"fan-in     {MAX_FAN_IN}  (merge fan-in cap)")
+        self._print(f"bloom-fp   {self.db.executor.config.bloom_fp_target}  (Bloom FP target)")
 
     def _cache_command(self, argument: str) -> None:
         """``.cache [on|off|<pages>]``: show or resize the buffer pool."""

@@ -72,7 +72,7 @@ from repro.sql import ast
 from repro.sql.binder import Binder, BoundQuery
 from repro.sql.ddl import create_table
 from repro.sql.parser import parse_statement
-from repro.visible.link import DeviceLink
+from repro.visible.link import DeviceLink, batch_sizes
 from repro.visible.site import VisibleSite
 
 log = get_logger(__name__)
@@ -97,11 +97,9 @@ class SessionConfig:
     """Session-wide tunables."""
 
     exec_config: ExecConfig | None = None
-    id_batch: int = 256
     index_columns: list | None = None
-    #: Fault-injection regime to attach after load (a name from
-    #: :data:`repro.faults.FAULT_PROFILES`), or None for a healthy device.
-    fault_profile: str | None = None
+    #: Seed a postmortem bundle reports while no fault injector is
+    #: attached.
     fault_seed: int = 0
     #: Device buffer-pool capacity in pages: ``None`` takes the profile
     #: default (a quarter of RAM), ``0`` disables the pool.
@@ -421,14 +419,12 @@ class DeviceCore:
         return sum(len(rows) for rows in rows_by_table.values())
 
     def finish_load(self, total_rows: int) -> None:
-        """Post-attach load steps: redaction allowances, measurement
-        reset, configured faults."""
+        """Post-attach load steps: redaction allowances and measurement
+        reset."""
         # Schema identifiers (names, never values) may appear in traces.
         self.obs.redactor.allow_schema(self.schema)
         # Loading is not part of any query measurement.
         self.device.reset_measurements()
-        if self.config.fault_profile:
-            self.set_faults(self.config.fault_profile, self.config.fault_seed)
         log.info(
             "session loaded: %d tables, %d rows total",
             sum(1 for _ in self.schema), total_rows,
@@ -771,32 +767,18 @@ class SessionContext:
     def attach(self) -> None:
         """Wire link/executor/optimizer against the loaded database.
 
-        Batch sizes scale with the RAM the session actually has -- the
-        full chip for the default session, the partition for a lease --
-        so a full-RAM lease behaves exactly like the classic device.
+        The link's batch sizes scale with the RAM the session actually
+        has -- the full chip for the default session, the partition for
+        a lease -- so a full-RAM lease behaves exactly like the classic
+        device.  ``exec_batch`` is not RAM-scaled: batch windows are
+        host-side lists, invisible to the device's budget.
         """
         core = self.core
         if core.tree is None:
             raise SessionError("load data before attaching sessions")
         ram_bytes = self.device.ram.capacity
-        # Receive buffers are real allocations, so a 16 KB partition
-        # cannot afford 64 KB-class batches.
-        id_batch = min(self.config.id_batch, max(32, ram_bytes // 256))
         exec_config = self.config.exec_config
-        fetch_batch = min(
-            exec_config.fetch_batch, max(8, ram_bytes // 512)
-        )
-        # exec_batch is deliberately *not* RAM-scaled: batch windows are
-        # host-side lists, invisible to the device's budget.
-        exec_config = ExecConfig(
-            max_fan_in=exec_config.max_fan_in,
-            bloom_fp_target=exec_config.bloom_fp_target,
-            fetch_batch=fetch_batch,
-            exec_batch=exec_config.exec_batch,
-        )
-        self.link = DeviceLink(
-            self.device, core.site, id_batch=id_batch, fetch_batch=fetch_batch
-        )
+        self.link = DeviceLink(self.device, core.site, *batch_sizes(ram_bytes))
         self.executor = Executor(
             self.device, self.link, core.hidden, exec_config, obs=self.obs
         )
@@ -804,8 +786,7 @@ class SessionContext:
             core.hidden,
             core.site,
             replace(core.profile, ram_bytes=ram_bytes),
-            fan_in=self.config.exec_config.max_fan_in,
-            bloom_fp_target=self.config.exec_config.bloom_fp_target,
+            bloom_fp_target=exec_config.bloom_fp_target,
             obs=self.obs,
             cache_pages=self.device.page_cache.capacity_for_costing,
         )

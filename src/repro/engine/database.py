@@ -44,8 +44,7 @@ class HiddenDatabase:
     #: Catalog generation, bumped by every committed
     #: :func:`~repro.engine.maintenance.rebuild_table` (appends, UPDATE
     #: and DELETE all commit there).  A plan priced at one generation
-    #: is stale at the next.  Files saved before the counter existed
-    #: read this class default.
+    #: is stale at the next; the class default is the first generation.
     version = 0
 
     def __init__(self, device: SmartUsbDevice, tree: SchemaTree):

@@ -34,6 +34,7 @@ from repro.engine.operators import (
 from repro.engine.operators.adapt import IdsToTuplesOp
 from repro.faults.errors import GhostDBFaultError
 from repro.hardware.device import SmartUsbDevice
+from repro.index.bloom import BLOOM_FP_TARGET
 from repro.obs import Observability, get_logger
 from repro.obs.flight import plan_fingerprint
 from repro.visible.link import DeviceLink
@@ -43,11 +44,10 @@ log = get_logger(__name__)
 
 @dataclass
 class ExecConfig:
-    """Tunables for one execution."""
+    """Tunables for one execution (the session's link holds the USB
+    batch sizes)."""
 
-    max_fan_in: int = 16
-    bloom_fp_target: float = 0.01
-    fetch_batch: int = 128
+    bloom_fp_target: float = BLOOM_FP_TARGET
     #: Items per attribution-marked operator batch window.  Purely a
     #: host-side setting: any value must produce bit-identical rows and
     #: simulated hardware counters, larger values just cross the
@@ -136,9 +136,7 @@ class Executor:
             device=self.device,
             link=self.link,
             db=self.db,
-            max_fan_in=self.config.max_fan_in,
             bloom_fp_target=self.config.bloom_fp_target,
-            fetch_batch=self.config.fetch_batch,
             exec_batch=self._effective_batch(root),
         )
         # Snapshot-reset the RAM high-water mark so each query reports

@@ -34,6 +34,7 @@ a statement -- never a torn mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.catalog.statistics import StatisticsCollector, TableStats
 from repro.engine.database import HiddenDatabase
@@ -71,9 +72,10 @@ def append_rows(
 ) -> MaintenanceReport:
     """Append full rows (schema column order) to one table's hidden part.
 
-    New primary keys must exceed every existing key (appends model new
-    entities -- visits that happened, prescriptions written; updates to
-    historical rows are out of scope, as in the paper).
+    The rows come checked by ``TableDef.validate_row``.  New primary keys
+    must exceed every existing key (appends model new entities -- visits
+    that happened, prescriptions written; updates to historical rows are
+    out of scope, as in the paper).
     """
     table = table.lower()
     if table not in db.heaps:
@@ -99,16 +101,9 @@ def append_rows(
             f"({old_heap.pk_of_rowid(last)})"
         )
     _check_references(db, table, device_cols, reduced)
-
-    def merged_rows():
-        for row in old_heap.scan():
-            yield row
-        for row in reduced:
-            yield tuple(
-                c.dtype.validate(v) for c, v in zip(device_cols, row)
-            )
-
-    rebuilt_skts, rebuilt_indexes = rebuild_table(db, table, merged_rows())
+    rebuilt_skts, rebuilt_indexes = rebuild_table(
+        db, table, chain(old_heap.scan(), reduced)
+    )
 
     log.info(
         "appended %d rows to %s (rebuilt %d SKTs, %d indexes)",

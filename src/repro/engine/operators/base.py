@@ -17,7 +17,8 @@ Operators follow an explicit lifecycle: ``open()`` (declare static RAM
 reservations, recursively), ``batches()`` / ``unbatched()`` / ``rows()``
 (produce), ``close()`` (deterministically tear down every live producer
 -- including subtrees short-circuited by a parent such as ``Limit`` --
-stamp end times, and release RAM reservations).
+and stamp end times).  A declared reservation is a peak kept on the
+operator's stats; it outlives ``close()``.
 
 Consumers choose between two pull surfaces:
 
@@ -49,6 +50,8 @@ from typing import TYPE_CHECKING
 from repro.engine.metrics import OperatorStats
 from repro.hardware.clock import TICKS_PER_SECOND
 from repro.hardware.device import SmartUsbDevice
+from repro.index.bloom import BLOOM_FP_TARGET
+from repro.storage.runs import MAX_FAN_IN
 from repro.visible.link import DeviceLink
 
 if TYPE_CHECKING:
@@ -179,19 +182,12 @@ class ExecContext:
     #: recheck drops, ...); the executor folds them into the metrics
     #: registry and the query span.
     counters: dict[str, int] = field(default_factory=dict)
-    #: Hard cap on merge fan-in regardless of free RAM.
-    max_fan_in: int = 16
     #: Target false-positive rate when sizing Bloom filters.
-    bloom_fp_target: float = 0.01
-    #: Rows per visible-value fetch batch during projection.
-    fetch_batch: int = 128
+    bloom_fp_target: float = BLOOM_FP_TARGET
     #: Items per attribution-marked batch window (host-side only: must
     #: never change simulated behaviour).  The executor pins this to 1
     #: for plans whose demand is data-dependent (LIMIT, fault runs).
     exec_batch: int = 256
-    #: Live per-operator RAM reservations (stats identity -> bytes),
-    #: declared via :meth:`reserve` and dropped by ``Operator.close()``.
-    reservations: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.attribution is None:
@@ -199,32 +195,16 @@ class ExecContext:
 
     def fan_in(self) -> int:
         """Merge fan-in affordable right now: one page buffer per input
-        stream plus one output buffer, inside the free RAM."""
+        stream plus one output buffer, inside the free RAM, and never
+        above :data:`~repro.storage.runs.MAX_FAN_IN`."""
         page = self.device.profile.page_size
         # soft_available: clean cache pages shed on demand, so sizing
         # (and thus plan shape) never depends on cache occupancy.
         affordable = self.device.ram.soft_available // page - 2
-        return max(2, min(self.max_fan_in, affordable))
+        return max(2, min(MAX_FAN_IN, affordable))
 
     def register(self, stats: OperatorStats) -> None:
         self.operators.append(stats)
-
-    def reserve(self, stats: OperatorStats, nbytes: int) -> None:
-        """Declare an operator's RAM reservation (bookkeeping only --
-        actual allocation still goes through ``device.ram``).  Repeated
-        declarations keep the maximum; ``release`` drops the entry."""
-        if nbytes > self.reservations.get(id(stats), 0):
-            self.reservations[id(stats)] = nbytes
-        stats.ram_bytes = max(stats.ram_bytes, nbytes)
-
-    def release(self, stats: OperatorStats) -> None:
-        """Drop an operator's reservation (its peak stays on ``stats``)."""
-        self.reservations.pop(id(stats), None)
-
-    @property
-    def reserved_bytes(self) -> int:
-        """Total RAM currently declared by live operators."""
-        return sum(self.reservations.values())
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Accumulate one named execution counter for this query."""
@@ -282,13 +262,13 @@ class Operator:
         Data-dependent reservations stay in ``_produce``."""
 
     def close(self) -> None:
-        """Tear down every live producer, stamp end times and release
-        RAM reservations; recurses into children.  Idempotent, and safe
-        on operators that were never pulled (their spans stay unpulled
-        markers).  Teardown of a pulled operator runs inside one final
-        attribution window so generator-cleanup costs (freeing stored
-        runs, releasing buffers) still land on this operator and the
-        sum of per-operator self times stays equal to elapsed time."""
+        """Tear down every live producer and stamp end times; recurses
+        into children.  Idempotent, and safe on operators that were
+        never pulled (their spans stay unpulled markers).  Teardown of a
+        pulled operator runs inside one final attribution window so
+        generator-cleanup costs (freeing stored runs, releasing buffers)
+        still land on this operator and the sum of per-operator self
+        times stays equal to elapsed time."""
         if self._closed:
             return
         self._closed = True
@@ -308,7 +288,6 @@ class Operator:
             child.close()
         if self.stats.started_sim is not None and self.stats.ended_sim is None:
             attribution.stamp_end(self.stats)
-        self.ctx.release(self.stats)
 
     # ------------------------------------------------------------------
     # Pull surfaces
@@ -441,5 +420,6 @@ class Operator:
     # ------------------------------------------------------------------
 
     def reserve(self, nbytes: int) -> None:
-        """Declare this operator's RAM reservation with the context."""
-        self.ctx.reserve(self.stats, nbytes)
+        """Declare this operator's RAM reservation: bookkeeping only,
+        keeping the peak on its stats (allocation is ``device.ram``'s)."""
+        self.stats.ram_bytes = max(self.stats.ram_bytes, nbytes)

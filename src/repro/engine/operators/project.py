@@ -65,7 +65,7 @@ class ProjectOp(Operator):
                 )
 
     def _open(self):
-        self.reserve(self.ctx.fetch_batch * len(self.tables) * ID_WIDTH)
+        self.reserve(self.ctx.link.fetch_batch * len(self.tables) * ID_WIDTH)
 
     def _produce(self):
         ctx = self.ctx
@@ -73,7 +73,7 @@ class ProjectOp(Operator):
         # Fetch grouping stays at ``fetch_batch`` regardless of the
         # execution batch size: the groups decide the observable fetch
         # rounds, which must not depend on host batching.
-        batch_size = ctx.fetch_batch
+        batch_size = ctx.link.fetch_batch
 
         # Persistent readers for tables we read hidden fields from.
         hidden_tables = {t for t, c in self.projections if c.hidden}

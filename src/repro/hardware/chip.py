@@ -73,9 +73,8 @@ class SecureChip:
         #: Optional device-lifetime metrics sink (monotonic; includes load).
         self.metrics = metrics
         self._stats = CpuStats()
-        #: Unsettled occurrences per primitive, and unsettled raw cycles.
+        #: Unsettled occurrences per primitive.
         self._tally = dict.fromkeys(CYCLES, 0)
-        self._raw = 0
         #: Bound cycle-counter children per primitive.
         self._bound: dict = {}
         clock.add_settler(self.settle)
@@ -99,39 +98,25 @@ class SecureChip:
         except KeyError:
             raise ValueError(f"unknown CPU primitive: {op!r}") from None
 
-    def charge_cycles(self, cycles: int) -> None:
-        """Charge a raw cycle count (for costs outside the primitive set)."""
-        if cycles.__class__ is not int:
-            cycles = whole(cycles, "cycle count")
-        if cycles < 0:
-            raise ValueError("cycle count cannot be negative")
-        self._raw += cycles
-
     def settle(self) -> None:
         """Fold the unsettled tally into stats, metrics and the clock."""
         total = 0
         tally = self._tally
+        by_op = self._stats.cycles_by_op
         for op, count in tally.items():
-            if count:
-                tally[op] = 0
-                cycles = CYCLES[op] * count
-                self._account(op, cycles)
-                total += cycles
-        if self._raw:
-            cycles, self._raw = self._raw, 0
-            self._account("raw", cycles)
+            if not count:
+                continue
+            tally[op] = 0
+            cycles = CYCLES[op] * count
             total += cycles
+            by_op[op] = by_op.get(op, 0) + cycles
+            if self.metrics is not None:
+                bound = self._bound.get(op)
+                if bound is None:
+                    bound = self.metrics.counter(
+                        "ghostdb_device_cpu_cycles_total"
+                    ).labelled(op=op)
+                    self._bound[op] = bound
+                bound.inc(cycles)
         if total:
             self.clock.advance(total * self.profile.cycle_ticks, "cpu")
-
-    def _account(self, op: str, cycles: int) -> None:
-        by_op = self._stats.cycles_by_op
-        by_op[op] = by_op.get(op, 0) + cycles
-        if self.metrics is not None:
-            bound = self._bound.get(op)
-            if bound is None:
-                bound = self.metrics.counter(
-                    "ghostdb_device_cpu_cycles_total"
-                ).labelled(op=op)
-                self._bound[op] = bound
-            bound.inc(cycles)

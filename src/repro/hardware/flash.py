@@ -378,10 +378,6 @@ class NandFlash:
         return block in self._bad_blocks
 
     @property
-    def bad_blocks(self) -> frozenset[int]:
-        return frozenset(self._bad_blocks)
-
-    @property
     def bad_block_count(self) -> int:
         """Cheap count of bad blocks (no set copy; hot in the FTL)."""
         return len(self._bad_blocks)

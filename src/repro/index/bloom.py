@@ -19,6 +19,10 @@ import math
 
 from repro.hardware.device import SmartUsbDevice
 
+#: False-positive rate a Bloom filter is sized for, unless the session's
+#: ``ExecConfig.bloom_fp_target`` says otherwise.
+BLOOM_FP_TARGET = 0.01
+
 #: splitmix64 constants for deterministic double hashing.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -76,7 +80,7 @@ class BloomFilter:
         cls,
         device: SmartUsbDevice,
         expected_n: int,
-        target_fp: float = 0.01,
+        target_fp: float = BLOOM_FP_TARGET,
         label: str = "bloom",
     ) -> "BloomFilter":
         bits, hashes = bloom_parameters(expected_n, target_fp)

@@ -83,7 +83,6 @@ class Observability:
     def __init__(
         self,
         clock=None,
-        enabled: bool = True,
         flight_capacity: int | None = None,
         flight_enabled: bool = True,
         registry: MetricsRegistry | None = None,
@@ -100,9 +99,7 @@ class Observability:
         is a no-op.
         """
         self.redactor = redactor if redactor is not None else Redactor()
-        self.tracer = Tracer(
-            clock=clock, redactor=self.redactor, enabled=enabled
-        )
+        self.tracer = Tracer(clock=clock, redactor=self.redactor)
         self.registry = registry if registry is not None else MetricsRegistry()
         # The black box: always-on unless explicitly disabled, host-side
         # memory, shared clock with the tracer (the session re-points

@@ -149,7 +149,7 @@ def build_bundle(session, reason: str = "dump") -> dict:
             ),
             "fault_seed": seed,
             "cache_pages": device.page_cache.capacity_pages,
-            "id_batch": session.config.id_batch,
+            "id_batch": session.link.id_batch,
             "flight_capacity": flight.capacity,
         },
         "flight": {

@@ -155,9 +155,6 @@ class Redactor:
             for column in table.columns:
                 self.allow(column.name)
 
-    def knows(self, token: str) -> bool:
-        return token.lower() in self._vocab
-
     # ------------------------------------------------------------------
     # Gating
     # ------------------------------------------------------------------

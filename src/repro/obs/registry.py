@@ -236,9 +236,6 @@ class Histogram:
     def count(self, **labels) -> int:
         return self._totals.get(_label_key(labels), 0)
 
-    def sum(self, **labels) -> float:
-        return self._sums.get(_label_key(labels), 0)
-
     def quantile(self, q: float, **labels) -> float:
         """Estimate the ``q``-quantile from the cumulative buckets.
 

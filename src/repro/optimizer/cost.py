@@ -11,10 +11,15 @@ Costs decompose into *per-batch* and *per-tuple* terms.  Per-batch terms
 price fixed overheads paid once per transfer unit -- USB message setup
 per ``id_batch`` IDs, one fetch round trip per ``fetch_batch`` rows --
 while per-tuple terms scale with cardinality (payload bytes, CPU cycles,
-partial flash reads).  The executor's host-side batch window
-(``ExecConfig.exec_batch``) deliberately has *no* term here: it groups
-Python-level pulls on the PC and never changes what the simulated device
-charges, so pricing it would skew plan ranking with host noise.
+partial flash reads).  Both batch terms use the link's full-RAM
+defaults (:data:`~repro.visible.link.DEFAULT_ID_BATCH`,
+:data:`~repro.visible.link.DEFAULT_FETCH_BATCH`) for every session,
+including a lease whose link runs smaller batches (pricing a lease
+with its own sizes would change its plans).  The executor's host-side
+batch window (``ExecConfig.exec_batch``) deliberately has *no* term
+here: it groups Python-level pulls on the PC and never changes what the
+simulated device charges, so pricing it would skew plan ranking with
+host noise.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.index.bloom import bloom_parameters
 from repro.index.climbing import DIRECTORY_PROBE_READS
 from repro.sql.binder import EQ, IN, NEQ, Predicate
 from repro.columns import ID_WIDTH
+from repro.visible.link import DEFAULT_FETCH_BATCH, DEFAULT_ID_BATCH
 from repro.visible.site import VisibleSite
 
 
@@ -128,17 +134,13 @@ class CostModel:
         profile: HardwareProfile,
         stats: StatsProvider,
         db: HiddenDatabase,
-        id_batch: int = 256,
-        fetch_batch: int = 128,
-        fan_in: int = 16,
-        bloom_fp_target: float = 0.01,
+        fan_in: int,
+        bloom_fp_target: float,
         cache_pages: int = 0,
     ):
         self.profile = profile
         self.stats = stats
         self.db = db
-        self.id_batch = id_batch
-        self.fetch_batch = fetch_batch
         self.fan_in = fan_in
         self.bloom_fp_target = bloom_fp_target
         #: Buffer-pool capacity the device runs with (0 = no pool).
@@ -168,7 +170,7 @@ class CostModel:
         ships an ID list over the wire (visible selection, Bloom
         construction).
         """
-        messages = 2 + math.floor(count / self.id_batch)
+        messages = 2 + math.floor(count / DEFAULT_ID_BATCH)
         return self._usb_transfer(count * ID_WIDTH + 150, messages)
 
     def _sequential_read_s(self, total_bytes: float) -> float:
@@ -219,7 +221,7 @@ class CostModel:
         out = self.stats.matching_rows(node.predicate)
         est = CostEstimate(out_count=out)
         est.usb_s += self._id_stream_usb(out)
-        est.ram_bytes = self.id_batch * ID_WIDTH
+        est.ram_bytes = DEFAULT_ID_BATCH * ID_WIDTH
         return est
 
     def _est_DeviceScanSelect(self, node: lp.DeviceScanSelect) -> CostEstimate:
@@ -338,7 +340,7 @@ class CostModel:
         sel = self.stats.selectivity(node.predicate)
         fp = self.bloom_fp_target
         est.out_count = child.out_count * min(1.0, sel + fp)
-        est.ram_bytes += bits / 8 + self.id_batch * ID_WIDTH
+        est.ram_bytes += bits / 8 + DEFAULT_ID_BATCH * ID_WIDTH
         return est
 
     def _est_Store(self, node: lp.Store) -> CostEstimate:
@@ -390,7 +392,7 @@ class CostModel:
                 # cardinality standing in for the actual batch fill) so
                 # the estimate tracks the path execution will take.
                 rows_per_page = heap.extent.slots_per_page
-                batch_fill = min(self.fetch_batch, n)
+                batch_fill = min(DEFAULT_FETCH_BATCH, n)
                 dense = batch_fill * rows_per_page >= 2 * heap.extent.count
                 total_pages = max(1, math.ceil(heap.extent.count / rows_per_page))
                 distinct_pages = total_pages * (
@@ -414,12 +416,12 @@ class CostModel:
         }
         visible_tables |= {p.table for p in node.visible_recheck}
         if visible_tables:
-            batches = math.ceil(n / self.fetch_batch) if n else 0
+            batches = math.ceil(n / DEFAULT_FETCH_BATCH) if n else 0
             est.usb_s += self._usb_transfer(
                 len(visible_tables) * (n * (ID_WIDTH + 40) + batches * 150),
                 2 * batches,
             )
-        est.ram_bytes += self.fetch_batch * ID_WIDTH * max(
+        est.ram_bytes += DEFAULT_FETCH_BATCH * ID_WIDTH * max(
             1, len(node.child.output_tables)
         )
         return est

@@ -18,6 +18,7 @@ from repro.obs import Observability, get_logger
 from repro.optimizer.cost import CostEstimate, CostModel, StatsProvider
 from repro.optimizer.space import PlanBuilder, Strategy, enumerate_strategies
 from repro.sql.binder import BoundQuery
+from repro.storage.runs import MAX_FAN_IN
 from repro.visible.site import VisibleSite
 
 log = get_logger(__name__)
@@ -43,8 +44,7 @@ class Optimizer:
         db: HiddenDatabase,
         site: VisibleSite,
         profile: HardwareProfile,
-        fan_in: int = 16,
-        bloom_fp_target: float = 0.01,
+        bloom_fp_target: float,
         obs: Observability | None = None,
         cache_pages: int = 0,
     ):
@@ -54,13 +54,13 @@ class Optimizer:
         self.stats = StatsProvider(db, site)
         # The executor adapts merge fan-in to free RAM at run time, so
         # the cost model must price with the fan-in the device can
-        # actually afford, not the configured ceiling.
+        # actually afford, not the cap.
         affordable = profile.ram_bytes // profile.page_size - 4
         self.cost_model = CostModel(
             profile=profile,
             stats=self.stats,
             db=db,
-            fan_in=max(2, min(fan_in, affordable)),
+            fan_in=max(2, min(MAX_FAN_IN, affordable)),
             bloom_fp_target=bloom_fp_target,
             cache_pages=cache_pages,
         )

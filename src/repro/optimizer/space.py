@@ -33,9 +33,6 @@ class Strategy:
 
     assignments: tuple[str, ...]
 
-    def of(self, index: int) -> str:
-        return self.assignments[index]
-
     def label(self, query: BoundQuery) -> str:
         if not self.assignments:
             return "no visible predicates"

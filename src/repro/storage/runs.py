@@ -27,6 +27,9 @@ from contextlib import ExitStack
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.pagestore import Extent, PageReader, PageWriter
 
+#: Most streams one merge opens, however much RAM is free.
+MAX_FAN_IN = 16
+
 _NOTHING = object()
 
 

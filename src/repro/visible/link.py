@@ -36,7 +36,7 @@ from repro.faults.errors import UsbTransferError
 from repro.hardware.clock import to_ticks
 from repro.hardware.device import SmartUsbDevice
 from repro.hardware.usb import Direction, UsbDroppedError
-from repro.sql.binder import EQ, IN, NEQ, RANGE, Predicate
+from repro.sql.binder import Predicate
 from repro.visible.frame import (
     FrameError,
     fetch_request,
@@ -59,6 +59,18 @@ MAX_RETRIES = 5
 #: Initial retransmission backoff (simulated seconds); doubles per
 #: attempt, charged to the "usb" clock category.
 RETRY_BACKOFF_S = 0.002
+
+
+def batch_sizes(ram_bytes: int) -> tuple[int, int]:
+    """A session's ``(id_batch, fetch_batch)`` for the secure RAM it
+    has.  Receive buffers are real allocations, so a 16 KiB partition
+    cannot afford 64 KiB-class batches: one ID per 256 B of RAM (at
+    least 32) and one fetch row per 512 B (at least 8), each capped at
+    its default."""
+    return (
+        min(DEFAULT_ID_BATCH, max(32, ram_bytes // 256)),
+        min(DEFAULT_FETCH_BATCH, max(8, ram_bytes // 512)),
+    )
 
 
 class ProtocolError(Exception):
@@ -102,40 +114,13 @@ def predicate_to_wire(predicate: Predicate) -> dict:
     }
 
 
-def predicate_matches_wire(wire: dict, value) -> bool:
-    """Evaluate a wire-format predicate (host side, no ColumnDef needed)."""
-    kind = wire["kind"]
-    if kind == EQ:
-        return value == decode_value(wire["value"])
-    if kind == NEQ:
-        return value != decode_value(wire["value"])
-    if kind == IN:
-        return value in {decode_value(v) for v in wire.get("values", [])}
-    if kind == RANGE:
-        low = decode_value(wire["low"])
-        high = decode_value(wire["high"])
-        if low is not None:
-            if wire["low_inclusive"]:
-                if value < low:
-                    return False
-            elif value <= low:
-                return False
-        if high is not None:
-            if wire["high_inclusive"]:
-                if value > high:
-                    return False
-            elif value >= high:
-                return False
-        return True
-    raise ProtocolError(f"unknown predicate kind {kind!r}")
-
-
 class DeviceLink:
     """Device-side protocol client, talking to a :class:`VisibleSite`.
 
     In the demo platform these are separate machines; in the simulation
     the host endpoint is invoked synchronously after each USB transfer,
-    which preserves exactly the observable traffic.
+    which preserves exactly the observable traffic.  The link is the
+    one holder of its session's batch sizes (:func:`batch_sizes`).
     """
 
     def __init__(

@@ -56,8 +56,6 @@ class _VisibleTable:
         return state
 
     def __setstate__(self, state):
-        # Files saved before the indexes existed carry a sorted-PK cache.
-        state.pop("_sorted_pks", None)
         self.__dict__.update(state)
         self.indexes = {}
 
@@ -90,8 +88,7 @@ class VisibleSite:
 
     #: Statistics generation, bumped whenever a write recomputes a
     #: table's statistics.  A plan priced at one generation is stale at
-    #: the next.  Files saved before the counter existed read this
-    #: class default.
+    #: the next; the class default is the first generation.
     version = 0
 
     def __init__(self, schema: Schema):

@@ -86,10 +86,10 @@ class TestShellCommands:
         _alive, out = run(shell, ".set")
         assert "fetch" in out and "fan-in" in out and "bloom-fp" in out
         assert "batch " not in out
-        fetch = shell.db.executor.config.fetch_batch
+        fetch = shell.db.link.fetch_batch
         _alive, out = run(shell, ".set fetch 4")
         assert "read-only" in out
-        assert shell.db.executor.config.fetch_batch == fetch
+        assert shell.db.link.fetch_batch == fetch
 
     def test_cache_command_and_set_cache(self, shell):
         _alive, out = run(shell, ".cache")

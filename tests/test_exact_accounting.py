@@ -27,8 +27,6 @@ from repro.workload.queries import DEMO_SCHEMA_DDL, QUERY_FAMILIES
 
 SCALE = 200
 
-CYCLE_OPS = (*sorted(CYCLES), "raw")
-
 #: One charge: ``(kind, category or primitive, amount)``.
 CHARGES = st.lists(
     st.one_of(
@@ -40,7 +38,6 @@ CHARGES = st.lists(
         st.tuples(
             st.just("chip"), st.sampled_from(sorted(CYCLES)), st.integers(0, 40)
         ),
-        st.tuples(st.just("raw"), st.just("raw"), st.integers(0, 10**4)),
     ),
     max_size=30,
 )
@@ -73,8 +70,6 @@ def _replay(charges, per_item: bool, settle_at: set[int]):
             clock.breakdown()
         if kind == "clock":
             clock.advance(amount, what)
-        elif kind == "raw":
-            chip.charge_cycles(amount)
         elif per_item:
             for _ in range(amount):
                 chip.charge(what)
@@ -84,7 +79,7 @@ def _replay(charges, per_item: bool, settle_at: set[int]):
     return (
         clock.breakdown(),
         chip.stats.cycles_by_op,
-        {op: cycles.value(op=op) for op in CYCLE_OPS},
+        {op: cycles.value(op=op) for op in CYCLES},
     )
 
 
@@ -204,7 +199,7 @@ def test_charges_before_reset_measurements_do_not_leak_past_it():
     registry = MetricsRegistry()
     device = SmartUsbDevice(DEMO_DEVICE, metrics=registry)
     device.chip.charge("compare", 1000)
-    device.chip.charge_cycles(77)
+    device.chip.charge("hash", 77)
     device.reset_measurements()
     registry.reset()
     assert device.clock.breakdown().total_ticks == 0

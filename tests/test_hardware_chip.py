@@ -34,16 +34,8 @@ def test_fractional_or_bool_count_rejected(count):
     chip = SecureChip(profile=DEMO_DEVICE, clock=SimClock())
     with pytest.raises(ValueError, match="whole number"):
         chip.charge("compare", count)
-    with pytest.raises(ValueError, match="whole number"):
-        chip.charge_cycles(count)
     assert chip.stats.total_cycles == 0
     assert chip.clock.now == 0.0
-
-
-def test_raw_cycles_tracked_separately():
-    chip = SecureChip(profile=DEMO_DEVICE, clock=SimClock())
-    chip.charge_cycles(500)
-    assert chip.stats.cycles_by_op["raw"] == 500
 
 
 def test_device_assembles_shared_clock():

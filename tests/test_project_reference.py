@@ -95,7 +95,7 @@ class ReferenceProjectOp(ProjectOp):
     def _produce(self):
         ctx = self.ctx
         db = ctx.db
-        batch_size = ctx.fetch_batch
+        batch_size = ctx.link.fetch_batch
         hidden_tables = {t for t, c in self.projections if c.hidden}
         hidden_tables |= {p.table for p in self.residual_hidden}
         readers = {

@@ -121,6 +121,27 @@ def test_default_session_untouched_by_leased_traffic():
 
 
 # ---------------------------------------------------------------------------
+# Batch sizes: the link holds them, scaled to the session's RAM.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ram_bytes, id_batch, fetch_batch",
+    [(None, 256, 128), (16 * 1024, 64, 32), (10 * 1024, 40, 20)],
+    ids=["default", "lease-16k", "lease-10k"],
+)
+def test_bundle_reports_the_batch_size_the_link_uses(
+    ram_bytes, id_batch, fetch_batch
+):
+    db = build_db()
+    ctx = db if ram_bytes is None else db.open_session("t", ram_bytes)
+    assert (ctx.link.id_batch, ctx.link.fetch_batch) == (id_batch, fetch_batch)
+    assert ctx.postmortem()["config"]["id_batch"] == ctx.link.id_batch
+    if ctx is not db:
+        db.close_session(ctx)
+
+
+# ---------------------------------------------------------------------------
 # Property: interleaved == serial, at any fan-out and window size.
 # ---------------------------------------------------------------------------
 

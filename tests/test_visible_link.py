@@ -19,11 +19,9 @@ from repro.visible.frame import (
 from repro.visible.link import (
     DeviceLink,
     Fetch,
-    ProtocolError,
+    batch_sizes,
     decode_value,
     encode_value,
-    predicate_matches_wire,
-    predicate_to_wire,
 )
 from repro.workload.queries import demo_query
 
@@ -50,15 +48,24 @@ class TestWireEncoding:
         for value in (5, 2.5, "text", None):
             assert decode_value(encode_value(value)) == value
 
-    def test_predicate_roundtrip_evaluates(self, session):
-        pred = date_pred(session, "2006-06-01")
-        wire = json.loads(json.dumps(predicate_to_wire(pred)))
-        assert predicate_matches_wire(wire, datetime.date(2006, 7, 1))
-        assert not predicate_matches_wire(wire, datetime.date(2006, 5, 1))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ProtocolError):
-            predicate_matches_wire({"kind": "like"}, "x")
+@pytest.mark.parametrize(
+    "ram_bytes, expected",
+    [
+        (0, (32, 8)),
+        (4 * 1024, (32, 8)),
+        (8 * 1024 + 256, (33, 16)),
+        (10 * 1024, (40, 20)),
+        (16 * 1024, (64, 32)),
+        (64 * 1024 - 1, (255, 127)),
+        (64 * 1024, (256, 128)),
+        (1 << 20, (256, 128)),
+    ],
+)
+def test_batch_sizes_scale_with_ram_between_floor_and_cap(ram_bytes, expected):
+    """One ID per 256 B of RAM (at least 32, at most 256), one fetch
+    row per 512 B (at least 8, at most 128)."""
+    assert batch_sizes(ram_bytes) == expected
 
 
 class TestSelectIds:
