@@ -11,7 +11,8 @@ grace partitioning -- both sides are hashed into partitions *written to
 flash* and joined partition by partition.  Flash writes are 3-10x reads,
 so this is precisely the behaviour the paper calls unacceptable, and the
 benchmarks show it.  When a step raises, every temporary run the query
-wrote is freed before the error propagates.
+wrote is freed before the error propagates, and a typed fault is booked
+on the session like any aborted query.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.engine.executor import QueryResult
 from repro.engine.metrics import ExecutionMetrics, OperatorStats
 from repro.engine.plan import PlanNode
+from repro.faults import GhostDBFaultError
 from repro.hardware.ram import RamExhaustedError
 from repro.sql.binder import BoundQuery, NEQ, Predicate
 from repro.storage.pagestore import Extent, PageReader, PageWriter
@@ -71,9 +73,11 @@ class HashJoinBaseline:
         before = device.counters()
         try:
             rows = self._run(query)
-        except BaseException:
+        except BaseException as exc:
             for writer in self._writers:
                 writer.abort()
+            if isinstance(exc, GhostDBFaultError):
+                session._abort_on_fault(exc)
             raise
         after = device.counters()
         metrics = ExecutionMetrics.from_counters(

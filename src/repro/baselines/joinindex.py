@@ -52,4 +52,4 @@ def run_join_index_query(session, sql: str, strategy=None) -> QueryResult:
     builder = StepwisePlanBuilder(session.hidden, bound)
     plan = builder.build(strategy)
     session.optimizer.annotate(plan)
-    return session.executor.execute(plan)
+    return session.execute_plan(plan)

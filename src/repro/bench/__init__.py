@@ -9,10 +9,11 @@ and tables interactively; this package makes the same measurements a
 * :mod:`repro.bench.runner` -- ``python -m repro bench``: runs every
   scenario, writes one schema-versioned, redacted, leak-checked
   ``BENCH_<date>.json`` artifact;
-* :mod:`repro.bench.artifact` -- the artifact layout, its redaction
-  gate and the list of gated (deterministic) metrics;
-* :mod:`repro.bench.compare` -- diffs a run against the committed
-  ``benchmarks/baseline.json`` and fails on cost regressions;
+* :mod:`repro.bench.artifact` -- the artifact layout, the list of
+  gated (deterministic) metrics, and the comparator that diffs a run
+  against the committed ``benchmarks/baseline.json`` through the shared
+  baseline gate of :mod:`repro.obs.vetted` and fails on cost
+  regressions;
 * :mod:`repro.bench.scorecard` -- the T9 estimate-quality table
   (est/meas ratio per candidate plan, per query family), also fed into
   the ``ghostdb_optimizer_est_over_meas`` histogram.
@@ -28,15 +29,11 @@ from repro.bench.artifact import (
     KIND,
     SCHEMA_VERSION,
     build_artifact,
+    compare_artifacts,
     load_artifact,
     scenario_record,
 )
-from repro.bench.compare import (
-    ComparisonReport,
-    MetricDelta,
-    compare_artifacts,
-)
-from repro.bench.runner import BenchConfig, BenchError, BenchRun, run_bench
+from repro.bench.runner import BenchConfig, BenchError, run_bench
 from repro.bench.scenarios import SCENARIOS, Scenario, select_scenarios
 from repro.bench.scorecard import (
     MISESTIMATE_THRESHOLD,
@@ -54,10 +51,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "BenchConfig",
     "BenchError",
-    "BenchRun",
-    "ComparisonReport",
     "FamilyScore",
-    "MetricDelta",
     "Scenario",
     "build_artifact",
     "build_scorecard",

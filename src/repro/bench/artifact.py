@@ -3,9 +3,8 @@
 One bench run produces one JSON artifact: per-scenario simulated-device
 measurements (deterministic -- same code, same scale, same numbers),
 host wall times (informational only), and the optimizer estimate-quality
-scorecard.  The comparator in :mod:`repro.bench.compare` diffs two
-artifacts; CI commits one as ``benchmarks/baseline.json`` and gates on
-the diff.
+scorecard.  :func:`compare_artifacts` diffs two artifacts; CI commits
+one as ``benchmarks/baseline.json`` and gates on the diff.
 
 Artifacts are observable execution artefacts, so the runner serializes
 them through the shared redaction gate of :mod:`repro.obs.vetted`
@@ -16,7 +15,7 @@ payload CLEAN with the adversarial
 
 from __future__ import annotations
 
-from repro.obs.vetted import load
+from repro.obs.vetted import GateReport, compare_rows, load
 
 #: Bump on any incompatible change to the artifact layout.  The
 #: comparator refuses to diff artifacts of different versions.
@@ -140,3 +139,68 @@ def build_artifact(
 def load_artifact(path: str) -> dict:
     """Read one artifact back, refusing foreign or future JSON."""
     return load(path, KIND, SCHEMA_VERSION)
+
+
+#: Ceiling on the flight recorder's estimated share of host wall time.
+#: The recorder is always on, so its cost rides every measurement; a
+#: run whose ``recorder.overhead_fraction`` reaches this fails.
+RECORDER_OVERHEAD_BUDGET = 0.05
+
+
+def compare_artifacts(baseline: dict, current: dict) -> GateReport:
+    """Diff a bench run against its baseline.
+
+    The run must reproduce the baseline exactly: the shared gate of
+    :func:`repro.obs.vetted.compare_rows` fails any increase in a gated
+    metric, a missing scenario, a changed request signature or a config
+    mismatch (host wall time is never gated).  Two absolute checks on
+    the run itself ride along: every concurrent scenario must reach the
+    fairness floor its own row declares, and the flight recorder must
+    stay under its host-wall budget.
+    """
+    report = compare_rows(
+        "bench comparison", baseline, current,
+        "scenarios", GATED_METRICS, "leak_request_signature",
+    )
+    base_scenarios = baseline.get("scenarios", {})
+    cur_scenarios = current.get("scenarios", {})
+    # Fairness is self-describing and absolute: every current-run row
+    # carrying a floor is gated, including scenarios too new to have a
+    # baseline entry.
+    for name in sorted(cur_scenarios):
+        row = cur_scenarios[name]
+        floor = row.get("fairness_floor")
+        if floor is None:
+            continue
+        index = float(row.get("fairness_index", 0.0))
+        if index < float(floor):
+            report.failures.append(
+                f"UNFAIR SCHEDULE {name}: fairness index {index:.4f} "
+                f"< floor {floor:g}"
+            )
+    recorder = current.get("recorder")
+    if recorder:
+        fraction = float(recorder.get("overhead_fraction", 0.0))
+        events = recorder.get("total_events", 0)
+        per_event = float(recorder.get("per_event_seconds", 0.0))
+        within = fraction < RECORDER_OVERHEAD_BUDGET
+        verdict = (
+            "within budget" if within
+            else f"OVER BUDGET (>= {RECORDER_OVERHEAD_BUDGET:.0%})"
+        )
+        (report.notes if within else report.failures).append(
+            f"recorder overhead: {fraction:.3%} of host wall "
+            f"({events} events x {per_event * 1e9:.0f} ns) -- {verdict}"
+        )
+    shared = set(base_scenarios) & set(cur_scenarios)
+    base_wall, cur_wall = (
+        sum(float(rows[name].get("wall_seconds", 0.0)) for name in shared)
+        for rows in (base_scenarios, cur_scenarios)
+    )
+    if base_wall or cur_wall:
+        trend = f"{cur_wall / base_wall:.2f}x, " if base_wall > 0 else ""
+        report.notes.append(
+            f"host wall: {base_wall:.2f}s baseline -> {cur_wall:.2f}s "
+            f"current ({trend}informational, never gated)"
+        )
+    return report

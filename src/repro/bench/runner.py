@@ -13,20 +13,27 @@ from __future__ import annotations
 import argparse
 import datetime
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.bench.artifact import KIND, build_artifact, scenario_record
-from repro.bench.compare import (
-    DEFAULT_TOLERANCE,
+from repro.bench.artifact import (
+    KIND,
+    build_artifact,
     compare_artifacts,
     load_artifact,
+    scenario_record,
 )
 from repro.bench.scenarios import select_scenarios
 from repro.bench.scorecard import build_scorecard, render_scorecard
 from repro.core.factory import build_session
 from repro.hardware.profiles import PROFILES
 from repro.obs import get_logger
-from repro.obs.vetted import SIGNATURE_KEYS, serialize, write_atomic
+from repro.obs.vetted import (
+    SIGNATURE_KEYS,
+    VettedRun,
+    dated_name,
+    vet,
+    write_and_gate,
+)
 from repro.privacy.leakcheck import LeakChecker
 from repro.privacy.meter import profile_records
 
@@ -51,27 +58,6 @@ class BenchConfig:
     scenario_names: list[str] | None = None
     #: Skip the (comparatively slow) estimate-quality scorecard.
     scorecard: bool = True
-
-
-@dataclass
-class BenchRun:
-    """A finished run: the artifact plus its vetted serialization."""
-
-    artifact: dict
-    #: Redacted JSON bytes, already verified CLEAN by the leak checker.
-    payload: bytes
-    leak_summary: str
-    lines: list[str] = field(default_factory=list)
-
-    def write(self, path: str) -> None:
-        write_atomic(path, self.payload)
-
-
-def default_artifact_name(
-    today: datetime.date | None = None,
-) -> str:
-    today = today or datetime.date.today()
-    return f"BENCH_{today.strftime('%Y%m%d')}.json"
 
 
 def recorder_overhead(
@@ -104,7 +90,7 @@ def recorder_overhead(
     }
 
 
-def run_bench(config: BenchConfig | None = None) -> BenchRun:
+def run_bench(config: BenchConfig | None = None) -> VettedRun:
     """Execute one full bench run; see the module docstring."""
     config = config or BenchConfig()
     if config.profile not in PROFILES:
@@ -157,6 +143,8 @@ def run_bench(config: BenchConfig | None = None) -> BenchRun:
         )
 
     card = build_scorecard(session) if config.scorecard else {}
+    if card:
+        lines += ["", render_scorecard(card)]
 
     recorder = recorder_overhead(total_events, total_wall)
     lines.append(
@@ -174,22 +162,17 @@ def run_bench(config: BenchConfig | None = None) -> BenchRun:
         scorecard=card,
         recorder=recorder,
     )
-    payload = serialize(
+    run = vet(
         artifact,
+        LeakChecker(session.schema, data),
+        "bench-artifact",
+        BenchError,
         session.obs.redactor,
         structural=(KIND, artifact["created"], config.profile, "CLEAN"),
         signature_keys=SIGNATURE_KEYS,
     )
-    checker = LeakChecker(session.schema, data)
-    leak = checker.check_bytes(payload, kind="bench-artifact")
-    if not leak.ok:
-        raise BenchError(f"artifact failed leak check: {leak.summary()}")
-    return BenchRun(
-        artifact=artifact,
-        payload=payload,
-        leak_summary=leak.summary(),
-        lines=lines,
-    )
+    run.lines = lines
+    return run
 
 
 def main(argv=None) -> int:
@@ -220,11 +203,6 @@ def main(argv=None) -> int:
         "on regression",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="relative headroom before a gated metric regresses "
-        f"(default {DEFAULT_TOLERANCE})",
-    )
-    parser.add_argument(
         "--no-scorecard", action="store_true",
         help="skip the optimizer estimate-quality scorecard",
     )
@@ -240,36 +218,10 @@ def main(argv=None) -> int:
     except (BenchError, KeyError) as exc:
         print(f"error: {exc}")
         return 2
-
-    for line in run.lines:
-        print(line)
-    if run.artifact["scorecard"]:
-        print()
-        print(render_scorecard(run.artifact["scorecard"]))
-    print()
-    print(run.leak_summary)
-
-    out_path = args.bench_out or default_artifact_name()
-    try:
-        run.write(out_path)
-    except OSError as exc:
-        print(f"error: could not write artifact: {exc}")
-        return 2
-    print(f"wrote {out_path} ({len(run.payload)} bytes)")
-
-    if args.baseline:
-        try:
-            baseline = load_artifact(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: could not read baseline: {exc}")
-            return 2
-        report = compare_artifacts(
-            baseline, run.artifact, tolerance=args.tolerance
-        )
-        print()
-        print(report.render())
-        return 0 if report.ok else 1
-    return 0
+    return write_and_gate(
+        run, args.bench_out or dated_name("BENCH"), args.baseline,
+        load_artifact, compare_artifacts,
+    )
 
 
 if __name__ == "__main__":

@@ -82,7 +82,7 @@ def _fig5_plan(session):
     bound = session.bind(demo_query())
     plan = figure5_postfilter_plan(session.hidden, bound)
     session.optimizer.annotate(plan)
-    return session.executor.execute(plan)
+    return session.execute_plan(plan)
 
 
 def _fig6_p1_plan(session):
@@ -91,7 +91,7 @@ def _fig6_p1_plan(session):
     bound = session.bind(demo_query())
     plan = named_demo_plans(session.hidden, bound)["P1 (pre-filtering)"]
     session.optimizer.annotate(plan)
-    return session.executor.execute(plan)
+    return session.execute_plan(plan)
 
 
 #: Attempts a chaos scenario gets before the run is declared broken.

@@ -56,6 +56,7 @@ Commands::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -169,7 +170,10 @@ class Shell:
         elif name == ".top":
             self._top_command(argument)
         elif name == ".dump":
-            self._dump(argument or self.db.config.dump_dir)
+            dump_checked(
+                self.db, self.checker, argument or self.db.config.dump_dir,
+                "dump", self._print,
+            )
         elif name == ".schema":
             self._show_schema()
         elif name == ".storage":
@@ -500,39 +504,15 @@ class Shell:
             structural=(kind,),
             signature_keys=SIGNATURE_KEYS,
         )
-        if self._write_checked(self.leak_out, payload, "leakage scorecard"):
+        if write_checked(
+            self.checker, self.leak_out, payload, "leakage scorecard",
+            self._print,
+        ):
             self._print(
                 f"wrote leakage scorecard to {self.leak_out} "
                 f"({profile.messages} messages, "
                 f"{profile.observable_bytes} observable bytes)"
             )
-
-    def _dump(self, directory: str) -> None:
-        from repro.obs.bundle import bundle_filename, bundle_payload
-
-        bundle = self.db.postmortem(reason="dump")
-        path = os.path.join(directory, bundle_filename(bundle))
-        payload = bundle_payload(bundle, self.db.obs.redactor)
-        if self._write_checked(path, payload, "postmortem bundle"):
-            self.db.obs.registry.counter(
-                "ghostdb_postmortem_bundles_total"
-            ).inc(reason="dump")
-            self._print(f"wrote postmortem bundle to {path}")
-
-    def _write_checked(self, path: str, payload: bytes, what: str) -> bool:
-        """Write ``payload`` only if the shell's leak checker, which
-        holds the raw dataset, calls the bytes CLEAN; report either
-        failure instead of raising."""
-        leak = self.checker.check_bytes(payload, kind=what)
-        if not leak.ok:
-            self._print(f"error: {what} not written: {leak.summary()}")
-            return False
-        try:
-            write_atomic(path, payload)
-        except OSError as exc:
-            self._print(f"error: could not write {what}: {exc}")
-            return False
-        return True
 
     def _flush_metrics(self) -> None:
         if not self.metrics_out:
@@ -552,14 +532,51 @@ class Shell:
         )
 
 
+def write_checked(
+    checker: LeakChecker, path: str, payload: bytes, what: str, say
+) -> bool:
+    """Write ``payload`` only if ``checker``, which holds the raw
+    dataset, calls the bytes CLEAN; report either failure through
+    ``say`` instead of raising."""
+    leak = checker.check_bytes(payload, kind=what)
+    if not leak.ok:
+        say(f"error: {what} not written: {leak.summary()}")
+        return False
+    try:
+        write_atomic(path, payload)
+    except OSError as exc:
+        say(f"error: could not write {what}: {exc}")
+        return False
+    return True
+
+
+def dump_checked(db, checker: LeakChecker, directory: str, reason: str, say):
+    """Build ``db``'s postmortem bundle and write it into ``directory``
+    through :func:`write_checked`; returns the vetted bytes, or ``None``
+    when nothing was written."""
+    from repro.obs.bundle import bundle_filename, bundle_payload
+
+    bundle = db.postmortem(reason=reason)
+    path = os.path.join(directory, bundle_filename(bundle))
+    payload = bundle_payload(bundle, db.obs.redactor)
+    if not write_checked(checker, path, payload, "postmortem bundle", say):
+        return None
+    db.obs.registry.counter("ghostdb_postmortem_bundles_total").inc(
+        reason=reason
+    )
+    say(f"wrote postmortem bundle to {path}")
+    return payload
+
+
 def doctor_main(argv=None) -> int:
     """``python -m repro doctor``: self-diagnosing smoke session.
 
     Builds a small session, runs the demo query under a deterministic
     fault profile, prints the observability surfaces (flight recorder,
-    resource ledger, SLO percentiles), then writes a postmortem bundle
-    and verifies it against the adversarial leak checker.  Exit code 0
-    means every check passed -- suitable as a CI health probe.
+    resource ledger, SLO percentiles), then checks a postmortem bundle
+    against the adversarial leak checker and writes it only if it is
+    CLEAN.  Exit code 0 means every check passed -- suitable as a CI
+    health probe.
     """
     parser = argparse.ArgumentParser(
         prog="repro doctor",
@@ -587,7 +604,6 @@ def doctor_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.faults.errors import GhostDBFaultError
-    from repro.obs.bundle import load_bundle
 
     ok = True
     db, data = build_session(
@@ -629,16 +645,14 @@ def doctor_main(argv=None) -> int:
         print(f"doctor: slo {family} p50={stats['p50']:.4g} "
               f"p99={stats['p99']:.4g} (n={stats['count']})")
 
-    path = db.dump_bundle(reason="doctor", directory=args.dump_dir)
-    print(f"doctor: wrote postmortem bundle {path}")
-    checker = LeakChecker(db.schema, data)
-    with open(path, "rb") as handle:
-        report = checker.check_bytes(handle.read(), kind="postmortem")
-    print(f"doctor: leak check {report.summary()}")
-    if not report.ok:
+    payload = dump_checked(
+        db, LeakChecker(db.schema, data), args.dump_dir, "doctor",
+        lambda line: print(f"doctor: {line}"),
+    )
+    if payload is None:
         ok = False
-    bundle = load_bundle(path)
-    if bundle["ledger"]["total_queries"] != ledger.total_queries:
+    elif json.loads(payload)["ledger"]["total_queries"] != ledger.total_queries:
+        # The vetted bytes, not only the session, must hold the ledger.
         print("doctor: FAIL -- bundle ledger does not match session")
         ok = False
     print(f"doctor: {'healthy' if ok else 'UNHEALTHY'}")

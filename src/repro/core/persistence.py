@@ -37,11 +37,12 @@ from repro.obs.vetted import write_atomic
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v8: the flash and the buffer pool tally their page reads and lookups
-#: and the registry settles them.  v7 (no settlers: those families would
-#: stop moving), v6 (page lists and posting files), v5 (float-second
-#: clock) and earlier layouts are refused.
-VERSION = 8
+#: v9: the cost model reads the session's ``ExecConfig`` instead of a
+#: copied Bloom target.  v8 (the copy: its cost model cannot price a
+#: Bloom probe), v7 (no settlers: those families would stop moving), v6
+#: (page lists and posting files), v5 (float-second clock) and earlier
+#: layouts are refused.
+VERSION = 9
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

@@ -786,7 +786,7 @@ class SessionContext:
             core.hidden,
             core.site,
             replace(core.profile, ram_bytes=ram_bytes),
-            bloom_fp_target=exec_config.bloom_fp_target,
+            exec_config,
             obs=self.obs,
             cache_pages=self.device.page_cache.capacity_for_costing,
         )
@@ -951,19 +951,21 @@ class SessionContext:
 
         An entry is current while its stamp is: the catalog generation
         (:attr:`HiddenDatabase.version`), the visible-statistics
-        generation (:attr:`VisibleSite.version`) and the pool size the
-        cost model prices with -- every input of plan building and
-        pricing.  The stamp is read when the statement starts, so a
-        write that ran after a scheduler submit is seen.  A miss or a
-        stale entry is parsed (if ``statement`` is ``None``), bound,
-        optimized and stored.  Plans are never written after optimize:
+        generation (:attr:`VisibleSite.version`), the pool size the
+        cost model prices with and the Bloom false-positive target --
+        every input of plan building and pricing.  The stamp is read
+        when the statement starts, so a write that ran after a
+        scheduler submit is seen.  A miss or a stale entry is parsed
+        (if ``statement`` is ``None``), bound, optimized and stored.  Plans are never written after optimize:
         each run's measurements stay on its result.
         """
         core = self.core
+        cost_model = self.optimizer.cost_model
         stamp = (
             core.hidden.version,
             core.site.version,
-            self.optimizer.cost_model.cache_pages,
+            cost_model.cache_pages,
+            cost_model.exec_config.bloom_fp_target,
         )
         plans = self._plans
         entry = plans.get(sql)
@@ -1007,11 +1009,17 @@ class SessionContext:
         return self._drain(self._steps(sql, statement, strategy))
 
     def execute_plan(self, plan: Project) -> QueryResult:
-        """Execute a hand-built plan (demo phase 2/3).  There is no
-        query text to announce, so the run is not metered either."""
+        """Execute a hand-built plan (demo phase 2/3, the join-index
+        baseline, the bench's figure plans).  There is no query text to
+        announce, so the run is not metered either; a fault is booked
+        as :meth:`_steps` books it."""
         self._require_usable()
         with self.core.activated(self.lease):
-            return self.executor.execute(plan)
+            try:
+                return self.executor.execute(plan)
+            except GhostDBFaultError as exc:
+                self._abort_on_fault(exc)
+                raise
 
     def rank_plans(self, sql: str) -> list[RankedPlan]:
         """All candidate plans, cheapest estimate first."""
@@ -1105,8 +1113,8 @@ class SessionContext:
 
         Called automatically on fault aborts when the session was
         configured with ``dump_on_fault``; callable any time for an
-        on-demand snapshot (``ghostdb doctor``).  The shell's ``.dump``
-        builds the same bundle but leak-checks it before writing.
+        on-demand snapshot.  The shell's ``.dump`` and ``repro doctor``
+        build the same bundle but leak-check it before writing.
         """
         from repro.obs.bundle import write_bundle
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.engine import plan as lp
 from repro.engine.database import HiddenDatabase
+from repro.engine.executor import ExecConfig
 from repro.hardware.chip import CYCLES
 from repro.hardware.profiles import HardwareProfile
 from repro.index.bloom import bloom_parameters
@@ -135,14 +136,16 @@ class CostModel:
         stats: StatsProvider,
         db: HiddenDatabase,
         fan_in: int,
-        bloom_fp_target: float,
+        exec_config: ExecConfig,
         cache_pages: int = 0,
     ):
         self.profile = profile
         self.stats = stats
         self.db = db
         self.fan_in = fan_in
-        self.bloom_fp_target = bloom_fp_target
+        #: The session's execution settings, read when a plan is priced:
+        #: the executor sizes Bloom filters from the same object.
+        self.exec_config = exec_config
         #: Buffer-pool capacity the device runs with (0 = no pool).
         #: Flash-read terms that rely on a page being served from the
         #: pool on re-access are only priced when a pool exists.
@@ -329,16 +332,14 @@ class CostModel:
         est = CostEstimate()
         est.absorb(child)
         keys = self.stats.matching_rows(node.predicate)
-        bits, _hashes = bloom_parameters(
-            max(1, round(keys)), self.bloom_fp_target
-        )
+        fp = self.exec_config.bloom_fp_target
+        bits, _hashes = bloom_parameters(max(1, round(keys)), fp)
         # Count round trip, then the ID stream, then inserts and probes.
         est.usb_s += self._usb_transfer(200, 2)
         est.usb_s += self._id_stream_usb(keys)
         est.cpu_s += self._cpu("bloom_insert", keys)
         est.cpu_s += self._cpu("bloom_probe", child.out_count)
         sel = self.stats.selectivity(node.predicate)
-        fp = self.bloom_fp_target
         est.out_count = child.out_count * min(1.0, sel + fp)
         est.ram_bytes += bits / 8 + DEFAULT_ID_BATCH * ID_WIDTH
         return est

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.engine import plan as lp
 from repro.engine.database import HiddenDatabase
+from repro.engine.executor import ExecConfig
 from repro.hardware.profiles import HardwareProfile
 from repro.obs import Observability, get_logger
 from repro.optimizer.cost import CostEstimate, CostModel, StatsProvider
@@ -44,7 +45,7 @@ class Optimizer:
         db: HiddenDatabase,
         site: VisibleSite,
         profile: HardwareProfile,
-        bloom_fp_target: float,
+        exec_config: ExecConfig,
         obs: Observability | None = None,
         cache_pages: int = 0,
     ):
@@ -61,7 +62,7 @@ class Optimizer:
             stats=self.stats,
             db=db,
             fan_in=max(2, min(MAX_FAN_IN, affordable)),
-            bloom_fp_target=bloom_fp_target,
+            exec_config=exec_config,
             cache_pages=cache_pages,
         )
 

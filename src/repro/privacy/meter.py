@@ -23,8 +23,9 @@ Three layers:
 * :func:`run_leakage_meter` runs the whole workbook on a deterministic
   session and writes a redaction-gated, LeakChecker-CLEAN
   ``LEAK_<date>.json`` scorecard; :func:`compare_leakage` diffs it
-  against ``benchmarks/leakage_baseline.json`` and fails on any change
-  that *widens* the channel -- the ``leakage-regression`` CI gate.
+  against ``benchmarks/leakage_baseline.json`` through the shared
+  baseline gate of :mod:`repro.obs.vetted` and fails on any change that
+  *widens* the channel -- the ``leakage-regression`` CI gate.
 
 The scorecard is bit-identical across reruns: simulated traffic is
 deterministic and the artifact carries no wall timestamps.
@@ -36,10 +37,19 @@ import argparse
 import datetime
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hardware.usb import Direction, TrafficRecord
-from repro.obs.vetted import SIGNATURE_KEYS, load, serialize, write_atomic
+from repro.obs.vetted import (
+    SIGNATURE_KEYS,
+    GateReport,
+    VettedRun,
+    compare_rows,
+    dated_name,
+    load,
+    vet,
+    write_and_gate,
+)
 from repro.privacy.spy import ID_STREAMS, IdStats, SpyView, is_lost
 from repro.visible.frame import payload_of
 
@@ -520,25 +530,6 @@ class LeakMeterConfig:
     profile: str = "demo"
 
 
-@dataclass
-class LeakRun:
-    """A finished metering run: scorecard plus vetted serialization."""
-
-    artifact: dict
-    #: Redacted JSON bytes, already verified CLEAN by the leak checker.
-    payload: bytes
-    leak_summary: str
-    lines: list[str] = field(default_factory=list)
-
-    def write(self, path: str) -> None:
-        write_atomic(path, self.payload)
-
-
-def default_artifact_name(today: datetime.date | None = None) -> str:
-    today = today or datetime.date.today()
-    return f"LEAK_{today.strftime('%Y%m%d')}.json"
-
-
 def build_leak_artifact(
     *,
     scale: int,
@@ -566,7 +557,7 @@ def load_leak_artifact(path: str) -> dict:
     return load(path, KIND, SCHEMA_VERSION)
 
 
-def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
+def run_leakage_meter(config: LeakMeterConfig | None = None) -> VettedRun:
     """Execute the metering workbook; see the module docstring."""
     from repro.core.factory import build_session
     from repro.hardware.profiles import PROFILES
@@ -633,22 +624,17 @@ def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
         classifier=classifier,
     )
     # Family and band labels are authored here, like the dict keys.
-    payload = serialize(
+    run = vet(
         artifact,
+        LeakChecker(session.schema, data),
+        "leakage-artifact",
+        LeakMeterError,
         session.obs.redactor,
         structural=(KIND, "CLEAN", config.profile),
         signature_keys=SIGNATURE_KEYS | {"labels"},
     )
-    checker = LeakChecker(session.schema, data)
-    leak = checker.check_bytes(payload, kind="leakage-artifact")
-    if not leak.ok:
-        raise LeakMeterError(f"scorecard failed leak check: {leak.summary()}")
-    return LeakRun(
-        artifact=artifact,
-        payload=payload,
-        leak_summary=leak.summary(),
-        lines=lines,
-    )
+    run.lines = lines
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -660,111 +646,24 @@ def run_leakage_meter(config: LeakMeterConfig | None = None) -> LeakRun:
 GATED_CHANNEL_METRICS = ("observable_bytes", "messages", "ids_observed")
 
 
-@dataclass
-class LeakageComparison:
-    """Outcome of one leakage-baseline comparison."""
-
-    tolerance: float
-    families_compared: int = 0
-    widened: list[str] = field(default_factory=list)
-    narrowed: list[str] = field(default_factory=list)
-    signature_changes: list[str] = field(default_factory=list)
-    accuracy_regression: str | None = None
-    missing_families: list[str] = field(default_factory=list)
-    new_families: list[str] = field(default_factory=list)
-    config_errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.widened
-            or self.signature_changes
-            or self.accuracy_regression
-            or self.missing_families
-            or self.config_errors
-        )
-
-    def render(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        lines = [
-            f"leakage comparison: {status} "
-            f"({self.families_compared} families x "
-            f"{len(GATED_CHANNEL_METRICS)} channel metrics, "
-            f"tolerance {self.tolerance:.0%})"
-        ]
-        lines.extend(f"  config mismatch: {e}" for e in self.config_errors)
-        lines.extend(
-            f"  missing family: {name} (in baseline, not run)"
-            for name in self.missing_families
-        )
-        lines.extend(f"  CHANNEL WIDENED {line}" for line in self.widened)
-        lines.extend(
-            f"  SIGNATURE CHANGED {line}" for line in self.signature_changes
-        )
-        if self.accuracy_regression:
-            lines.append(f"  MORE IDENTIFIABLE {self.accuracy_regression}")
-        lines.extend(f"  narrowed   {line}" for line in self.narrowed)
-        lines.extend(
-            f"  new family: {name} (no baseline -- commit a refreshed "
-            f"benchmarks/leakage_baseline.json)"
-            for name in self.new_families
-        )
-        return "\n".join(lines)
-
-
-def compare_leakage(
-    baseline: dict, current: dict, tolerance: float = 0.0
-) -> LeakageComparison:
+def compare_leakage(baseline: dict, current: dict) -> GateReport:
     """Diff two scorecards; any widening of the channel fails.
 
-    Channel metrics are deterministic, so the default tolerance is zero:
-    identical code reproduces the baseline exactly, and *any* growth in
-    observable bytes, message counts, ID cardinalities, a changed
-    request-sequence signature, or a classifier-accuracy gain beyond
-    :data:`ACCURACY_TOLERANCE` is a leakage regression.
+    The shared gate of :func:`repro.obs.vetted.compare_rows` fails any
+    growth in observable bytes, message counts or ID cardinalities and
+    any changed request-sequence signature; a classifier-accuracy gain
+    beyond :data:`ACCURACY_TOLERANCE` fails too.
     """
-    report = LeakageComparison(tolerance=tolerance)
-    if baseline.get("schema_version") != current.get("schema_version"):
-        report.config_errors.append(
-            f"schema_version: baseline {baseline.get('schema_version')!r} "
-            f"vs run {current.get('schema_version')!r}"
-        )
-    base_cfg = baseline.get("config", {})
-    cur_cfg = current.get("config", {})
-    for key in ("scale", "profile"):
-        if base_cfg.get(key) != cur_cfg.get(key):
-            report.config_errors.append(
-                f"config.{key}: baseline {base_cfg.get(key)!r} "
-                f"vs run {cur_cfg.get(key)!r}"
-            )
-
-    base_families = baseline.get("families", {})
-    cur_families = current.get("families", {})
-    report.missing_families = sorted(set(base_families) - set(cur_families))
-    report.new_families = sorted(set(cur_families) - set(base_families))
-    for name in sorted(set(base_families) & set(cur_families)):
-        report.families_compared += 1
-        base_row = base_families[name]
-        cur_row = cur_families[name]
-        for metric in GATED_CHANNEL_METRICS:
-            base_value = float(base_row.get(metric, 0))
-            cur_value = float(cur_row.get(metric, 0))
-            line = f"{name}: {metric} {base_value:g} -> {cur_value:g}"
-            if cur_value > base_value * (1 + tolerance):
-                report.widened.append(line)
-            elif cur_value < base_value * (1 - tolerance):
-                report.narrowed.append(line)
-        if base_row.get("signatures") != cur_row.get("signatures"):
-            report.signature_changes.append(
-                f"{name}: {base_row.get('signatures')} -> "
-                f"{cur_row.get('signatures')}"
-            )
-
+    report = compare_rows(
+        "leakage comparison", baseline, current,
+        "families", GATED_CHANNEL_METRICS, "signatures",
+    )
     base_acc = float(baseline.get("classifier", {}).get("accuracy", 0.0))
     cur_acc = float(current.get("classifier", {}).get("accuracy", 0.0))
     if cur_acc > base_acc + ACCURACY_TOLERANCE:
-        report.accuracy_regression = (
-            f"fingerprint accuracy {base_acc:.3f} -> {cur_acc:.3f}"
+        report.failures.append(
+            f"MORE IDENTIFIABLE fingerprint accuracy {base_acc:.3f} -> "
+            f"{cur_acc:.3f}"
         )
     return report
 
@@ -797,11 +696,6 @@ def main(argv=None) -> int:
         help="compare against this committed scorecard and exit nonzero "
         "on a leakage regression",
     )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="relative headroom before a channel metric counts as "
-        "widened (default 0: the channel is deterministic)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -811,33 +705,10 @@ def main(argv=None) -> int:
     except LeakMeterError as exc:
         print(f"error: {exc}")
         return 2
-
-    for line in run.lines:
-        print(line)
-    print()
-    print(run.leak_summary)
-
-    out_path = args.leak_out or default_artifact_name()
-    try:
-        run.write(out_path)
-    except OSError as exc:
-        print(f"error: could not write scorecard: {exc}")
-        return 2
-    print(f"wrote {out_path} ({len(run.payload)} bytes)")
-
-    if args.baseline:
-        try:
-            baseline = load_leak_artifact(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: could not read baseline: {exc}")
-            return 2
-        report = compare_leakage(
-            baseline, run.artifact, tolerance=args.tolerance
-        )
-        print()
-        print(report.render())
-        return 0 if report.ok else 1
-    return 0
+    return write_and_gate(
+        run, args.leak_out or dated_name("LEAK"), args.baseline,
+        load_leak_artifact, compare_leakage,
+    )
 
 
 if __name__ == "__main__":

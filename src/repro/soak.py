@@ -43,7 +43,7 @@ from repro.core.factory import build_session
 from repro.core.ghostdb import GhostDB
 from repro.faults import FAULT_PROFILES, GhostDBFaultError
 from repro.obs import get_logger
-from repro.obs.vetted import serialize, write_atomic
+from repro.obs.vetted import vet, write_atomic
 from repro.privacy.leakcheck import LeakChecker
 from repro.reference import evaluate_reference, same_rows
 from repro.sql import ast
@@ -509,8 +509,11 @@ def run_soak(config: SoakConfig | None = None) -> SoakRun:
     # The artifact is an observable execution artefact: it passes the
     # default-deny redaction gate, then the adversarial leak checker
     # (with the *final* hidden corpus) must call the bytes CLEAN.
-    payload = serialize(
+    vetted = vet(
         report,
+        LeakChecker(db.schema, ref),
+        "soak-artifact",
+        SoakError,
         db.obs.redactor,
         structural=(
             KIND, "ok", "violated", "CLEAN",
@@ -518,12 +521,10 @@ def run_soak(config: SoakConfig | None = None) -> SoakRun:
             *(violation["invariant"] for violation in violations),
         ),
     )
-    checker = LeakChecker(db.schema, ref)
-    leak = checker.check_bytes(payload, kind="soak-artifact")
-    if not leak.ok:
-        raise SoakError(f"artifact failed leak check: {leak.summary()}")
     return SoakRun(
-        report=report, payload=payload, leak_summary=leak.summary()
+        report=report,
+        payload=vetted.payload,
+        leak_summary=vetted.leak_summary,
     )
 
 

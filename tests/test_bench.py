@@ -149,34 +149,27 @@ class TestComparator:
         base = _tiny_artifact()
         report = compare_artifacts(base, copy.deepcopy(base))
         assert report.ok
-        assert report.scenarios_compared == 2
+        assert report.scope == (
+            f"2 scenarios x {len(GATED_METRICS)} gated metrics"
+        )
         assert "PASS" in report.render()
 
     def test_exact_equal_is_not_a_regression(self):
-        """Boundary: equality passes even at zero tolerance."""
+        """Boundary: equality passes; the gate has no headroom."""
         base = _tiny_artifact()
-        report = compare_artifacts(
-            base, copy.deepcopy(base), tolerance=0.0
-        )
+        report = compare_artifacts(base, copy.deepcopy(base))
         assert report.ok
+        assert report.failures == report.notes == []
 
     def test_regression_beyond_tolerance_fails(self):
+        """Any increase fails: even 1% growth is a regression."""
         base = _tiny_artifact()
         worse = copy.deepcopy(base)
-        worse["scenarios"]["alpha"]["sim_seconds"] = 10.0 * 1.05
-        report = compare_artifacts(base, worse, tolerance=0.02)
+        worse["scenarios"]["alpha"]["sim_seconds"] = 10.0 * 1.01
+        report = compare_artifacts(base, worse)
         assert not report.ok
-        assert any(
-            d.metric == "sim_seconds" and d.scenario == "alpha"
-            for d in report.regressions
-        )
+        assert report.failures == ["REGRESSION alpha: sim_seconds 10.0 -> 10.1"]
         assert "REGRESSION" in report.render()
-
-    def test_growth_within_tolerance_passes(self):
-        base = _tiny_artifact()
-        slightly = copy.deepcopy(base)
-        slightly["scenarios"]["alpha"]["sim_seconds"] = 10.0 * 1.01
-        assert compare_artifacts(base, slightly, tolerance=0.02).ok
 
     def test_improvement_never_fails(self):
         base = _tiny_artifact()
@@ -185,7 +178,8 @@ class TestComparator:
             better["scenarios"]["alpha"][metric] = 1.0
         report = compare_artifacts(base, better)
         assert report.ok
-        assert report.improvements
+        assert len(report.notes) == len(GATED_METRICS)
+        assert all(line.startswith("improved") for line in report.notes)
 
     def test_missing_scenario_fails(self):
         base = _tiny_artifact()
@@ -193,8 +187,8 @@ class TestComparator:
         del current["scenarios"]["beta"]
         report = compare_artifacts(base, current)
         assert not report.ok
-        assert report.missing_scenarios == ["beta"]
-        assert "missing scenario" in report.render()
+        assert report.failures == ["missing beta (in baseline, not run)"]
+        assert "missing beta" in report.render()
 
     def test_new_scenario_warns_but_passes(self):
         base = _tiny_artifact()
@@ -204,8 +198,10 @@ class TestComparator:
         }
         report = compare_artifacts(base, current)
         assert report.ok
-        assert report.new_scenarios == ["gamma"]
-        assert "new scenario" in report.render()
+        assert report.notes == [
+            "new gamma (no baseline -- commit a refreshed one)"
+        ]
+        assert "new gamma" in report.render()
 
     def test_config_mismatch_fails(self):
         base = _tiny_artifact()
@@ -213,7 +209,7 @@ class TestComparator:
         other["config"]["scale"] = 999
         report = compare_artifacts(base, other)
         assert not report.ok
-        assert any("scale" in e for e in report.config_errors)
+        assert any("config.scale" in line for line in report.failures)
 
     def test_wall_time_is_never_gated(self):
         base = _tiny_artifact()
@@ -229,6 +225,29 @@ class TestComparator:
         worse["scenarios"]["alpha"]["flash_page_writes"] = 3
         assert not compare_artifacts(base, worse).ok
 
+    @pytest.mark.parametrize("index, ok", [(0.7, False), (0.8, True)])
+    def test_fairness_floor_is_an_absolute_gate(self, index, ok):
+        """A concurrent row below the floor it declares fails even when
+        the baseline holds the same index."""
+        base = _tiny_artifact()
+        base["scenarios"]["alpha"].update(
+            fairness_index=index, fairness_floor=0.8
+        )
+        report = compare_artifacts(base, copy.deepcopy(base))
+        assert report.ok is ok
+        assert ("UNFAIR SCHEDULE" in report.render()) is not ok
+
+    @pytest.mark.parametrize("fraction, ok", [(0.05, False), (0.0499, True)])
+    def test_recorder_budget_is_an_absolute_gate(self, fraction, ok):
+        base = _tiny_artifact(recorder={
+            "overhead_fraction": fraction,
+            "total_events": 100,
+            "per_event_seconds": 1e-6,
+        })
+        report = compare_artifacts(base, copy.deepcopy(base))
+        assert report.ok is ok
+        assert ("OVER BUDGET" in report.render()) is not ok
+
 
 # ----------------------------------------------------------------------
 # Determinism: the property the whole gate rests on
@@ -239,14 +258,15 @@ def test_rerun_reproduces_gated_metrics_exactly(bench_run):
     again = run_bench(
         BenchConfig(scale=BENCH_TEST_SCALE, scorecard=False)
     )
-    report = compare_artifacts(
-        bench_run.artifact, again.artifact, tolerance=0.0
-    )
+    report = compare_artifacts(bench_run.artifact, again.artifact)
     # The re-run skipped the scorecard but ran every scenario: exact
-    # equality on every gated metric, at zero tolerance.
-    assert report.scenarios_compared == len(SCENARIOS)
-    assert not report.regressions and not report.improvements
+    # equality on every gated metric.
+    assert report.scope.startswith(f"{len(SCENARIOS)} scenarios x")
     assert report.ok
+    assert [
+        line for line in report.notes
+        if not line.startswith(("recorder overhead", "host wall"))
+    ] == []
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import Shell
+from repro.cli import Shell, doctor_main
 from repro.workload.queries import demo_query
 
 
@@ -194,6 +194,42 @@ class TestDump:
         assert load_bundle(str(path))["reason"] == "dump"
         bundles = sh.db.obs.registry.counter("ghostdb_postmortem_bundles_total")
         assert bundles.value(reason="dump") == 1
+
+
+class TestDoctor:
+    """``repro doctor`` checks its postmortem bundle before writing it."""
+
+    ARGS = ["--scale", "300", "--fault-seed", "7"]
+
+    def test_refused_bundle_exits_1_and_writes_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.privacy.leakcheck import (
+            LeakChecker,
+            LeakReport,
+            LeakViolation,
+        )
+
+        def refuse(self, payload, kind="blob"):
+            return LeakReport(1, 1, [LeakViolation(0, kind, "refused")])
+
+        monkeypatch.setattr(LeakChecker, "check_bytes", refuse)
+        assert doctor_main(self.ARGS + ["--dump-dir", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []
+        out = capsys.readouterr().out
+        assert "doctor: error: postmortem bundle not written" in out
+        assert "doctor: UNHEALTHY" in out
+
+    def test_clean_bundle_exits_0_and_loads(self, tmp_path, capsys):
+        from repro.obs.bundle import load_bundle
+
+        assert doctor_main(self.ARGS + ["--dump-dir", str(tmp_path)]) == 0
+        (path,) = tmp_path.iterdir()
+        assert path.name == "DUMP_7.json"
+        assert load_bundle(str(path))["reason"] == "doctor"
+        out = capsys.readouterr().out
+        assert f"doctor: wrote postmortem bundle to {path}" in out
+        assert "doctor: healthy" in out
 
 
 class TestExplainAnalyze:

@@ -14,8 +14,8 @@ import datetime
 
 import pytest
 
-from repro.baselines import run_hash_join_query
-from repro.core.ghostdb import GhostDB
+from repro.baselines import run_hash_join_query, run_join_index_query
+from repro.core.ghostdb import GhostDB, SessionError
 from repro.demo import figure5_postfilter_plan
 from repro.engine.maintenance import MaintenanceError
 from repro.faults import PowerCutError
@@ -85,6 +85,14 @@ def run_hash_join(db: GhostDB) -> None:
     run_hash_join_query(db, demo_query())
 
 
+def run_join_index(db: GhostDB) -> None:
+    run_join_index_query(db, demo_query())
+
+
+def run_demo_query(db: GhostDB) -> None:
+    db.query(demo_query())
+
+
 def count_writes(monkeypatch, db: GhostDB, statement) -> int:
     ftl = db.device.ftl
     real = ftl.write
@@ -147,6 +155,27 @@ def test_failed_write_leaves_nothing_behind(monkeypatch, scale, statement):
         assert db.device.ftl.mapped_lpages() == db.hidden.referenced_pages(), (
             f"write {k}"
         )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [run_demo_query, run_store_plan, run_join_index, run_hash_join],
+    ids=["query", "execute-plan", "join-index", "hash-join"],
+)
+def test_power_cut_is_booked_on_every_plan_path(statement):
+    """A hand-built plan or a baseline books a fault as the statement
+    pipeline does: a power cut demands a remount and counts one
+    aborted query, so the next statement is refused."""
+    db = build(2_000)
+    db.set_faults("none", 0).schedule_power_cut(3)
+    with pytest.raises(PowerCutError):
+        statement(db)
+    assert db.needs_remount
+    aborted = db.obs.registry.counter("ghostdb_recovery_aborted_queries_total")
+    assert aborted.value(reason="PowerCutError") == 1
+    db.clear_faults()
+    with pytest.raises(SessionError, match="remount"):
+        db.query(demo_query())
 
 
 def test_duplicate_appended_key_is_refused_before_any_write():

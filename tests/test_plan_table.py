@@ -2,8 +2,9 @@
 
 A SELECT whose text has a current entry skips parse, bind and plan
 pricing and runs the stored plan.  An entry's stamp (catalog generation,
-visible-statistics generation, pool size the cost model prices) moves
-with every write and every pool resize, so a stored plan must run
+visible-statistics generation, pool size the cost model prices, Bloom
+false-positive target) moves with every write, every pool resize and
+every target change, so a stored plan must run
 exactly like a freshly optimized one: the same plan, rows, device
 counters and bytes on the spied link.
 """
@@ -21,6 +22,8 @@ from repro.core import session as session_module
 from repro.core.ghostdb import GhostDB, SessionError
 from repro.core.scheduler import Scheduler
 from repro.core.session import PLAN_TABLE_SIZE
+from repro.demo import figure5_postfilter_plan
+from repro.engine import plan as lp
 from repro.engine.maintenance import rebuild_table
 from repro.faults import PowerCutError
 from repro.obs.bundle import build_bundle, bundle_payload
@@ -266,6 +269,9 @@ STAMP_CHANGES = {
         "UPDATE Patient SET Age = 77 WHERE PatID = 1"
     ),
     "pool-resize": lambda db: db.set_cache(0),
+    "bloom-target": lambda db: setattr(
+        db.executor.config, "bloom_fp_target", 0.2
+    ),
 }
 
 
@@ -278,6 +284,19 @@ def test_each_plan_input_change_makes_entries_stale(change):
     db.query(sql)
     db.query(sql)
     assert [lookups(db, o) for o in ("miss", "stale", "hit")] == [1, 1, 1]
+
+
+def test_bloom_probes_are_priced_at_the_executors_target():
+    """The executor sizes filters and the cost model prices them from
+    one ``ExecConfig``: a run-time target change reprices the probe."""
+    db = build_db()
+    plan = figure5_postfilter_plan(db.hidden, db.bind(demo_query()))
+    probe = next(n for n in plan.walk() if isinstance(n, lp.BloomProbe))
+    model = db.optimizer.cost_model
+    before = model.estimate(probe)
+    db.executor.config.bloom_fp_target = 0.2
+    # A looser target needs fewer filter bits.
+    assert model.estimate(probe).ram_bytes < before.ram_bytes
 
 
 def test_scheduled_text_replans_after_another_sessions_update():
