@@ -10,9 +10,16 @@ is built in RAM like any hash join would; one that does not triggers
 grace partitioning -- both sides are hashed into partitions *written to
 flash* and joined partition by partition.  Flash writes are 3-10x reads,
 so this is precisely the behaviour the paper calls unacceptable, and the
-benchmarks show it.  When a step raises, every temporary run the query
-wrote is freed before the error propagates, and a typed fault is booked
-on the session like any aborted query.
+benchmarks show it.
+
+A query runs under the session's statement guard
+(:meth:`~repro.core.session.SessionContext.statement`), as hand-built
+plans and appends do: an unusable session is refused before any device
+work, a leased session works inside its own partition, and a typed
+fault is booked on the session (a power cut demands a remount).  When a
+step raises, every temporary run the query wrote is freed before the
+error propagates.  Heap scans filter through the device scan
+operator's :func:`~repro.engine.operators.scan.scan_matching`.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass, field
 from repro.columns import ID_STRUCT, ID_WIDTH
 from repro.engine.executor import QueryResult
 from repro.engine.metrics import ExecutionMetrics, OperatorStats
+from repro.engine.operators.scan import scan_matching
 from repro.engine.plan import PlanNode
-from repro.faults import GhostDBFaultError
 from repro.hardware.ram import RamExhaustedError
 from repro.sql.binder import BoundQuery, NEQ, Predicate
 from repro.storage.pagestore import Extent, PageReader, PageWriter
@@ -47,9 +54,9 @@ class _HashJoinPlanStub(PlanNode):
 
 @dataclass
 class HashJoinBaseline:
-    """Executes one bound query with hash joins on a GhostDB session."""
+    """Executes one bound query with hash joins on a session."""
 
-    session: "GhostDB"  # noqa: F821
+    session: "SessionContext"  # noqa: F821
     stats: list[OperatorStats] = field(default_factory=list)
     #: Every temporary-run writer opened so far; a failed query aborts
     #: them all, which frees each run that is not freed yet.
@@ -58,9 +65,8 @@ class HashJoinBaseline:
     # ------------------------------------------------------------------
 
     def execute(self, query: BoundQuery) -> QueryResult:
-        session = self.session
-        device = session.device
-        tree = session.tree
+        device = self.session.device
+        tree = self.session.core.tree
         root = query.root
 
         for table, _column in query.projections:
@@ -73,11 +79,9 @@ class HashJoinBaseline:
         before = device.counters()
         try:
             rows = self._run(query)
-        except BaseException as exc:
+        except BaseException:
             for writer in self._writers:
                 writer.abort()
-            if isinstance(exc, GhostDBFaultError):
-                session._abort_on_fault(exc)
             raise
         after = device.counters()
         metrics = ExecutionMetrics.from_counters(
@@ -124,13 +128,7 @@ class HashJoinBaseline:
         (a visit qualifies only if its doctor qualifies), so the final
         root scan only needs depth-1 membership tests.
         """
-        session = self.session
-        tree = session.tree
-        device = session.device
-        preds_by_table: dict[str, list[Predicate]] = {}
-        for predicate in query.predicates:
-            preds_by_table.setdefault(predicate.table, []).append(predicate)
-
+        tree = self.session.core.tree
         runs: dict[str, Extent | None] = {}
         # Bottom-up: deepest tables first.
         order = sorted(
@@ -138,12 +136,7 @@ class HashJoinBaseline:
             key=lambda t: -len(tree.path_to_root(t)),
         )
         for table in order:
-            hidden = [
-                p for p in preds_by_table.get(table, []) if p.hidden
-            ]
-            visible = [
-                p for p in preds_by_table.get(table, []) if not p.hidden
-            ]
+            hidden, visible = _split(query, table)
             child_constraints = [
                 (child, runs[child])
                 for _fk, child in tree.children_of(table)
@@ -165,32 +158,15 @@ class HashJoinBaseline:
         child_constraints,
     ) -> Extent:
         """Scan ``table`` (and ask the PC) for qualifying IDs."""
-        session = self.session
-        device = session.device
+        device = self.session.device
         op = OperatorStats(
             name="hj-select", detail=f"qualify {table}"
         )
         self.stats.append(op)
-        heap = session.hidden.heaps[table]
-        table_def = session.tree.table(table)
+        heap = self.session.core.hidden.heaps[table]
 
         # Visible side first: one sorted ID run from the PC.
-        visible_run: Extent | None = None
-        if visible:
-            writer = self._writer(ID_WIDTH, f"hj-vis:{table}")
-            stream = None
-            for predicate in visible:
-                if stream is None:
-                    stream = set(
-                        session.link.select_ids(table, predicate)
-                    )
-                else:
-                    stream &= set(
-                        session.link.select_ids(table, predicate)
-                    )
-            for pk in sorted(stream):
-                writer.append(ID_STRUCT.pack(pk))
-            visible_run = writer.close()
+        visible_run = self._visible_run(table, visible) if visible else None
 
         # Device scan applying hidden predicates and child memberships.
         child_sets = [
@@ -198,9 +174,10 @@ class HashJoinBaseline:
             for child, run in child_constraints
         ]
         writer = self._writer(ID_WIDTH, f"hj-ids:{table}")
-        scan_tuples = self._scan_with_predicates(
-            heap, table_def, hidden,
-            extra_fields=[idx for idx, _run in child_sets],
+        scan_tuples = scan_matching(
+            heap, self.session.core.tree.table(table), hidden,
+            (heap.pk_field, *(idx for idx, _run in child_sets)),
+            f"hj-scan:{heap.name}",
         )
         if child_sets:
             arity = 1 + len(child_sets)
@@ -209,13 +186,10 @@ class HashJoinBaseline:
                 run = self._membership_join(
                     run, 1 + i, child_run, label=f"{table}-child"
                 )
-            for tup in self._replay(run, arity):
-                writer.append(ID_STRUCT.pack(tup[0]))
-                op.tuples_out += 1
-        else:
-            for tup in scan_tuples:
-                writer.append(ID_STRUCT.pack(tup[0]))
-                op.tuples_out += 1
+            scan_tuples = self._replay(run, arity)
+        for tup in scan_tuples:
+            writer.append(ID_STRUCT.pack(tup[0]))
+            op.tuples_out += 1
         scanned = writer.close()
 
         if visible_run is None:
@@ -231,17 +205,11 @@ class HashJoinBaseline:
     # ------------------------------------------------------------------
 
     def _filtered_root_tuples(self, query: BoundQuery):
-        session = self.session
-        tree = session.tree
+        tree = self.session.core.tree
         root = query.root
-        heap = session.hidden.heaps[root]
+        heap = self.session.core.hidden.heaps[root]
         table_def = tree.table(root)
-        hidden = [
-            p for p in query.predicates if p.table == root and p.hidden
-        ]
-        visible = [
-            p for p in query.predicates if p.table == root and not p.hidden
-        ]
+        hidden, visible = _split(query, root)
         fk_children = [
             (table_def.device_column_index(fk), child)
             for fk, child in tree.children_of(root)
@@ -251,22 +219,17 @@ class HashJoinBaseline:
         op = OperatorStats(name="hj-root-scan", detail=root)
         self.stats.append(op)
 
-        tuples = self._scan_with_predicates(
+        tuples = scan_matching(
             heap, table_def, hidden,
-            extra_fields=[idx for idx, _child in fk_children],
+            (heap.pk_field, *(idx for idx, _child in fk_children)),
+            f"hj-scan:{heap.name}",
         )
         run = self._materialise(tuples, len(tables), count_into=op)
         if visible:
             # Root visible predicates: intersect with the PC's ID run.
-            ids = None
-            for predicate in visible:
-                got = set(session.link.select_ids(root, predicate))
-                ids = got if ids is None else ids & got
-            writer = self._writer(ID_WIDTH, f"hj-vis:{root}")
-            for pk in sorted(ids):
-                writer.append(ID_STRUCT.pack(pk))
-            vis_run = writer.close()
-            run = self._membership_join(run, 0, vis_run, label=root)
+            run = self._membership_join(
+                run, 0, self._visible_run(root, visible), label=root
+            )
         return run, tables
 
     # ------------------------------------------------------------------
@@ -297,22 +260,11 @@ class HashJoinBaseline:
             )
         try:
             op.ram_bytes = needed
-            members = set()
-            with PageReader(device, ids_run, f"hj-ids:{label}") as reader:
-                for raw in reader.scan():
-                    device.chip.charge("hash")
-                    members.add(ID_STRUCT.unpack(raw)[0])
-            out = self._writer(tuples_run.record_width, f"hj-out:{label}")
-            with PageReader(device, tuples_run, f"hj-in:{label}") as reader:
-                for raw in reader.scan():
-                    device.chip.charge("hash")
-                    key = ID_STRUCT.unpack_from(
-                        raw, key_position * ID_WIDTH
-                    )[0]
-                    if key in members:
-                        out.append(raw)
-                        op.tuples_out += 1
-            result = out.close()
+            result = self._build_and_probe(
+                ids_run, tuples_run, key_position, op,
+                (f"hj-ids:{label}", f"hj-in:{label}"),
+                lambda: self._writer(tuples_run.record_width, f"hj-out:{label}"),
+            ).close()
         finally:
             alloc.release()
         tuples_run.free(device.ftl)
@@ -373,20 +325,10 @@ class HashJoinBaseline:
                 sub.free(device.ftl)
                 continue
             try:
-                members = set()
-                with PageReader(device, id_part, "hj-p-ids") as reader:
-                    for raw in reader.scan():
-                        device.chip.charge("hash")
-                        members.add(ID_STRUCT.unpack(raw)[0])
-                with PageReader(device, tuple_part, "hj-p-tup") as reader:
-                    for raw in reader.scan():
-                        device.chip.charge("hash")
-                        key = ID_STRUCT.unpack_from(
-                            raw, key_position * ID_WIDTH
-                        )[0]
-                        if key in members:
-                            out.append(raw)
-                            op.tuples_out += 1
+                self._build_and_probe(
+                    id_part, tuple_part, key_position, op,
+                    ("hj-p-ids", "hj-p-tup"), lambda: out,
+                )
             finally:
                 alloc.release()
             id_part.free(device.ftl)
@@ -397,39 +339,48 @@ class HashJoinBaseline:
     # Helpers
     # ------------------------------------------------------------------
 
+    def _build_and_probe(
+        self, ids_run: Extent, tuples_run: Extent, key_position: int,
+        op: OperatorStats, labels: tuple[str, str], out,
+    ) -> PageWriter:
+        """Load ``ids_run`` into an in-RAM set, then append each tuple of
+        ``tuples_run`` whose key is a member to the writer ``out()``
+        returns between the phases; ``labels`` name the two readers."""
+        device = self.session.device
+        members = set()
+        with PageReader(device, ids_run, labels[0]) as reader:
+            for raw in reader.scan():
+                device.chip.charge("hash")
+                members.add(ID_STRUCT.unpack(raw)[0])
+        writer = out()
+        offset = key_position * ID_WIDTH
+        with PageReader(device, tuples_run, labels[1]) as reader:
+            for raw in reader.scan():
+                device.chip.charge("hash")
+                if ID_STRUCT.unpack_from(raw, offset)[0] in members:
+                    writer.append(raw)
+                    op.tuples_out += 1
+        return writer
+
+    def _visible_run(self, table: str, predicates: list[Predicate]) -> Extent:
+        """The sorted IDs of ``table`` meeting every visible predicate,
+        as a run: the PC answers each predicate, the device intersects."""
+        writer = self._writer(ID_WIDTH, f"hj-vis:{table}")
+        ids = None
+        for predicate in predicates:
+            got = set(self.session.link.select_ids(table, predicate))
+            ids = got if ids is None else ids & got
+        for pk in sorted(ids):
+            writer.append(ID_STRUCT.pack(pk))
+        return writer.close()
+
     def _fk_index(self, table: str, child: str) -> int:
-        table_def = self.session.tree.table(table)
-        for fk, ch in self.session.tree.children_of(table):
+        tree = self.session.core.tree
+        table_def = tree.table(table)
+        for fk, ch in tree.children_of(table):
             if ch == child:
                 return table_def.device_column_index(fk)
         raise KeyError(f"{table} has no FK to {child}")
-
-    def _scan_with_predicates(self, heap, table_def, predicates, extra_fields):
-        device = self.session.device
-        field_of = {
-            p.column: table_def.device_column_index(p.column)
-            for p in predicates
-        }
-        with heap.reader(f"hj-scan:{heap.name}") as reader:
-            for raw in reader.scan():
-                ok = True
-                for predicate in predicates:
-                    value = heap.codec.decode_field(
-                        raw, field_of[predicate.column]
-                    )
-                    device.chip.charge("decode_field")
-                    device.chip.charge("compare")
-                    if not predicate.matches(value):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                pk = heap.codec.decode_field(raw, heap.pk_field)
-                extras = tuple(
-                    heap.codec.decode_field(raw, idx) for idx in extra_fields
-                )
-                device.chip.charge("decode_field", 1 + len(extra_fields))
-                yield (pk,) + extras
 
     def _writer(self, record_width: int, label: str) -> PageWriter:
         """Open a writer for a temporary run of this query."""
@@ -487,9 +438,7 @@ class HashJoinBaseline:
         readers = {}
         rows = []
         try:
-            batch = []
-            for tup in self._replay(tuples_run, arity):
-                batch.append(tup)
+            batch = list(self._replay(tuples_run, arity))
             fetches = [
                 Fetch(table, sorted({t[tables.index(table)] for t in batch}), cols)
                 for table, cols in visible_cols.items()
@@ -506,10 +455,10 @@ class HashJoinBaseline:
                     if column.primary_key:
                         out.append(key)
                     elif column.hidden:
-                        heap = session.hidden.heaps[table]
+                        heap = session.core.hidden.heaps[table]
                         if table not in readers:
                             readers[table] = heap.reader(f"hj-proj:{table}")
-                        field_idx = session.tree.table(
+                        field_idx = session.core.tree.table(
                             table
                         ).device_column_index(column.name)
                         off, width = heap.codec.field_slice(field_idx)
@@ -535,12 +484,20 @@ class HashJoinBaseline:
         return rows
 
 
+def _split(query: BoundQuery, table: str):
+    """``table``'s hidden and visible predicates, in query order."""
+    mine = [p for p in query.predicates if p.table == table]
+    return [p for p in mine if p.hidden], [p for p in mine if not p.hidden]
+
+
 def run_hash_join_query(session, sql: str) -> QueryResult:
-    """Execute ``sql`` on a loaded GhostDB session via the baseline."""
-    bound = session.bind(sql)
-    for predicate in bound.predicates:
-        if predicate.kind == NEQ:
-            raise ValueError(
-                "the hash-join baseline does not evaluate <> predicates"
-            )
-    return HashJoinBaseline(session).execute(bound)
+    """Execute ``sql`` on a loaded session via the baseline, under the
+    session's statement guard."""
+    with session.statement():
+        bound = session.bind(sql)
+        for predicate in bound.predicates:
+            if predicate.kind == NEQ:
+                raise ValueError(
+                    "the hash-join baseline does not evaluate <> predicates"
+                )
+        return HashJoinBaseline(session).execute(bound)

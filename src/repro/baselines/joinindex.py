@@ -41,7 +41,7 @@ class StepwisePlanBuilder(PlanBuilder):
 
 
 def run_join_index_query(session, sql: str, strategy=None) -> QueryResult:
-    """Execute ``sql`` using binary-join-index plans on a GhostDB session.
+    """Execute ``sql`` using binary-join-index plans on a session.
 
     ``strategy`` defaults to all-PRE (join indices have no Post-filtering
     story of their own; the Bloom machinery is GhostDB's).
@@ -49,7 +49,7 @@ def run_join_index_query(session, sql: str, strategy=None) -> QueryResult:
     bound = session.bind(sql)
     if strategy is None:
         strategy = Strategy.all_pre(bound)
-    builder = StepwisePlanBuilder(session.hidden, bound)
+    builder = StepwisePlanBuilder(session.core.hidden, bound)
     plan = builder.build(strategy)
     session.optimizer.annotate(plan)
     return session.execute_plan(plan)

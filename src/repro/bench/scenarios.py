@@ -100,6 +100,31 @@ def _fig6_p1_plan(session):
 CHAOS_MAX_ATTEMPTS = 8
 
 
+def _retry_under_faults(session, sql: str, profile_name: str, seed: int, scenario: str):
+    """Query ``sql`` under a fixed-seed fault schedule, remounting after
+    a power cut, then clear the faults; returns the USB-log mark of the
+    attempt that answered and its result."""
+    from repro.faults import GhostDBFaultError
+
+    session.set_faults(profile_name, seed)
+    try:
+        for _ in range(CHAOS_MAX_ATTEMPTS):
+            mark = len(session.device.usb.log)
+            try:
+                return mark, session.query(sql)
+            except GhostDBFaultError:
+                if session.needs_remount:
+                    session.remount()
+    finally:
+        session.clear_faults()
+        if session.needs_remount:
+            session.remount()
+    raise RuntimeError(
+        f"{scenario} scenario gave up after {CHAOS_MAX_ATTEMPTS} "
+        f"attempts (profile={profile_name}, seed={seed})"
+    )
+
+
 def _chaos(profile_name: str, seed: int):
     """Run the demo query under a fixed-seed fault schedule.
 
@@ -110,29 +135,11 @@ def _chaos(profile_name: str, seed: int):
     """
 
     def run(session):
-        from repro.faults import GhostDBFaultError
-
         sql = demo_query()
         reference = session.query(sql)
-        session.set_faults(profile_name, seed)
-        result = None
-        try:
-            for _ in range(CHAOS_MAX_ATTEMPTS):
-                try:
-                    result = session.query(sql)
-                    break
-                except GhostDBFaultError:
-                    if session.needs_remount:
-                        session.remount()
-        finally:
-            session.clear_faults()
-            if session.needs_remount:
-                session.remount()
-        if result is None:
-            raise RuntimeError(
-                f"chaos scenario gave up after {CHAOS_MAX_ATTEMPTS} "
-                f"attempts (profile={profile_name}, seed={seed})"
-            )
+        _mark, result = _retry_under_faults(
+            session, sql, profile_name, seed, "chaos"
+        )
         if result.rows != reference.rows:
             raise RuntimeError(
                 f"chaos answer diverged from the clean reference "
@@ -252,7 +259,6 @@ def _leak_signature(fault_profile: str | None, seed: int = 0):
     """
 
     def run(session):
-        from repro.faults import GhostDBFaultError
         from repro.privacy.meter import profile_records
 
         sql = demo_query()
@@ -261,27 +267,9 @@ def _leak_signature(fault_profile: str | None, seed: int = 0):
         clean = profile_records(session.device.usb.log[mark:])
         if fault_profile is None:
             return reference
-        session.set_faults(fault_profile, seed)
-        result = None
-        try:
-            for _ in range(CHAOS_MAX_ATTEMPTS):
-                mark = len(session.device.usb.log)
-                try:
-                    result = session.query(sql)
-                    break
-                except GhostDBFaultError:
-                    if session.needs_remount:
-                        session.remount()
-        finally:
-            session.clear_faults()
-            if session.needs_remount:
-                session.remount()
-        if result is None:
-            raise RuntimeError(
-                f"leak-signature scenario gave up after "
-                f"{CHAOS_MAX_ATTEMPTS} attempts (profile={fault_profile}, "
-                f"seed={seed})"
-            )
+        mark, result = _retry_under_faults(
+            session, sql, fault_profile, seed, "leak-signature"
+        )
         faulted = profile_records(session.device.usb.log[mark:])
         if result.rows != reference.rows:
             raise RuntimeError(

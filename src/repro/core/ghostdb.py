@@ -46,7 +46,7 @@ from repro.core.session import (
     SessionError,
 )
 from repro.engine.executor import QueryResult
-from repro.faults import FaultInjector, FaultProfile, GhostDBFaultError
+from repro.faults import FaultInjector, FaultProfile
 from repro.hardware.device import default_cache_pages
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
 from repro.obs.export import chrome_trace_json, render_tree, write_chrome_trace
@@ -146,19 +146,16 @@ class GhostDB(SessionContext):
         written.  Splits each full row like the loader does, rebuilds
         the affected device structures (an out-of-place, GC-feeding
         operation whose cost shows up in the device counters), and
-        updates the visible site.  Returns the maintenance report.
+        updates the visible site, all under :meth:`statement`.  Returns
+        the maintenance report.
         """
         from repro.engine.maintenance import append_rows
 
-        self._require_usable()
-        table_def = self.schema.table(table)
-        validated = [table_def.validate_row(row) for row in rows]
-        try:
+        with self.statement():
+            table_def = self.schema.table(table)
+            validated = [table_def.validate_row(row) for row in rows]
             report = append_rows(self.hidden, table, validated)
-        except GhostDBFaultError as exc:
-            self._abort_on_fault(exc)
-            raise
-        self.site.append(table, validated)
+            self.site.append(table, validated)
         return report
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.tree import SchemaTree
 from repro.engine.database import HiddenDatabase
-from repro.engine.executor import ExecConfig, Executor, QueryResult
+from repro.engine.executor import ExecConfig, Executor, QueryResult, drain
 from repro.engine.plan import DeletePlan, Project, UpdatePlan
 from repro.faults import (
     FAULT_PROFILES,
@@ -706,8 +706,9 @@ class SessionContext:
     device -- the classic single-caller wiring.  Leased sessions own a
     tracer and resource ledger (sharing the registry, flight recorder
     and redactor), talk to the device through a :class:`SessionDevice`
-    view, and must run under :meth:`DeviceCore.activated` -- which
-    :meth:`execute` does itself, and the scheduler does per step.
+    view, and must run under :meth:`DeviceCore.activated` -- which the
+    statement surfaces and :meth:`statement` do themselves, and the
+    scheduler does per step.
     """
 
     def __init__(
@@ -817,6 +818,20 @@ class SessionContext:
         if self.config.dump_on_fault:
             self.dump_bundle(reason=type(exc).__name__)
 
+    @contextmanager
+    def statement(self):
+        """The one guard of a device statement: refuse an unusable
+        session, activate its lease, book an escaping fault.
+        :meth:`_steps` books its own faults, because the scheduler, not
+        the step generator, holds activation between its steps."""
+        self._require_usable()
+        with self.core.activated(self.lease):
+            try:
+                yield
+            except GhostDBFaultError as exc:
+                self._abort_on_fault(exc)
+                raise
+
     # ------------------------------------------------------------------
     # Statement surface
     # ------------------------------------------------------------------
@@ -879,11 +894,7 @@ class SessionContext:
     def _drain(self, steps):
         """Run a step generator to completion under activation."""
         with self.core.activated(self.lease):
-            while True:
-                try:
-                    next(steps)
-                except StopIteration as stop:
-                    return stop.value
+            return drain(steps)
 
     def _steps(self, sql: str, statement, strategy: Strategy | None = None):
         """The one statement pipeline, as a step generator.
@@ -1010,16 +1021,11 @@ class SessionContext:
 
     def execute_plan(self, plan: Project) -> QueryResult:
         """Execute a hand-built plan (demo phase 2/3, the join-index
-        baseline, the bench's figure plans).  There is no query text to
-        announce, so the run is not metered either; a fault is booked
-        as :meth:`_steps` books it."""
-        self._require_usable()
-        with self.core.activated(self.lease):
-            try:
-                return self.executor.execute(plan)
-            except GhostDBFaultError as exc:
-                self._abort_on_fault(exc)
-                raise
+        baseline, the bench's figure plans) under :meth:`statement`.
+        There is no query text to announce, so the run is not metered
+        either."""
+        with self.statement():
+            return self.executor.execute(plan)
 
     def rank_plans(self, sql: str) -> list[RankedPlan]:
         """All candidate plans, cheapest estimate first."""

@@ -11,6 +11,7 @@ link, which the result never crosses.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.engine import plan as lp
@@ -85,6 +86,33 @@ class DmlResult:
     plan: lp.PlanNode
 
 
+def drain(steps):
+    """Run a step generator to completion and return its return value
+    (``StopIteration.value``)."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+class _Measurement:
+    """A body's side of :meth:`Executor._measured`: the open span, and
+    :meth:`finish`, which hands back the metrics and ``_end`` fields."""
+
+    def __init__(self, device, before, span):
+        self.span = span
+        self._device = device
+        self._before = before
+
+    def finish(self, operators, result_rows: int, **outcome) -> ExecutionMetrics:
+        self.metrics = ExecutionMetrics.from_counters(
+            self._before, self._device.counters(), operators, result_rows
+        )
+        self.outcome = outcome
+        return self.metrics
+
+
 class Executor:
     """Lowers and runs logical plans on one device."""
 
@@ -93,14 +121,14 @@ class Executor:
         device: SmartUsbDevice,
         link: DeviceLink,
         db: HiddenDatabase,
-        config: ExecConfig | None = None,
-        obs: Observability | None = None,
+        config: ExecConfig,
+        obs: Observability,
     ):
         self.device = device
         self.link = link
         self.db = db
-        self.config = config or ExecConfig()
-        self.obs = obs or Observability(clock=device.clock)
+        self.config = config
+        self.obs = obs
 
     # ------------------------------------------------------------------
     # Public API
@@ -108,12 +136,7 @@ class Executor:
 
     def execute(self, root: lp.PlanNode) -> QueryResult:
         """Run a plan to completion and collect measurements."""
-        steps = self.execute_steps(root)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
+        return drain(self.execute_steps(root))
 
     def execute_steps(self, root: lp.PlanNode):
         """Generator variant of :meth:`execute` for cooperative scheduling.
@@ -139,49 +162,28 @@ class Executor:
             bloom_fp_target=self.config.bloom_fp_target,
             exec_batch=self._effective_batch(root),
         )
-        # Snapshot-reset the RAM high-water mark so each query reports
-        # its *own* peak: without this the second query on a session
-        # inherits the first query's high water from the shared budget.
-        self.device.ram.reset_high_water()
         tracer = self.obs.tracer
-        flight = self.obs.flight
-        fingerprint = plan_fingerprint(root)
-        query_index = self.obs.ledger.next_index
-        wall_start = time.perf_counter()
-        before = self.device.counters()
-        flight.record(
-            "query_begin", query=query_index, fingerprint=fingerprint
-        )
-        with tracer.span("executor.execute", category="engine") as span:
+        with self._measured(
+            root, "query", "executor.execute", ctx.operators,
+            query=self.obs.ledger.next_index,
+        ) as run:
             with tracer.span("executor.lower", category="engine") as lspan:
                 operator = self.lower(root, ctx)
                 lspan.set("operators", len(ctx.operators))
+            operator.open()
+            rows = []
             try:
-                operator.open()
-                rows = []
-                try:
-                    for batch in operator.batches():
-                        rows.extend(batch)
-                        yield
-                finally:
-                    # Deterministic teardown on every exit path: stamps
-                    # end times on short-circuited subtrees and releases
-                    # RAM reservations -- before the counter snapshot,
-                    # so close-time charges stay inside the measurement.
-                    operator.close()
-            except GhostDBFaultError as exc:
-                # A clean abort: operator close (plus generator
-                # unwinding) releases every RAM allocation; the caller
-                # decides whether a remount is needed.
-                self._record_abort(
-                    exc, span, before, ctx.operators, fingerprint,
-                    wall_start, "query_abort", query=query_index,
-                )
-                raise
-            after = self.device.counters()
-            metrics = ExecutionMetrics.from_counters(
-                before, after, ctx.operators, len(rows)
-            )
+                for batch in operator.batches():
+                    rows.extend(batch)
+                    yield
+            finally:
+                # Deterministic teardown on every exit path, a fault
+                # included: stamps end times on short-circuited subtrees
+                # and releases RAM reservations -- before the counter
+                # snapshot, so close-time charges stay inside it.
+                operator.close()
+            metrics = run.finish(ctx.operators, len(rows), rows=len(rows))
+            span = run.span
             if tracer.enabled:
                 self._record_operator_spans(
                     root, ctx.measured, span, tracer, set()
@@ -196,15 +198,6 @@ class Executor:
             span.set("ram_high_water", metrics.ram_high_water)
             for counter, amount in sorted(ctx.counters.items()):
                 span.set(counter, amount)
-        flight.record(
-            "query_end",
-            query=query_index,
-            fingerprint=fingerprint,
-            rows=len(rows),
-        )
-        self.obs.record_query_metrics(
-            metrics, fingerprint, time.perf_counter() - wall_start
-        )
         self.obs.registry.counter("ghostdb_bloom_false_positives_total").inc(
             ctx.counters.get("bloom_recheck_dropped", 0)
         )
@@ -226,66 +219,35 @@ class Executor:
         """Run a DML plan: scan-match-rebuild with full measurement.
 
         The statement executes as a rebuild transaction (see
-        :mod:`repro.engine.dml`); hardware counter diffs are collected
-        the same way :meth:`execute` does for queries, so DML cost shows
-        up in benches, the ledger and the flight recorder.
+        :mod:`repro.engine.dml`) inside the same measurement envelope
+        as a query, so DML cost shows up in benches, the ledger and the
+        flight recorder.
         """
         from repro.engine import dml
 
         kind = "update" if isinstance(root, lp.UpdatePlan) else "delete"
-        self.device.ram.reset_high_water()
-        flight = self.obs.flight
-        fingerprint = plan_fingerprint(root)
-        wall_start = time.perf_counter()
-        before = self.device.counters()
-        flight.record(
-            "dml_begin", statement=kind, table=root.bound.table,
-            fingerprint=fingerprint,
-        )
-        with self.obs.tracer.span("executor.dml", category="engine") as span:
+        table = root.bound.table
+        run_dml = dml.run_update if kind == "update" else dml.run_delete
+        with self._measured(
+            root, "dml", "executor.dml", [], statement=kind, table=table
+        ) as run:
+            span = run.span
             span.set("kind", kind)
-            span.set("table", root.bound.table)
-            try:
-                if kind == "update":
-                    matched, changed = dml.run_update(
-                        self.db, site, root.bound
-                    )
-                else:
-                    matched, changed = dml.run_delete(
-                        self.db, site, root.bound
-                    )
-            except GhostDBFaultError as exc:
-                self._record_abort(
-                    exc, span, before, [], fingerprint, wall_start,
-                    "dml_abort", statement=kind, table=root.bound.table,
-                )
-                raise
-            after = self.device.counters()
-            metrics = ExecutionMetrics.from_counters(before, after, [], matched)
+            span.set("table", table)
+            matched, changed = run_dml(self.db, site, root.bound)
+            metrics = run.finish([], matched, matched=matched, changed=changed)
             span.set("matched", matched)
             span.set("changed", changed)
             span.set("flash_page_reads", metrics.flash_page_reads)
             span.set("flash_page_writes", metrics.flash_page_writes)
             span.set("flash_block_erases", metrics.flash_block_erases)
             span.set("ram_high_water", metrics.ram_high_water)
-        flight.record(
-            "dml_end",
-            statement=kind,
-            table=root.bound.table,
-            fingerprint=fingerprint,
-            matched=matched,
-            changed=changed,
-        )
-        self.obs.record_query_metrics(
-            metrics, fingerprint, time.perf_counter() - wall_start
-        )
         log.debug(
             "executed %s on %s: %d matched, %d changed, %.3f ms simulated",
-            kind, root.bound.table, matched, changed,
-            metrics.elapsed_seconds * 1e3,
+            kind, table, matched, changed, metrics.elapsed_seconds * 1e3,
         )
         return DmlResult(
-            table=root.bound.table,
+            table=table,
             kind=kind,
             matched=matched,
             changed=changed,
@@ -293,24 +255,47 @@ class Executor:
             plan=root,
         )
 
-    def _record_abort(
-        self, exc, span, before, operators, fingerprint, wall_start,
-        event: str, **fields,
-    ) -> None:
-        """Book a fault-aborted statement: the span records what killed
-        it, the ledger keeps its (real) consumption up to the fault, and
-        the flight recorder journals ``event`` for the postmortem."""
-        reason = type(exc).__name__
-        span.set("aborted", reason)
-        consumed = ExecutionMetrics.from_counters(
-            before, self.device.counters(), operators, 0
+    @contextmanager
+    def _measured(self, root, kind: str, span_name: str, operators, **fields):
+        """The one measurement envelope of a query or DML body.
+
+        Resets the RAM high-water mark (each statement reports its own
+        peak), snapshots the counters, journals ``<kind>_begin`` and
+        opens the span.  A finished body journals ``<kind>_end`` and
+        files its metrics; a fault is booked on the span, in the ledger
+        (its real consumption) and as ``<kind>_abort``.  ``fields`` lead
+        every event's fields.
+        """
+        self.device.ram.reset_high_water()
+        obs = self.obs
+        fingerprint = plan_fingerprint(root)
+        wall_start = time.perf_counter()
+        before = self.device.counters()
+        obs.flight.record(f"{kind}_begin", **fields, fingerprint=fingerprint)
+        with obs.tracer.span(span_name, category="engine") as span:
+            run = _Measurement(self.device, before, span)
+            try:
+                yield run
+            except GhostDBFaultError as exc:
+                reason = type(exc).__name__
+                span.set("aborted", reason)
+                consumed = ExecutionMetrics.from_counters(
+                    before, self.device.counters(), operators, 0
+                )
+                obs.record_aborted_query(
+                    consumed, fingerprint, time.perf_counter() - wall_start,
+                    reason=reason,
+                )
+                obs.flight.record(
+                    f"{kind}_abort", **fields, fingerprint=fingerprint,
+                    reason=reason,
+                )
+                raise
+        obs.flight.record(
+            f"{kind}_end", **fields, fingerprint=fingerprint, **run.outcome
         )
-        self.obs.record_aborted_query(
-            consumed, fingerprint, time.perf_counter() - wall_start,
-            reason=reason,
-        )
-        self.obs.flight.record(
-            event, **fields, fingerprint=fingerprint, reason=reason
+        obs.record_query_metrics(
+            run.metrics, fingerprint, time.perf_counter() - wall_start
         )
 
     def _effective_batch(self, root: lp.PlanNode) -> int:

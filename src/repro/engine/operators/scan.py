@@ -16,6 +16,28 @@ from repro.engine.operators.base import ExecContext, Operator
 from repro.sql.binder import Predicate
 
 
+def scan_matching(heap, table_def, predicates, fields, label: str):
+    """Yield the ``fields`` of each row of ``heap`` meeting every
+    predicate, as a tuple.  Per row: one ``decode_field`` and one
+    ``compare`` charge per predicate tested up to the first that fails,
+    then one ``decode_field`` charge per field yielded."""
+    tests = [(p, table_def.device_column_index(p.column)) for p in predicates]
+    decode = heap.codec.decode_field
+    chip = heap.device.chip
+    with heap.reader(label) as reader:
+        for raw in reader.scan():
+            for predicate, index in tests:
+                value = decode(raw, index)
+                chip.charge("decode_field")
+                chip.charge("compare")
+                if not predicate.matches(value):
+                    break
+            else:
+                row = tuple(decode(raw, index) for index in fields)
+                chip.charge("decode_field", len(fields))
+                yield row
+
+
 class DeviceScanSelectOp(Operator):
     """Scan one device heap, yield PKs of rows matching all predicates."""
 
@@ -37,27 +59,9 @@ class DeviceScanSelectOp(Operator):
     def _produce(self):
         heap = self.ctx.db.heaps[self.table]
         table_def = self.ctx.db.tree.table(self.table)
-        field_of = {
-            p.column: table_def.device_column_index(p.column)
-            for p in self.predicates
-        }
-        chip = self.ctx.device.chip
-        with heap.reader(f"scan:{self.table}") as reader:
-            for raw in reader.scan():
-                ok = True
-                for predicate in self.predicates:
-                    value = heap.codec.decode_field(
-                        raw, field_of[predicate.column]
-                    )
-                    chip.charge("decode_field")
-                    chip.charge("compare")
-                    if not predicate.matches(value):
-                        ok = False
-                        break
-                if ok:
-                    pk = heap.codec.decode_field(raw, heap.pk_field)
-                    chip.charge("decode_field")
-                    yield pk
+        fields, label = (heap.pk_field,), f"scan:{self.table}"
+        for (pk,) in scan_matching(heap, table_def, self.predicates, fields, label):
+            yield pk
 
     def _produce_batches(self, cap: int):
         """Vectorized scan: evaluate predicates column-at-a-time over one

@@ -128,10 +128,12 @@ class Observability:
         exposition is complete (at zero) before the first query."""
         reg = self.registry
         reg.counter(
-            "ghostdb_queries_total", "SELECTs executed this session"
+            "ghostdb_queries_total",
+            "completed SELECT, UPDATE and DELETE statements",
         )
         reg.counter(
-            "ghostdb_result_rows_total", "result rows across all queries"
+            "ghostdb_result_rows_total",
+            "SELECT result rows plus UPDATE and DELETE matched rows",
         )
         reg.counter(
             "ghostdb_flash_page_reads_total",

@@ -362,16 +362,13 @@ class CostModel:
         est = CostEstimate()
         est.absorb(child)
         n = child.out_count
-        # Residual predicates and recheck shrink the output.
+        # Residual predicates shrink the output.  The child stream
+        # already passed Bloom filters for the recheck predicates; only
+        # false positives get removed now, so the recheck is not priced
+        # as a filter -- but every surviving tuple pays fetch cost.
         out = n
         for predicate in node.residual_hidden:
             out *= self.stats.selectivity(predicate)
-        recheck_sel = 1.0
-        for predicate in node.visible_recheck:
-            recheck_sel *= self.stats.selectivity(predicate)
-        # The child stream already passed Bloom filters for the recheck
-        # predicates; only false positives get removed now, so the count
-        # barely changes -- but every surviving tuple pays fetch cost.
         est.out_count = out
         hidden_by_table: dict[str, int] = {}
         for table, column in node.projections:

@@ -46,12 +46,12 @@ class Optimizer:
         site: VisibleSite,
         profile: HardwareProfile,
         exec_config: ExecConfig,
-        obs: Observability | None = None,
+        obs: Observability,
         cache_pages: int = 0,
     ):
         self.db = db
         self.profile = profile
-        self.obs = obs or Observability()
+        self.obs = obs
         self.stats = StatsProvider(db, site)
         # The executor adapts merge fan-in to free RAM at run time, so
         # the cost model must price with the fan-in the device can

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import ExitStack
+from itertools import chain
 
 from repro.hardware.device import SmartUsbDevice
 from repro.storage.pagestore import Extent, PageReader, PageWriter
@@ -69,10 +70,13 @@ def make_runs(
     ``key`` maps a raw record to its sort key (bytes).  The sort buffer is
     allocated from the RAM budget; each full buffer is sorted in place
     (CPU-charged at n log n comparisons) and written out as one run.
+    Once the first record has opened the producer's readers, a buffer
+    that leaves the run writer no page shrinks until it does.
     """
     if sort_buffer_bytes < record_width:
         raise ValueError("sort buffer smaller than one record")
     capacity = max(1, sort_buffer_bytes // record_width)
+    records = iter(records)
     runs: list[Extent] = []
     buffer: list[bytes] = []
 
@@ -89,7 +93,15 @@ def make_runs(
         buffer.clear()
 
     try:
-        with device.ram.allocate(capacity * record_width, f"sort:{label}"):
+        with device.ram.allocate(capacity * record_width, f"sort:{label}") as sort:
+            first = next(records, _NOTHING)
+            if first is not _NOTHING:
+                short = device.profile.page_size - device.ram.soft_available
+                if short > 0:
+                    drop = (short + record_width - 1) // record_width
+                    capacity = max(1, capacity - drop)
+                    sort.resize(capacity * record_width)
+                records = chain((first,), records)
             for raw in records:
                 buffer.append(raw)
                 if len(buffer) >= capacity:

@@ -115,7 +115,6 @@ class TestStore:
 
 class TestDeviceScan:
     def test_scan_with_predicate(self, ctx, demo_data):
-        bound = None
         predicates = []
         # purpose == Sclerosis, evaluated by scanning the visit heap.
         from repro.sql.binder import EQ, Predicate

@@ -159,13 +159,14 @@ def test_failed_write_leaves_nothing_behind(monkeypatch, scale, statement):
 
 @pytest.mark.parametrize(
     "statement",
-    [run_demo_query, run_store_plan, run_join_index, run_hash_join],
-    ids=["query", "execute-plan", "join-index", "hash-join"],
+    [run_demo_query, run_store_plan, run_join_index, run_hash_join, run_append],
+    ids=["query", "execute-plan", "join-index", "hash-join", "append"],
 )
 def test_power_cut_is_booked_on_every_plan_path(statement):
-    """A hand-built plan or a baseline books a fault as the statement
-    pipeline does: a power cut demands a remount and counts one
-    aborted query, so the next statement is refused."""
+    """A hand-built plan, a baseline or an append books a fault as the
+    statement pipeline does: a power cut demands a remount and counts
+    one aborted query, so the same statement and the next query are
+    refused before they read a flash page."""
     db = build(2_000)
     db.set_faults("none", 0).schedule_power_cut(3)
     with pytest.raises(PowerCutError):
@@ -174,8 +175,12 @@ def test_power_cut_is_booked_on_every_plan_path(statement):
     aborted = db.obs.registry.counter("ghostdb_recovery_aborted_queries_total")
     assert aborted.value(reason="PowerCutError") == 1
     db.clear_faults()
+    reads = db.device.flash.stats.page_reads
+    with pytest.raises(SessionError, match="remount"):
+        statement(db)
     with pytest.raises(SessionError, match="remount"):
         db.query(demo_query())
+    assert db.device.flash.stats.page_reads == reads
 
 
 def test_duplicate_appended_key_is_refused_before_any_write():

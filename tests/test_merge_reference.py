@@ -340,7 +340,8 @@ CONVERT = (
 )
 #: Two merge passes in the 10 KiB lease.
 ORDER_BY = "SELECT Pre.PreID FROM Prescription Pre ORDER BY Pre.PreID DESC"
-#: Wider rows: a RAM-exhaustion error in the 10 KiB lease.
+#: Wider rows: in the 10 KiB lease the sort buffer shrinks to leave
+#: the run writer its page.
 ORDER_BY_WIDE = (
     "SELECT Pre.PreID, Pre.Quantity, Pre.WhenWritten FROM Prescription Pre "
     "ORDER BY Pre.WhenWritten DESC, Pre.PreID"
@@ -350,7 +351,7 @@ ORDER_BY_EMPTY = (
     "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity = 424242 "
     "ORDER BY Pre.PreID"
 )
-#: Spills in the leases (a RAM-exhaustion error in the 10 KiB one).
+#: Spills in the leases (through a shrunk sort buffer in the 10 KiB one).
 GROUP_BY = (
     "SELECT Pre.VisID, COUNT(*), SUM(Pre.Quantity) "
     "FROM Prescription Pre GROUP BY Pre.VisID"
@@ -459,7 +460,7 @@ def _power_cuts(monkeypatch, reference: bool, loaded, ram_bytes, sql, cuts):
 
 def test_the_statements_cover_every_merge_path(monkeypatch, loaded):
     """Multi-pass posting ladders, multi-pass sort merges, spilled
-    GROUP BYs, an empty sort and typed errors, across the sessions."""
+    GROUP BYs and an empty sort, across the sessions."""
     calls = _ladders(monkeypatch, lambda: None)
     seen = {}
     for ram_bytes in SESSIONS:
@@ -480,8 +481,19 @@ def test_the_statements_cover_every_merge_path(monkeypatch, loaded):
     [(runs, fan_in, _, until)] = seen[lease, ORDER_BY][1]
     assert until == 1 and runs > fan_in  # two passes or more
     assert seen[16 * 1024, GROUP_BY][1]
-    assert seen[lease, ORDER_BY_WIDE][0] == "error"
-    assert seen[lease, GROUP_BY][0] == "error"
+    assert seen[lease, ORDER_BY_WIDE][0] == "rows"
+    assert seen[lease, GROUP_BY][0] == "rows" and seen[lease, GROUP_BY][1]
+
+
+def test_sorts_in_a_small_lease_answer_like_the_default_session(loaded):
+    """The sort buffer is sized before the child pipeline opens its
+    readers; in a 10 KiB lease it shrinks so the run writer still gets
+    its page, and both sorts answer with the default session's rows."""
+    db, lease = _open(loaded, 10 * 1024)
+    for sql in (ORDER_BY_WIDE, GROUP_BY):
+        assert lease.query(sql).rows == db.query(sql).rows
+    assert lease.lease.firm_ram_used == 0
+    assert db.device.ftl.mapped_lpages() == db.hidden.referenced_pages()
 
 
 @pytest.mark.parametrize("fault,seed", FAULTS)

@@ -24,7 +24,6 @@ from repro.core.ghostdb import GhostDB, SessionConfig
 from repro.engine.executor import ExecConfig
 from repro.faults import PowerCutError
 from repro.hardware.pagecache import CACHE_LABEL, PageCache
-from repro.hardware.profiles import DEMO_DEVICE
 from repro.hardware.ram import RamBudget, RamExhaustedError
 from repro.optimizer.space import enumerate_strategies
 from repro.workload.queries import QUERY_FAMILIES, demo_query

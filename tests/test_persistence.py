@@ -103,8 +103,6 @@ def test_round_trip_after_queries_decodes_skts_and_counts_reads(
 
 
 def test_wear_counters_survive(fresh_session, tmp_path, demo_data):
-    import datetime
-
     next_doc = len(demo_data["doctor"]) + 1
     for i in range(5):
         fresh_session.append(
@@ -119,8 +117,6 @@ def test_wear_counters_survive(fresh_session, tmp_path, demo_data):
 
 
 def test_restored_session_accepts_appends(saved_path, demo_data):
-    import datetime
-
     _original, path = saved_path
     restored = GhostDB.restore(path)
     next_med = len(demo_data["medicine"]) + 1

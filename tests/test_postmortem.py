@@ -22,7 +22,6 @@ from repro.faults import GhostDBFaultError, PowerCutError
 from repro.obs.bundle import (
     SCHEMA_VERSION,
     build_bundle,
-    bundle_payload,
     load_bundle,
     write_bundle,
 )

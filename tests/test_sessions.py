@@ -15,6 +15,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import run_hash_join_query, run_join_index_query
 from repro.core.ghostdb import AdmissionError, GhostDB, SessionConfig, SessionError
 from repro.core.scheduler import Scheduler
 from repro.engine.executor import ExecConfig
@@ -98,6 +99,27 @@ def test_full_ram_lease_matches_default_session():
         result = ctx.query(sql)
         assert result.rows == ref_rows
         assert metric_values(result.metrics) == ref_metrics
+    db.close_session(ctx)
+    assert db.core.leased_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "baseline",
+    [run_hash_join_query, run_join_index_query],
+    ids=["hash_join", "join_index"],
+)
+def test_full_ram_lease_runs_the_baselines_like_the_default_session(baseline):
+    """Both baselines run on a leased session, inside its partition, and
+    a full-RAM lease answers them like the default session."""
+    reference = baseline(build_db(), demo_query())
+    assert reference.metrics.flash_page_reads > 0
+    db = build_db()
+    ctx = db.open_session("solo", ram_bytes=db.profile.ram_bytes)
+    result = baseline(ctx, demo_query())
+    assert result.rows == reference.rows
+    assert metric_values(result.metrics) == metric_values(reference.metrics)
+    assert ctx.lease.firm_ram_used == 0
+    assert db.device.ftl.mapped_lpages() == db.hidden.referenced_pages()
     db.close_session(ctx)
     assert db.core.leased_bytes == 0
 
@@ -365,6 +387,8 @@ SURFACES = {
     ),
     "explain_analyze": lambda ctx, best: ctx.explain_analyze(demo_query()),
     "execute_plan": lambda ctx, best: ctx.execute_plan(best.plan),
+    "hash_join": lambda ctx, best: run_hash_join_query(ctx, demo_query()),
+    "join_index": lambda ctx, best: run_join_index_query(ctx, demo_query()),
 }
 
 
