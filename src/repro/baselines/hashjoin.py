@@ -76,6 +76,8 @@ class HashJoinBaseline:
                     f"tables only; {table!r} is deeper"
                 )
 
+        # Each run reports its own RAM peak, as Executor._measured does.
+        device.ram.reset_high_water()
         before = device.counters()
         try:
             rows = self._run(query)

@@ -2,17 +2,22 @@
 
 For every query family the engine supports, every Pre/Post strategy is
 executed and its measured simulated time compared with the cost model's
-estimate for the very plan that ran.  The per-family summary is the T9
-table of the benchmark suite, written into the bench artifact; every
-per-candidate est/meas ratio is also fed into the session's
-``ghostdb_optimizer_est_over_meas`` histogram so the exposition shows
-the distribution.
+estimate for the very plan that ran, and the optimizer's pick
+(:meth:`~repro.optimizer.optimizer.Optimizer.optimize`: the cheapest
+plan estimated to fit the RAM) is graded against the measured-best
+candidate.  Each family is scored twice: in the default session and in
+a quarter-RAM lease, the partition ``repro serve`` clients get.  The
+per-family summary is the T9 table of the benchmark suite, written into
+the bench artifact; every per-candidate est/meas ratio is also fed into
+the session's ``ghostdb_optimizer_est_over_meas`` histogram so the
+exposition shows the distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hardware.ram import RamExhaustedError
 from repro.optimizer.explain import MISESTIMATE_THRESHOLD
 from repro.optimizer.space import enumerate_strategies
 from repro.workload.queries import QUERY_FAMILIES
@@ -30,11 +35,14 @@ class FamilyScore:
     est_over_meas_min: float
     est_over_meas_max: float
     est_over_meas_geomean: float
-    #: Measured time of the optimizer's pick over the best candidate's
-    #: (1.0 means the optimizer chose the fastest plan).
-    chosen_vs_best: float
+    #: Measured time of the optimizer's pick over the best runnable
+    #: candidate's (1.0 means the optimizer chose the fastest plan;
+    #: ``None`` means its pick ran out of RAM).
+    chosen_vs_best: float | None
     #: Candidates whose ratio falls outside the misestimate threshold.
     misestimates: int
+    #: Candidates that ran out of the session's RAM.
+    infeasible: int
 
     def as_dict(self) -> dict:
         return {
@@ -44,6 +52,7 @@ class FamilyScore:
             "est_over_meas_geomean": self.est_over_meas_geomean,
             "chosen_vs_best": self.chosen_vs_best,
             "misestimates": self.misestimates,
+            "infeasible": self.infeasible,
         }
 
 
@@ -55,28 +64,36 @@ def _geomean(values: list[float]) -> float:
 
 
 def score_family(session, sql: str, family: str) -> tuple[FamilyScore, list]:
-    """Grade one family; returns its score and the raw ratios."""
+    """Grade one family in ``session``; returns its score and the raw
+    ratios.  A candidate that raises
+    :class:`~repro.hardware.ram.RamExhaustedError` is infeasible: it
+    has no ratio and is never the best."""
     bound = session.bind(sql)
-    measured: list[float] = []
-    estimated: list[float] = []
+    chosen = session.optimizer.optimize(bound).strategy
+    measured: dict = {}
     ratios: list[float] = []
-    for strategy in enumerate_strategies(bound):
+    strategies = enumerate_strategies(bound)
+    for strategy in strategies:
         session.reset_measurements()
-        result = session.query_with_strategy(sql, strategy)
+        try:
+            result = session.query_with_strategy(sql, strategy)
+        except RamExhaustedError:
+            continue
         seconds = result.metrics.elapsed_seconds
         estimate = session.optimizer.cost_model.estimate(result.plan).seconds
-        measured.append(seconds)
-        estimated.append(estimate)
+        measured[strategy] = seconds
         if seconds > _MIN_MEASURABLE_S:
             ratios.append(estimate / seconds)
-    best = min(measured)
-    chosen = estimated.index(min(estimated))
-    chosen_vs_best = (
-        measured[chosen] / best if best > _MIN_MEASURABLE_S else 1.0
-    )
+    best = min(measured.values(), default=0.0)
+    if chosen not in measured:
+        chosen_vs_best = None
+    elif best > _MIN_MEASURABLE_S:
+        chosen_vs_best = measured[chosen] / best
+    else:
+        chosen_vs_best = 1.0
     score = FamilyScore(
         family=family,
-        candidates=len(measured),
+        candidates=len(strategies),
         est_over_meas_min=min(ratios, default=1.0),
         est_over_meas_max=max(ratios, default=1.0),
         est_over_meas_geomean=_geomean(ratios),
@@ -90,6 +107,7 @@ def score_family(session, sql: str, family: str) -> tuple[FamilyScore, list]:
                 <= MISESTIMATE_THRESHOLD
             )
         ),
+        infeasible=len(strategies) - len(measured),
     )
     return score, ratios
 
@@ -97,18 +115,28 @@ def score_family(session, sql: str, family: str) -> tuple[FamilyScore, list]:
 def build_scorecard(session, families: dict[str, str] | None = None) -> dict:
     """The full per-family scorecard as an artifact-ready dict.
 
-    Executes every candidate strategy of every family (resetting the
-    measurement state around each), then -- after the *last* reset, so
-    the values survive -- feeds every est/meas ratio into the session's
+    Each family's row scores the default ``session``; its ``lease``
+    entry scores the same family in a lease of the default size (a
+    quarter of the device RAM, what serve clients get), opened for the
+    pass and closed after it.  Every candidate
+    strategy runs (resetting the measurement state around each); then --
+    after the *last* reset, so the values survive -- every est/meas
+    ratio of both passes feeds the session's
     ``ghostdb_optimizer_est_over_meas`` histogram.
     """
     families = families if families is not None else QUERY_FAMILIES
     card: dict[str, dict] = {}
     all_ratios: list[float] = []
-    for name in sorted(families):
-        score, ratios = score_family(session, families[name], name)
-        card[name] = score.as_dict()
-        all_ratios.extend(ratios)
+    lease = session.open_session("scorecard")
+    try:
+        for name in sorted(families):
+            score, ratios = score_family(session, families[name], name)
+            leased, lease_ratios = score_family(lease, families[name], name)
+            card[name] = {**score.as_dict(), "lease": leased.as_dict()}
+            all_ratios.extend(ratios)
+            all_ratios.extend(lease_ratios)
+    finally:
+        lease.close()
     histogram = session.obs.registry.histogram(
         "ghostdb_optimizer_est_over_meas"
     )
@@ -118,10 +146,12 @@ def build_scorecard(session, families: dict[str, str] | None = None) -> dict:
 
 
 def render_scorecard(card: dict) -> str:
-    """The scorecard as an aligned text table (the ``.bench`` view)."""
+    """The scorecard as an aligned text table (the ``.bench`` view);
+    the last column is the optimizer's pick in the quarter-RAM lease."""
     header = (
         f"{'family':<22} {'cands':>5} {'est/meas range':>16} "
-        f"{'geomean':>8} {'chosen/best':>11} {'misest':>6}"
+        f"{'geomean':>8} {'chosen/best':>11} {'misest':>6} "
+        f"{'lease c/b':>9}"
     )
     lines = [header]
     for name in sorted(card):
@@ -131,7 +161,12 @@ def render_scorecard(card: dict) -> str:
             f"{row['est_over_meas_min']:>7.2f}-"
             f"{row['est_over_meas_max']:<8.2f} "
             f"{row['est_over_meas_geomean']:>8.2f} "
-            f"{row['chosen_vs_best']:>10.2f}x "
-            f"{row['misestimates']:>6}"
+            f"{_ratio(row['chosen_vs_best']):>11} "
+            f"{row['misestimates']:>6} "
+            f"{_ratio(row['lease']['chosen_vs_best']):>9}"
         )
     return "\n".join(lines)
+
+
+def _ratio(value: float | None) -> str:
+    return "dies" if value is None else f"{value:.2f}x"

@@ -771,8 +771,10 @@ class SessionContext:
         The link's batch sizes scale with the RAM the session actually
         has -- the full chip for the default session, the partition for
         a lease -- so a full-RAM lease behaves exactly like the classic
-        device.  ``exec_batch`` is not RAM-scaled: batch windows are
-        host-side lists, invisible to the device's budget.
+        device.  The optimizer prices plans for that RAM and reads the
+        batch sizes off the same link.  ``exec_batch`` is not RAM-scaled:
+        batch windows are host-side lists, invisible to the device's
+        budget.
         """
         core = self.core
         if core.tree is None:
@@ -787,6 +789,7 @@ class SessionContext:
             core.hidden,
             core.site,
             replace(core.profile, ram_bytes=ram_bytes),
+            self.link,
             exec_config,
             obs=self.obs,
             cache_pages=self.device.page_cache.capacity_for_costing,

@@ -193,26 +193,28 @@ def _check_restrict(
     """RESTRICT: refuse deletion of rows referenced by child tables.
 
     Foreign keys are always device columns, so each child check is one
-    device-charged heap scan over the child's FK values.
+    device-charged heap scan that decodes only the FK field of each row
+    (one ``decode_field`` and one ``compare`` per row).
     """
     target = table_def.name.lower()
-    chip = db.device.chip
+    charge = db.device.chip.charge
     for child_def in db.tree.schema:
         for column in child_def.columns:
             ref = column.references
             if ref is None or ref.table.lower() != target:
                 continue
-            device_cols = child_def.device_columns()
-            fk_pos = next(
-                i
-                for i, c in enumerate(device_cols)
-                if c.name.lower() == column.name.lower()
+            child = child_def.name.lower()
+            heap = db.heaps[child]
+            fk_of = heap.codec.field_decoder(
+                child_def.device_column_index(column.name)
             )
-            for row in db.heaps[child_def.name.lower()].scan():
-                chip.charge("compare")
-                if row[fk_pos] in deleted:
-                    raise DmlError(
-                        f"cannot delete {table_def.name} key "
-                        f"{row[fk_pos]}: referenced by "
-                        f"{child_def.name}.{column.name}"
-                    )
+            with heap.reader(f"restrict-scan:{child}") as reader:
+                for raw in reader.scan():
+                    fk = fk_of(raw)
+                    charge("decode_field")
+                    charge("compare")
+                    if fk in deleted:
+                        raise DmlError(
+                            f"cannot delete {table_def.name} key {fk}: "
+                            f"referenced by {child_def.name}.{column.name}"
+                        )

@@ -51,7 +51,7 @@ from repro.engine.metrics import OperatorStats
 from repro.hardware.clock import TICKS_PER_SECOND
 from repro.hardware.device import SmartUsbDevice
 from repro.index.bloom import BLOOM_FP_TARGET
-from repro.storage.runs import MAX_FAN_IN
+from repro.storage.runs import fan_in_for
 from repro.visible.link import DeviceLink
 
 if TYPE_CHECKING:
@@ -194,14 +194,13 @@ class ExecContext:
             self.attribution = TimeAttribution(self.device)
 
     def fan_in(self) -> int:
-        """Merge fan-in affordable right now: one page buffer per input
-        stream plus one output buffer, inside the free RAM, and never
-        above :data:`~repro.storage.runs.MAX_FAN_IN`."""
-        page = self.device.profile.page_size
+        """Merge fan-in affordable right now
+        (:func:`~repro.storage.runs.fan_in_for` of the free RAM)."""
         # soft_available: clean cache pages shed on demand, so sizing
         # (and thus plan shape) never depends on cache occupancy.
-        affordable = self.device.ram.soft_available // page - 2
-        return max(2, min(MAX_FAN_IN, affordable))
+        return fan_in_for(
+            self.device.ram.soft_available, self.device.profile.page_size
+        )
 
     def register(self, stats: OperatorStats) -> None:
         self.operators.append(stats)

@@ -241,17 +241,16 @@ class OrderByOp(Operator):
 def _external_sort(op: Operator, rows, codec: RecordCodec, sort_key, label):
     """Value rows in ``sort_key`` order of their encodings, through flash.
 
-    Sorted runs fill a RAM-budgeted sort buffer (declared as ``op``'s
-    reservation), :func:`~repro.storage.runs.merge_runs` merges them down
-    to one run at the fan-in free RAM affords, and the run is read back
-    and decoded row by row, then freed.
+    Sorted runs fill a RAM-budgeted sort buffer (what it keeps is
+    declared as ``op``'s reservation), :func:`~repro.storage.runs.merge_runs`
+    merges them down to one run at the fan-in free RAM affords, and the
+    run is read back and decoded row by row, then freed.
     """
     device = op.ctx.device
     sort_buffer = max(
         codec.width * 4,
         min(device.ram.soft_available // 2, 8 * device.profile.page_size),
     )
-    op.reserve(sort_buffer)
     runs = make_runs(
         device,
         (codec.encode(row) for row in rows),
@@ -259,6 +258,7 @@ def _external_sort(op: Operator, rows, codec: RecordCodec, sort_key, label):
         key=sort_key,
         sort_buffer_bytes=sort_buffer,
         label=label,
+        declare=op.reserve,
     )
     runs = merge_runs(device, runs, label, op.ctx.fan_in(), key=sort_key)
     try:

@@ -42,19 +42,20 @@ _MIN_FLAG_SECONDS = 1e-4
 def explain_plan(plan: lp.PlanNode, cost_model: CostModel | None = None) -> str:
     """A printable plan tree, optionally annotated with cost estimates."""
     lines: list[str] = []
-    _render(plan, cost_model, 0, lines)
+    estimates = cost_model.estimate_nodes(plan) if cost_model else None
+    _render(plan, estimates, 0, lines)
     return "\n".join(lines)
 
 
 def _render(
     node: lp.PlanNode,
-    cost_model: CostModel | None,
+    estimates: dict | None,
     depth: int,
     lines: list[str],
 ) -> None:
     prefix = "  " * depth
-    if cost_model is not None:
-        est = cost_model.estimate(node)
+    if estimates is not None:
+        est = estimates[id(node)]
         lines.append(
             f"{prefix}{node.label()}  "
             f"[~{est.out_count:.0f} out, ~{est.seconds * 1000:.2f} ms, "
@@ -63,51 +64,55 @@ def _render(
     else:
         lines.append(f"{prefix}{node.label()}")
     for child in node.children():
-        _render(child, cost_model, depth + 1, lines)
+        _render(child, estimates, depth + 1, lines)
 
 
-def self_estimate(node: lp.PlanNode, cost_model: CostModel) -> CostEstimate:
-    """The node's *own* estimated cost: cumulative minus children.
+def self_estimate(node: lp.PlanNode, estimates: dict) -> CostEstimate:
+    """The node's *own* estimated cost: cumulative minus children, with
+    the RAM of its own buffers.
 
-    Clamped at zero per category -- the model prices a parent from its
-    children's output cardinalities, so small negative residues can
-    appear when a child over-absorbs.
+    ``estimates`` is :meth:`CostModel.estimate_nodes` of the plan.
+    Times are clamped at zero per category -- the model prices a parent
+    from its children's output cardinalities, so small negative residues
+    can appear when a child over-absorbs.
     """
-    est = cost_model.estimate(node)
+    est = estimates[id(node)]
     own = CostEstimate(
         flash_read_s=est.flash_read_s,
         flash_write_s=est.flash_write_s,
         usb_s=est.usb_s,
         cpu_s=est.cpu_s,
         out_count=est.out_count,
-        ram_bytes=est.ram_bytes,
+        ram_bytes=est.own_ram_bytes,
     )
     for child in node.children():
-        sub = cost_model.estimate(child)
+        sub = estimates[id(child)]
+        if sub is est:
+            # A pass-through node shares its child's estimate and owns
+            # no buffers.
+            own.ram_bytes = 0.0
         own.flash_read_s -= sub.flash_read_s
         own.flash_write_s -= sub.flash_write_s
         own.usb_s -= sub.usb_s
         own.cpu_s -= sub.cpu_s
-        own.ram_bytes -= sub.ram_bytes
     own.flash_read_s = max(0.0, own.flash_read_s)
     own.flash_write_s = max(0.0, own.flash_write_s)
     own.usb_s = max(0.0, own.usb_s)
     own.cpu_s = max(0.0, own.cpu_s)
-    own.ram_bytes = max(0.0, own.ram_bytes)
     return own
 
 
 def _charged_estimate(
-    node: lp.PlanNode, cost_model: CostModel, stats_by_node: dict
+    node: lp.PlanNode, estimates: dict, stats_by_node: dict
 ) -> CostEstimate:
     """The estimate to hold against the node's measured self time: its
     own, plus (recursively) that of every input pulled through
     ``Operator.unbatched()``, whose costs land on this node."""
-    own = self_estimate(node, cost_model)
+    own = self_estimate(node, estimates)
     for child in node.children():
         measured = stats_by_node.get(id(child))
         if measured is not None and measured.cost_on_consumer:
-            sub = _charged_estimate(child, cost_model, stats_by_node)
+            sub = _charged_estimate(child, estimates, stats_by_node)
             own.flash_read_s += sub.flash_read_s
             own.flash_write_s += sub.flash_write_s
             own.usb_s += sub.usb_s
@@ -123,20 +128,21 @@ def explain_analyze(result: QueryResult, cost_model: CostModel) -> str:
     ``result``; another run of the same plan does not change them.
     """
     lines: list[str] = []
-    _render_analyzed(result.plan, cost_model, result.measured, 0, lines)
+    estimates = cost_model.estimate_nodes(result.plan)
+    _render_analyzed(result.plan, estimates, result.measured, 0, lines)
     return "\n".join(lines)
 
 
 def _render_analyzed(
     node: lp.PlanNode,
-    cost_model: CostModel,
+    estimates: dict,
     stats_by_node: dict,
     depth: int,
     lines: list[str],
 ) -> None:
     prefix = "  " * depth
-    est = cost_model.estimate(node)
-    own = _charged_estimate(node, cost_model, stats_by_node)
+    est = estimates[id(node)]
+    own = _charged_estimate(node, estimates, stats_by_node)
     est_flash_ms = (own.flash_read_s + own.flash_write_s) * 1000
     estimate = (
         f"est ~{est.out_count:.0f} out, ~{own.seconds * 1000:.2f} ms self, "
@@ -170,7 +176,7 @@ def _render_analyzed(
         flag = _misestimate_flag(own.seconds, measured.self_seconds)
         lines.append(f"{prefix}{node.label()}  [{estimate} | {actual}]{flag}")
     for child in node.children():
-        _render_analyzed(child, cost_model, stats_by_node, depth + 1, lines)
+        _render_analyzed(child, estimates, stats_by_node, depth + 1, lines)
 
 
 def _misestimate_flag(est_seconds: float, meas_seconds: float) -> str:

@@ -19,7 +19,7 @@ from repro.obs import Observability, get_logger
 from repro.optimizer.cost import CostEstimate, CostModel, StatsProvider
 from repro.optimizer.space import PlanBuilder, Strategy, enumerate_strategies
 from repro.sql.binder import BoundQuery
-from repro.storage.runs import MAX_FAN_IN
+from repro.visible.link import DeviceLink
 from repro.visible.site import VisibleSite
 
 log = get_logger(__name__)
@@ -45,6 +45,7 @@ class Optimizer:
         db: HiddenDatabase,
         site: VisibleSite,
         profile: HardwareProfile,
+        link: DeviceLink,
         exec_config: ExecConfig,
         obs: Observability,
         cache_pages: int = 0,
@@ -53,15 +54,11 @@ class Optimizer:
         self.profile = profile
         self.obs = obs
         self.stats = StatsProvider(db, site)
-        # The executor adapts merge fan-in to free RAM at run time, so
-        # the cost model must price with the fan-in the device can
-        # actually afford, not the cap.
-        affordable = profile.ram_bytes // profile.page_size - 4
         self.cost_model = CostModel(
             profile=profile,
             stats=self.stats,
             db=db,
-            fan_in=max(2, min(MAX_FAN_IN, affordable)),
+            link=link,
             exec_config=exec_config,
             cache_pages=cache_pages,
         )

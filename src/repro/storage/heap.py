@@ -62,17 +62,19 @@ class HeapTable:
         if self._loaded:
             raise ValueError(f"table {self.name!r} is already loaded")
         last_pk = None
-        dense = True
         first_pk = None
         loaded = 0
-        # Both writers are aborted on any failure, also once the records
-        # writer has closed and the PK writer's final flush is what raised.
-        pk_writer = PageWriter(self.device, ID_WIDTH, f"load-pk:{self.name}")
-        writers = [pk_writer]
+        # The sparse-PK array is written only once a key breaks the
+        # dense run: its writer opens at the first gap and writes the
+        # dense prefix it skipped.  Both writers are aborted on any
+        # failure, also once the records writer has closed and the PK
+        # writer's final flush is what raised.
+        pk_writer = None
+        writers = []
         try:
             writer = PageWriter(self.device, self.codec.width, f"load:{self.name}")
             writers.append(writer)
-            encode, pack_id = self.codec.encode, ID_STRUCT.pack
+            encode = self.codec.encode
             for row in rows:
                 pk = row[self.pk_field]
                 if last_pk is not None and pk <= last_pk:
@@ -80,27 +82,32 @@ class HeapTable:
                         f"{self.name}: rows must be sorted by unique PK "
                         f"(saw {pk} after {last_pk})"
                     )
-                if first_pk is None:
-                    first_pk = pk
-                elif pk != first_pk + loaded:
-                    dense = False
-                loaded += 1
-                last_pk = pk
                 if not 0 <= pk <= (1 << 32) - 1:
                     raise ValueError(
                         f"{self.name}: PK {pk} outside 32-bit ID range"
                     )
-                pk_writer.append(pack_id(pk))
+                if first_pk is None:
+                    first_pk = pk
+                elif pk_writer is None and pk != first_pk + loaded:
+                    pk_writer = PageWriter(
+                        self.device, ID_WIDTH, f"load-pk:{self.name}"
+                    )
+                    writers.append(pk_writer)
+                    pk_writer.append_ids(range(first_pk, first_pk + loaded))
+                if pk_writer is not None:
+                    pk_writer.append(ID_STRUCT.pack(pk))
+                loaded += 1
+                last_pk = pk
                 writer.append(encode(row))
-            self.extent, self.pk_extent = writer.close(), pk_writer.close()
+            self.extent = writer.close()
+            if pk_writer is not None:
+                self.pk_extent = pk_writer.close()
         except BaseException:
             for w in writers:
                 w.abort()
             raise
-        if dense and loaded > 0:
+        if pk_writer is None and loaded > 0:
             self._dense_base = first_pk
-            # The PK array is redundant when keys are dense; release it.
-            self.pk_extent.free(self.device.ftl)
         self._loaded = True
 
     # ------------------------------------------------------------------

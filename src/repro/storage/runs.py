@@ -34,6 +34,15 @@ MAX_FAN_IN = 16
 _NOTHING = object()
 
 
+def fan_in_for(free_bytes: float, page_size: int) -> int:
+    """The merge fan-in ``free_bytes`` of RAM affords: one page buffer
+    per input stream plus one output buffer, with one page to spare,
+    never above :data:`MAX_FAN_IN` and never below 2.  The executor
+    grants it from the RAM free when a merge opens, and the cost model
+    prices merges with it from the RAM the rest of the plan leaves."""
+    return max(2, min(MAX_FAN_IN, int(free_bytes // page_size) - 2))
+
+
 def merge_sorted(chip, streams, key=None, dedup=False):
     """K-way merge of sorted ``streams``, optionally deduplicated.
 
@@ -64,6 +73,7 @@ def make_runs(
     key,
     sort_buffer_bytes: int,
     label: str,
+    declare=None,
 ) -> list[Extent]:
     """Partition ``records`` into sorted runs using a bounded sort buffer.
 
@@ -72,6 +82,8 @@ def make_runs(
     (CPU-charged at n log n comparisons) and written out as one run.
     Once the first record has opened the producer's readers, a buffer
     that leaves the run writer no page shrinks until it does.
+    ``declare``, if given, is called once with the bytes the buffer
+    keeps: ``sort_buffer_bytes``, or what it shrank to.
     """
     if sort_buffer_bytes < record_width:
         raise ValueError("sort buffer smaller than one record")
@@ -94,6 +106,7 @@ def make_runs(
 
     try:
         with device.ram.allocate(capacity * record_width, f"sort:{label}") as sort:
+            kept = sort_buffer_bytes
             first = next(records, _NOTHING)
             if first is not _NOTHING:
                 short = device.profile.page_size - device.ram.soft_available
@@ -101,7 +114,10 @@ def make_runs(
                     drop = (short + record_width - 1) // record_width
                     capacity = max(1, capacity - drop)
                     sort.resize(capacity * record_width)
+                    kept = sort.size
                 records = chain((first,), records)
+            if declare is not None:
+                declare(kept)
             for raw in records:
                 buffer.append(raw)
                 if len(buffer) >= capacity:

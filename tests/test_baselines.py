@@ -83,6 +83,21 @@ class TestHashJoinBaseline:
                 == session.hidden.referenced_pages()
             )
 
+    def test_reports_its_own_ram_peak(self, session):
+        """The run's RAM peak is its own, not the session's since the
+        last reset: an ORDER BY that ran before it does not show."""
+        sql = (
+            "SELECT Pre.Quantity FROM Prescription Pre "
+            "WHERE Pre.Frequency = 'weekly'"
+        )
+        fresh = run_hash_join_query(session, sql).metrics.ram_high_water
+        session.query(
+            "SELECT Pre.PreID, Pre.Quantity, Pre.WhenWritten "
+            "FROM Prescription Pre ORDER BY Pre.WhenWritten DESC, Pre.PreID"
+        )
+        again = run_hash_join_query(session, sql).metrics.ram_high_water
+        assert again == fresh > 0
+
     def test_neq_rejected(self, session):
         with pytest.raises(ValueError, match="<>"):
             run_hash_join_query(

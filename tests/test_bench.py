@@ -371,9 +371,9 @@ class TestExplainAnalyzeScorecard:
     def test_self_estimate_is_clamped_nonnegative(self, demo_session):
         bound = demo_session.bind(demo_query())
         plan = demo_session.optimizer.optimize(bound).plan
-        model = demo_session.optimizer.cost_model
+        estimates = demo_session.optimizer.cost_model.estimate_nodes(plan)
         for node in plan.walk():
-            own = self_estimate(node, model)
+            own = self_estimate(node, estimates)
             assert own.seconds >= 0
             assert own.ram_bytes >= 0
 

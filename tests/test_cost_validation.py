@@ -8,27 +8,52 @@ bounded factor of measurements, and estimated rankings must not invert
 large measured gaps.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
-from repro.optimizer.space import enumerate_strategies
+from repro.hardware.ram import RamExhaustedError
 from tests.test_integration_queries import QUERIES
 
 #: Estimated vs measured simulated seconds must agree within this factor
 #: (cardinality estimation under independence is the dominant error).
 AGREEMENT_FACTOR = 6.0
 
+#: RAM partitions the RAM rules also hold in, besides the full chip.
+LEASES = (16 * 1024, 12 * 1024, 10 * 1024)
+
+#: The optimizer admits a plan whose estimate fits this share of RAM.
+ADMISSION_SHARE = 0.8
+
 
 def plans_with_measurements(session, sql):
-    bound = session.bind(sql)
+    """``(strategy, estimate, metrics)`` per candidate; ``metrics`` is
+    ``None`` for a candidate that ran out of the session's RAM."""
     builder_plans = []
-    for strategy in enumerate_strategies(bound):
+    for ranked in session.optimizer.rank(session.bind(sql)):
         session.reset_measurements()
-        result = session.query_with_strategy(sql, strategy)
+        try:
+            result = session.query_with_strategy(sql, ranked.strategy)
+        except RamExhaustedError:
+            builder_plans.append((ranked.strategy, ranked.estimate, None))
+            continue
         estimate = session.optimizer.cost_model.estimate(result.plan)
-        builder_plans.append(
-            (strategy, estimate, result.metrics)
-        )
+        builder_plans.append((ranked.strategy, estimate, result.metrics))
     return builder_plans
+
+
+@contextmanager
+def sessions(demo_session):
+    """The default session, then a lease of each :data:`LEASES` size
+    (closed again afterwards)."""
+    leases = [
+        demo_session.open_session(f"cost-{ram}", ram) for ram in LEASES
+    ]
+    try:
+        yield [demo_session, *leases]
+    finally:
+        for lease in leases:
+            lease.close()
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -49,16 +74,41 @@ def test_estimates_within_factor_of_measurements(demo_session, name):
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_ram_estimates_are_safe_upper_bounds_ish(demo_session, name):
-    """RAM estimates may overshoot (they assume full pipeline overlap)
-    but must not undershoot by more than 2x: an underestimating
-    optimizer would greenlight plans the chip then kills."""
-    for strategy, estimate, metrics in plans_with_measurements(
-        demo_session, QUERIES[name]
-    ):
-        assert estimate.ram_bytes * 2 >= metrics.ram_high_water, (
-            f"{name} [{strategy.assignments}]: estimated "
-            f"{estimate.ram_bytes:.0f} B vs peak {metrics.ram_high_water} B"
-        )
+    """RAM estimates may overshoot but must not undershoot by more than
+    2x: an underestimating optimizer would greenlight plans the chip
+    then kills.  Holds in the default session and in 16, 12 and 10 KiB
+    leases, for every candidate that runs there."""
+    with sessions(demo_session) as contexts:
+        for session in contexts:
+            ram = session.device.ram.capacity
+            for strategy, estimate, metrics in plans_with_measurements(
+                session, QUERIES[name]
+            ):
+                if metrics is None:
+                    continue
+                assert estimate.ram_bytes * 2 >= metrics.ram_high_water, (
+                    f"{name} [{strategy.assignments}] in {ram} B: "
+                    f"estimated {estimate.ram_bytes:.0f} B vs peak "
+                    f"{metrics.ram_high_water} B"
+                )
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_candidates_estimated_to_fit_run(demo_session, name):
+    """Admission is safe: in every session, a candidate whose estimate
+    fits the optimizer's share of the RAM runs without running out of
+    it."""
+    with sessions(demo_session) as contexts:
+        for session in contexts:
+            ram = session.device.ram.capacity
+            for strategy, estimate, metrics in plans_with_measurements(
+                session, QUERIES[name]
+            ):
+                if estimate.ram_bytes <= ADMISSION_SHARE * ram:
+                    assert metrics is not None, (
+                        f"{name} [{strategy.assignments}] in {ram} B: "
+                        f"estimated {estimate.ram_bytes:.0f} B, ran out"
+                    )
 
 
 def test_large_measured_gaps_are_never_inverted(demo_session):

@@ -12,9 +12,11 @@ import pytest
 
 from repro.catalog.statistics import StatisticsCollector
 from repro.core.ghostdb import GhostDB, SessionError
+from repro.engine import dml
 from repro.engine.dml import DmlError
 from repro.engine.executor import DmlResult
 from repro.engine.maintenance import rebuild_table
+from repro.hardware.chip import CYCLES
 from repro.index.climbing import ClimbingIndex
 from repro.index.skt import SubtreeKeyTable
 from repro.reference import evaluate_reference, same_rows
@@ -221,6 +223,32 @@ class TestDelete:
             == session.hidden.referenced_pages()
         )
         assert session.hidden.row_count("prescription") == 0
+
+
+def test_restrict_scan_decodes_only_the_foreign_key(
+    monkeypatch, fresh_session, demo_data
+):
+    """Deleting an appended, unreferenced visit scans Prescription for
+    references: one ``decode_field`` per row (its VisID), not one per
+    device field."""
+    db = fresh_session
+    last = max(demo_data["visit"])
+    new_id = last[0] + 1
+    db.append("visit", [(new_id, *last[1:])])
+    chip = db.device.chip
+    charged = []
+    check = dml._check_restrict
+
+    def counting(db_, table_def, deleted):
+        before = chip.stats.cycles_by_op.get("decode_field", 0)
+        check(db_, table_def, deleted)
+        after = chip.stats.cycles_by_op.get("decode_field", 0)
+        charged.append((after - before) // CYCLES["decode_field"])
+
+    monkeypatch.setattr(dml, "_check_restrict", counting)
+    result = db.execute(f"DELETE FROM Visit WHERE VisID = {new_id}")
+    assert result.changed == 1
+    assert charged == [db.hidden.row_count("prescription")] == [2000]
 
 
 def postings(index: ClimbingIndex) -> dict:

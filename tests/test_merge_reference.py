@@ -496,6 +496,20 @@ def test_sorts_in_a_small_lease_answer_like_the_default_session(loaded):
     assert db.device.ftl.mapped_lpages() == db.hidden.referenced_pages()
 
 
+@pytest.mark.parametrize(
+    "ram_bytes, declared",
+    [(None, 16384), (16 * 1024, 8192), (12 * 1024, 6144), (10 * 1024, 4080)],
+)
+def test_a_sort_declares_the_buffer_it_kept(loaded, ram_bytes, declared):
+    """The order-by node's reservation is the sort buffer it held: the
+    request where nothing shrinks, and in the 10 KiB lease the 340
+    12-byte rows the buffer shrank to for the run writer's page (it
+    asked for 5,120 B)."""
+    db, ctx = _open(loaded, ram_bytes)
+    result = ctx.query(ORDER_BY_WIDE)
+    assert result.measured[id(result.plan)].ram_bytes == declared
+
+
 @pytest.mark.parametrize("fault,seed", FAULTS)
 @pytest.mark.parametrize("ram_bytes", SESSIONS, ids=["default", "16k", "10k"])
 def test_merges_match_the_reference(

@@ -235,6 +235,38 @@ class TestRamAwareChoice:
         result = db.executor.execute(chosen.plan)
         assert result.metrics.ram_high_water <= TINY_DEVICE.ram_bytes
 
+    @pytest.mark.parametrize(
+        "cutoff, purpose, med_type",
+        [
+            (datetime.date(2007, 6, 23), "Hypertension", "Antihypertensive"),
+            (datetime.date(2007, 6, 8), "Foot examination", "Insulin"),
+        ],
+        ids=["hypertension", "foot-examination"],
+    )
+    def test_served_demo_shape_plans_for_its_lease(
+        self, cutoff, purpose, med_type
+    ):
+        """A served client's quarter-RAM lease prices the demo shape with
+        its own link batches and the buffers the plan holds at its peak:
+        two of the hot served demo texts (scale 20,000) pick the pre/post
+        plan, which fits the lease, over a double Bloom post-filter that
+        measures about four times slower."""
+        from repro.core.factory import build_session
+
+        db, _data = build_session(scale=20_000)
+        lease = db.open_session("served", db.profile.ram_bytes // 4)
+        sql = demo_query(cutoff, purpose, med_type)
+        bound = lease.bind(sql)
+        chosen = lease.optimizer.optimize(bound)
+        assert chosen.strategy.label(bound) == (
+            "visit.date=pre, medicine.type=post"
+        )
+        lease.reset_measurements()
+        picked = lease.query(sql).metrics.elapsed_seconds
+        lease.reset_measurements()
+        post = lease.query_with_strategy(sql, Strategy.all_post(bound))
+        assert 3 * picked < post.metrics.elapsed_seconds
+
     def test_pk_predicates_are_visible_selections(self, session):
         """Primary keys are public: a PK range predicate is delegated to
         the PC and returns root IDs directly."""

@@ -5,6 +5,7 @@ import datetime
 import pytest
 
 from repro.storage.heap import HeapTable, KeyNotFoundError
+from repro.storage.pagestore import PageWriter
 from repro.storage.record import RecordCodec
 from repro.storage.types import CharType, DateType, IntegerType
 
@@ -75,6 +76,43 @@ def test_pk_of_rowid_inverts_rowid_for_pk(device, codec):
     for i in (0, 7, len(pks) - 1):
         assert table.pk_of_rowid(i) == pks[i]
         assert table.rowid_for_pk(pks[i]) == i
+
+
+def _programmed_labels(monkeypatch) -> list[str]:
+    """The writer label of every page flushed from now on."""
+    labels: list[str] = []
+    flush = PageWriter._flush
+
+    def recording_flush(writer, size):
+        labels.append(writer.label)
+        flush(writer, size)
+
+    monkeypatch.setattr(PageWriter, "_flush", recording_flush)
+    return labels
+
+
+def test_dense_load_programs_no_pk_page(monkeypatch, device, codec):
+    labels = _programmed_labels(monkeypatch)
+    table = load_table(device, codec, range(1, 2001), "dense")
+    assert table.is_dense
+    assert labels and set(labels) == {"load:dense"}
+    assert table.pk_extent.pages == []
+
+
+def test_gap_after_a_long_dense_run_keeps_every_key(monkeypatch, device, codec):
+    """The PK array opens at the first gap with the dense prefix before
+    it, which spans several of its pages."""
+    labels = _programmed_labels(monkeypatch)
+    pks = list(range(1, 1501)) + list(range(2000, 2600, 3))
+    table = load_table(device, codec, pks, "gap")
+    assert not table.is_dense
+    assert labels.count("load-pk:gap") == len(table.pk_extent.pages) > 2
+    for rowid, pk in enumerate(pks):
+        assert table.rowid_for_pk(pk) == rowid
+        assert table.pk_of_rowid(rowid) == pk
+    for missing in (0, 1501, 2001, 2600):
+        with pytest.raises(KeyNotFoundError):
+            table.rowid_for_pk(missing)
 
 
 def test_row_and_field_access(device, codec):
