@@ -50,9 +50,9 @@ def test_d3_plan_game(bench_session, benchmark):
     # so the check asserts on the object, not on captured stdout.
     assert len(outcome.estimated_ms) == len(outcome.labels)
     assert all(ms > 0 for ms in outcome.estimated_ms)
-    # The optimizer's own estimate ranks its pick cheapest.
-    assert outcome.estimated_ms[outcome.optimizer_index] == min(
-        outcome.estimated_ms
-    )
+    # The game scores the plan the optimizer runs: the cheapest
+    # estimate that fits the RAM budget, not the cheapest estimate.
+    chosen = session.optimizer.optimize(session.bind(demo_query()))
+    assert game.strategies[outcome.optimizer_index] == chosen.strategy
     # And the pick must land within 50% of the measured winner.
     assert outcome.chosen_vs_best_ratio <= 1.5

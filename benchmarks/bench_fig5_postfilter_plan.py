@@ -22,7 +22,7 @@ def test_fig5_postfilter_plan(bench_session, bench_data, benchmark):
 
     def run():
         session.reset_measurements()
-        return session.executor.execute(plan)
+        return session.execute_plan(plan)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
 

@@ -23,7 +23,7 @@ def test_fig6_p1_vs_p2(bench_session, bench_data, benchmark):
         results = {}
         for name, plan in plans.items():
             session.reset_measurements()
-            results[name] = session.executor.execute(plan)
+            results[name] = session.execute_plan(plan)
         return results
 
     results = benchmark.pedantic(run_both, rounds=3, iterations=1)

@@ -63,32 +63,46 @@ def _geomean(values: list[float]) -> float:
     return product ** (1 / max(1, len(values)))
 
 
-def score_family(session, sql: str, family: str) -> tuple[FamilyScore, list]:
-    """Grade one family in ``session``; returns its score and the raw
-    ratios.  A candidate that raises
-    :class:`~repro.hardware.ram.RamExhaustedError` is infeasible: it
-    has no ratio and is never the best."""
+def run_candidates(session, sql: str) -> tuple[list, object, dict]:
+    """Run every Pre/Post candidate of ``sql`` in ``session``, each from
+    a reset measurement state: the candidates in enumeration order, the
+    optimizer's pick (:meth:`~repro.optimizer.optimizer.Optimizer.optimize`)
+    and each runnable candidate's measured and estimated simulated
+    seconds.  A candidate that raises
+    :class:`~repro.hardware.ram.RamExhaustedError` is infeasible and has
+    no entry."""
     bound = session.bind(sql)
     chosen = session.optimizer.optimize(bound).strategy
-    measured: dict = {}
-    ratios: list[float] = []
     strategies = enumerate_strategies(bound)
+    runs: dict = {}
     for strategy in strategies:
         session.reset_measurements()
         try:
             result = session.query_with_strategy(sql, strategy)
         except RamExhaustedError:
             continue
-        seconds = result.metrics.elapsed_seconds
-        estimate = session.optimizer.cost_model.estimate(result.plan).seconds
-        measured[strategy] = seconds
-        if seconds > _MIN_MEASURABLE_S:
-            ratios.append(estimate / seconds)
-    best = min(measured.values(), default=0.0)
-    if chosen not in measured:
+        runs[strategy] = (
+            result.metrics.elapsed_seconds,
+            session.optimizer.cost_model.estimate(result.plan).seconds,
+        )
+    return strategies, chosen, runs
+
+
+def score_family(session, sql: str, family: str) -> tuple[FamilyScore, list]:
+    """Grade one family in ``session``; returns its score and the raw
+    ratios.  An infeasible candidate has no ratio and is never the
+    best."""
+    strategies, chosen, runs = run_candidates(session, sql)
+    ratios = [
+        estimate / seconds
+        for seconds, estimate in runs.values()
+        if seconds > _MIN_MEASURABLE_S
+    ]
+    best = min((seconds for seconds, _ in runs.values()), default=0.0)
+    if chosen not in runs:
         chosen_vs_best = None
     elif best > _MIN_MEASURABLE_S:
-        chosen_vs_best = measured[chosen] / best
+        chosen_vs_best = runs[chosen][0] / best
     else:
         chosen_vs_best = 1.0
     score = FamilyScore(
@@ -107,7 +121,7 @@ def score_family(session, sql: str, family: str) -> tuple[FamilyScore, list]:
                 <= MISESTIMATE_THRESHOLD
             )
         ),
-        infeasible=len(strategies) - len(measured),
+        infeasible=len(strategies) - len(runs),
     )
     return score, ratios
 

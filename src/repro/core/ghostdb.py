@@ -1,4 +1,4 @@
-"""GhostDB: one device core, driven through its default session.
+"""GhostDB: one device core, driven through its console session.
 
 A :class:`GhostDB` spans both sides of the boundary -- the simulated
 smart USB device (hidden side), the visible site (PC / public server),
@@ -18,10 +18,10 @@ data, device-wide observability, fault state, session admission) lives
 in a :class:`~repro.core.session.DeviceCore`, and everything per-caller
 (executor/optimizer wiring, leak scorecards, traces, postmortems) lives
 in a :class:`~repro.core.session.SessionContext`.  A :class:`GhostDB`
-*is* its core's default session -- the classic single-caller wiring,
-bit-identical to the pre-split engine -- so it inherits the whole
-statement surface and adds the owner's operations: loading, appends,
-faults, the buffer pool, persistence and the device-wide exports.
+*is* its core's console: a session on the full-RAM lease the core
+builds, outside the admission ledger.  It inherits the whole statement
+surface and adds the owner's operations: loading, appends, faults, the
+buffer pool, persistence and the device-wide exports.
 :meth:`open_session` admits additional leased sessions that the
 cooperative scheduler can interleave.
 
@@ -83,8 +83,8 @@ class QueryTrace:
 class GhostDB(SessionContext):
     """A complete GhostDB instance over a simulated device.
 
-    The instance is its device's default session (``lease=None``):
-    full-RAM, un-leased, and neither schedulable nor closable.
+    The instance is its device's console session: a full-RAM lease
+    that was never admitted, so it is neither schedulable nor closable.
     """
 
     def __init__(
@@ -93,11 +93,9 @@ class GhostDB(SessionContext):
         config: SessionConfig | None = None,
     ):
         config = config or SessionConfig()
+        core = DeviceCore(profile, config)
         super().__init__(
-            core=DeviceCore(profile, config),
-            name="default",
-            config=config,
-            lease=None,
+            core=core, name="default", config=config, lease=core.console_lease
         )
 
     # ------------------------------------------------------------------
@@ -300,9 +298,17 @@ class GhostDB(SessionContext):
         evicted, their spans counted in ``obs.tracer.dropped``."""
         write_chrome_trace(list(self.obs.tracer.roots), path)
 
+    @property
+    def usb_log(self):
+        """The device-lifetime capture: every session's trust-boundary
+        traffic, interleaved as the spy on the bus sees it."""
+        return self.core.device.usb.records()
+
     def reset_measurements(self) -> None:
         """Zero clock/traffic/counters/metrics/trace between measured
-        queries: the session's measurement plane, then the whole shared
-        registry (after the cache clear, which counts invalidations)."""
+        queries: the device's own plane (clock, lifetime capture, chip
+        tallies), the session's, then the whole shared registry (after
+        the cache clear, which counts invalidations)."""
+        self.core.device.reset_measurements()
         super().reset_measurements()
         self.obs.registry.reset()

@@ -37,13 +37,13 @@ from repro.obs.vetted import write_atomic
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v10: the cost model reads the session's ``DeviceLink`` for its batch
-#: sizes and prices merges at the fan-in the executor grants.  v9 (a
-#: static fan-in and no link: its cost model cannot price a plan), v8
+#: v11: the console session is a full-RAM lease seen through a
+#: ``SessionDevice``.  v10 (an un-leased console on the raw device), v9
+#: (a static fan-in and no link: its cost model cannot price a plan), v8
 #: (a copied Bloom target), v7 (no settlers: those families would stop
 #: moving), v6 (page lists and posting files), v5 (float-second clock)
 #: and earlier layouts are refused.
-VERSION = 10
+VERSION = 11
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

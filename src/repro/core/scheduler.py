@@ -144,15 +144,12 @@ class Scheduler:
     _writes: deque = field(default_factory=deque)
 
     def submit(self, session: SessionContext, sql: str) -> QueryTicket:
-        """Enqueue one statement on a leased session."""
-        if session.lease is None:
+        """Enqueue one statement on a session admitted by this core
+        (the console, a closed session and another device's session
+        are refused)."""
+        if self.core.sessions.get(session.name) is not session:
             raise SessionError(
-                "only leased sessions are schedulable; open one with "
-                "open_session()"
-            )
-        if session.core is not self.core:
-            raise SessionError(
-                f"session {session.name!r} belongs to a different device"
+                f"session {session.name!r} is not open on this core"
             )
         # Parse/validate first so an unsupported statement fails at
         # submit, not mid-schedule, and takes no ticket.
@@ -168,7 +165,7 @@ class Scheduler:
         self._queues.setdefault(session.name, deque()).append(runner)
         if write:
             self._writes.append(runner)
-        self.core.obs.flight.record(
+        self.core.flight.record(
             "sched_submit", ticket=ticket.index, session=session.name
         )
         return ticket
@@ -230,7 +227,7 @@ class Scheduler:
         """Step one runner until its deficit is spent or it finishes."""
         core = self.core
         clock = core.device.clock
-        flight = core.obs.flight
+        flight = core.flight
         ticket = runner.ticket
         if ticket.started_at is None:
             ticket.started_at = clock.now
@@ -267,13 +264,13 @@ class Scheduler:
         ticket.completed_at = now
         self._retire(runner)
         core = self.core
-        core.obs.flight.record(
+        core.flight.record(
             "sched_done",
             ticket=ticket.index,
             session=ticket.session,
             steps=ticket.steps,
         )
-        registry = core.obs.registry
+        registry = core.registry
         registry.counter("ghostdb_session_queries_total").inc(
             session=ticket.session
         )
@@ -294,13 +291,13 @@ class Scheduler:
         ticket.error = exc
         ticket.completed_at = now
         self._retire(runner)
-        self.core.obs.flight.record(
+        self.core.flight.record(
             "sched_abort",
             ticket=ticket.index,
             session=ticket.session,
             reason=type(exc).__name__,
         )
-        self.core.obs.registry.counter("ghostdb_session_aborts_total").inc(
+        self.core.registry.counter("ghostdb_session_aborts_total").inc(
             session=ticket.session
         )
 

@@ -16,14 +16,14 @@ that story implies:
   ledger, its leak scorecard, and its own executor/optimizer/link wired
   against a :class:`SessionDevice` view of the shared hardware.
 
-The **default session** (``lease=None``) runs against the real device
-objects with no indirection at all -- it is bit-for-bit the
-single-caller engine every committed baseline was measured on, and a
-:class:`~repro.core.ghostdb.GhostDB` is exactly that session.  Leased
-sessions get a partition of the secure RAM and a private measurement
-plane; the cooperative scheduler (:mod:`repro.core.scheduler`)
-interleaves them at batch-window boundaries by *activating* one lease at
-a time (:meth:`DeviceCore.activated`).
+Every session is a lease.  The console -- the session a
+:class:`~repro.core.ghostdb.GhostDB` is -- holds a full-RAM partition
+the core builds next to the device and stays outside the admission
+ledger; admitted sessions get a partition carved out of the secure RAM.
+Each runs its statements under its own *activation*
+(:meth:`DeviceCore.activated`), and the cooperative scheduler
+(:mod:`repro.core.scheduler`) interleaves admitted sessions at
+batch-window boundaries by activating one lease at a time.
 
 Activation swaps the device's volatile per-session surfaces -- RAM
 budget, buffer pool, flash op counters, USB capture log -- for the
@@ -64,7 +64,14 @@ from repro.hardware.flash import FlashStats
 from repro.hardware.pagecache import CacheStats, PageCache
 from repro.hardware.profiles import DEMO_DEVICE, HardwareProfile
 from repro.hardware.ram import RamBudget
-from repro.obs import Observability, get_logger
+from repro.obs import (
+    MetricsRegistry,
+    Observability,
+    Redactor,
+    get_logger,
+    register_query_families,
+)
+from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.optimizer.optimizer import Optimizer, RankedPlan
 from repro.optimizer.space import PlanBuilder, Strategy
 from repro.privacy.meter import TrafficProfile, profile_records
@@ -104,10 +111,9 @@ class SessionConfig:
     #: Device buffer-pool capacity in pages: ``None`` takes the profile
     #: default (a quarter of RAM), ``0`` disables the pool.
     cache_pages: int | None = None
-    #: Flight-recorder ring capacity in events (``None`` takes the
-    #: recorder default) and enablement.  The ring is host memory,
-    #: accounted outside the device's secure RAM budget.
-    flight_capacity: int | None = None
+    #: Flight-recorder ring capacity in events and enablement.  The
+    #: ring is host memory, outside the device's secure RAM budget.
+    flight_capacity: int = DEFAULT_CAPACITY
     flight_enabled: bool = True
     #: Write a postmortem bundle (``DUMP_<seed>.json`` in ``dump_dir``)
     #: whenever an injected fault aborts a query.
@@ -140,6 +146,7 @@ class HardwareLease:
         ram_bytes: int,
         cache_pages: int | None = None,
         flight=None,
+        metrics=None,
     ):
         self.name = name
         self.capacity = ram_bytes
@@ -148,19 +155,21 @@ class HardwareLease:
         #: single-session device's clock, so per-query time diffs are
         #: bit-identical to a serial run.
         self.clock = SimClock()
-        #: The session's RAM partition.  No metrics sink: the device
-        #: gauges track the root budget; per-session peaks surface via
-        #: ``ghostdb_session_ram_high_water_bytes``.
-        self.ram = RamBudget(capacity=ram_bytes, flight=flight)
+        #: The session's RAM partition and its pool.  Only the console's
+        #: report to ``metrics`` (the ``ghostdb_device_ram_*`` and
+        #: ``ghostdb_cache_*`` families); an admitted session's peaks
+        #: surface via ``ghostdb_session_ram_high_water_bytes``.
+        self.ram = RamBudget(capacity=ram_bytes, metrics=metrics, flight=flight)
         self.flash_stats = FlashStats()
         if cache_pages is None:
             # The device default over the partition: a full-RAM lease
-            # behaves exactly like the classic single-session device.
+            # has the device's own pool size.
             cache_pages = default_cache_pages(ram_bytes, profile.page_size)
         self.cache = PageCache(
             budget=self.ram,
             page_size=profile.page_size,
             capacity_pages=cache_pages,
+            metrics=metrics,
         )
         self.cache.flight = flight
         self.usb_log: list = []
@@ -173,9 +182,15 @@ class HardwareLease:
         must be zero once a session has no query in flight."""
         return self.ram.used - self.ram.reclaimable_used
 
+    def remount(self) -> None:
+        """Power loss: a fresh budget, the pool re-homed on it silently
+        (cached pages were volatile RAM), as the device's own pool is."""
+        self.ram = self.ram.fresh()
+        self.cache.rewire(self.ram)
+
 
 class SessionDevice:
-    """A leased session's view of the shared device.
+    """A session's view of the shared device.
 
     Hardware that exists once (clock, flash, FTL, chip, USB channel,
     fault injector, flight recorder) resolves to the real device;
@@ -189,63 +204,42 @@ class SessionDevice:
     def __init__(self, core: "DeviceCore", lease: HardwareLease):
         self._core = core
         self._lease = lease
+        device = core.device
+        # What lives as long as the device and the lease is bound once.
+        self.profile = device.profile
+        self.clock = device.clock
+        self.flash = device.flash
+        self.chip = device.chip
+        self.usb = device.usb
+        self.flight = device.flight
+        self.page_cache = lease.cache
 
-    # -- shared hardware -------------------------------------------------
-    @property
-    def profile(self):
-        return self._core.device.profile
-
-    @property
-    def clock(self):
-        return self._core.device.clock
-
-    @property
-    def flash(self):
-        return self._core.device.flash
-
+    # -- replaced at runtime ----------------------------------------------
     @property
     def ftl(self):
+        """Rebuilt by every remount."""
         return self._core.device.ftl
 
     @property
-    def chip(self):
-        return self._core.device.chip
-
-    @property
-    def usb(self):
-        return self._core.device.usb
-
-    @property
     def faults(self):
+        """Attached and detached by the owner."""
         return self._core.device.faults
 
     @property
-    def flight(self):
-        return self._core.device.flight
-
-    @property
-    def metrics(self):
-        return self._core.device.metrics
-
-    # -- leased surfaces -------------------------------------------------
-    @property
     def ram(self):
+        """The lease's partition, fresh after every remount."""
         return self._lease.ram
-
-    @property
-    def page_cache(self):
-        return self._lease.cache
 
     # -- session-pure measurement ---------------------------------------
     def counters(self) -> DeviceCounters:
         lease = self._lease
         # The chip's unsettled tally reaches the lease clock through
         # the device clock's tee: settle before reading the lease clock.
-        self._core.device.clock.settle()
+        self.clock.settle()
         if self._core.active_lease is lease:
             # The live byte totals sit on the channel while activated;
             # the lease copies are only synced on deactivation.
-            usb = self._core.device.usb
+            usb = self.usb
             to_device, to_host = usb.bytes_to_device, usb.bytes_to_host
         else:
             to_device, to_host = lease.bytes_to_device, lease.bytes_to_host
@@ -261,7 +255,7 @@ class SessionDevice:
 
     def reset_measurements(self) -> None:
         lease = self._lease
-        self._core.device.clock.settle()
+        self.clock.settle()
         lease.clock.reset()
         lease.usb_log.clear()
         fresh = FlashStats()
@@ -269,10 +263,9 @@ class SessionDevice:
         lease.bytes_to_device = 0
         lease.bytes_to_host = 0
         if self._core.active_lease is lease:
-            device = self._core.device
-            device.flash.stats = fresh
-            device.usb.bytes_to_device = 0
-            device.usb.bytes_to_host = 0
+            self.flash.stats = fresh
+            self.usb.bytes_to_device = 0
+            self.usb.bytes_to_host = 0
         lease.ram.reset_high_water()
         lease.cache.clear()
         lease.cache.stats = CacheStats()
@@ -287,9 +280,10 @@ class SessionDevice:
 class DeviceCore:
     """Everything there is one of per device, plus session admission.
 
-    Owns the simulated hardware, the device-wide observability bundle,
-    the loaded database (catalog, visible site, hidden side), fault
-    injection and recovery state -- and the multiplexing machinery:
+    Owns the simulated hardware, the device-wide observability (one
+    metrics registry, flight recorder and redactor), the loaded
+    database (catalog, visible site, hidden side), fault injection and
+    recovery state -- and the multiplexing machinery:
     the lease ledger that partitions secure RAM across sessions, the
     peer-cache list the FTL broadcasts invalidations to, and the
     activation swap the scheduler wraps around every step.
@@ -302,23 +296,35 @@ class DeviceCore:
     ):
         self.profile = profile
         self.config = config or SessionConfig()
-        self.obs = Observability(
-            flight_capacity=self.config.flight_capacity,
-            flight_enabled=self.config.flight_enabled,
+        self.registry = MetricsRegistry()
+        register_query_families(self.registry)
+        self.redactor = Redactor()
+        self.flight = FlightRecorder(
+            capacity=self.config.flight_capacity,
+            enabled=self.config.flight_enabled,
         )
         self.device = SmartUsbDevice(
             profile,
-            metrics=self.obs.registry,
+            metrics=self.registry,
             cache_pages=self.config.cache_pages,
-            flight=self.obs.flight,
+            flight=self.flight,
         )
-        # Spans and flight events measure simulated time against this
-        # device's clock.
-        self.obs.tracer.clock = self.device.clock
-        self.obs.flight.clock = self.device.clock
-        self.obs.flight.metric = self.obs.registry.counter(
+        # Flight events measure simulated time against this device's
+        # clock.
+        self.flight.clock = self.device.clock
+        self.flight.metric = self.registry.counter(
             "ghostdb_flight_events_total"
         ).labelled()
+        #: The console's full-RAM partition.  It reports to the device's
+        #: RAM and pool families, and stays outside the admission ledger.
+        self.console_lease = HardwareLease(
+            "default",
+            profile,
+            profile.ram_bytes,
+            cache_pages=self.config.cache_pages,
+            flight=self.flight,
+            metrics=self.registry,
+        )
         self.schema = Schema()
         self.tree: SchemaTree | None = None
         self.site: VisibleSite | None = None
@@ -326,13 +332,13 @@ class DeviceCore:
         self._pending_inserts: dict[str, list[tuple]] = {}
         self.fault_injector: FaultInjector | None = None
         self.needs_remount = False
-        #: Open leased sessions by name (the default session is not
-        #: listed; it is the console, outside the admission ledger).
+        #: Admitted sessions by name (the console is not listed).
         self.sessions: dict[str, SessionContext] = {}
         self._session_serial = 0
-        #: Every live page cache over this device's FTL, root pool
-        #: included; writes broadcast invalidations across all of them.
-        self._peer_caches: list[PageCache] = [self.device.page_cache]
+        #: Every live page cache over this device's FTL, the device's own
+        #: (load and recovery) included; writes broadcast invalidations
+        #: across all of them.
+        self._peer_caches = [self.device.page_cache, self.console_lease.cache]
         self.device.ftl.peer_caches = self._peer_caches
         self.active_lease: HardwareLease | None = None
 
@@ -422,7 +428,7 @@ class DeviceCore:
         """Post-attach load steps: redaction allowances and measurement
         reset."""
         # Schema identifiers (names, never values) may appear in traces.
-        self.obs.redactor.allow_schema(self.schema)
+        self.redactor.allow_schema(self.schema)
         # Loading is not part of any query measurement.
         self.device.reset_measurements()
         log.info(
@@ -472,9 +478,10 @@ class DeviceCore:
 
         Rebuilds the FTL map from the flash spare-area journal (rolling
         back torn writes to the last committed state) and resets the
-        volatile RAM budget.  A mount-time *orphan sweep* then frees
-        every recovered page the catalog no longer references.
-        Idempotent; safe to call on a healthy device.
+        volatile RAM of the device and of every session.  A mount-time
+        *orphan sweep* then frees every recovered page the catalog no
+        longer references.  Idempotent; safe to call on a healthy
+        device.
         """
         if self.active_lease is not None:
             raise SessionError("cannot remount while a session is active")
@@ -482,16 +489,19 @@ class DeviceCore:
         # The recovery scan built a fresh FTL: re-point it at the full
         # peer-cache list or dormant sessions resume with stale pages.
         self.device.ftl.peer_caches = self._peer_caches
+        self.console_lease.remount()
+        for session in self.sessions.values():
+            session.lease.remount()
         if self.tree is not None:
             ftl = self.device.ftl
             orphans = ftl.mapped_lpages() - self.hidden.referenced_pages()
             for lpage in orphans:
                 ftl.free(lpage)
             if orphans:
-                self.obs.registry.counter(
+                self.registry.counter(
                     "ghostdb_recovery_orphan_pages_total"
                 ).inc(len(orphans))
-                self.obs.flight.record(
+                self.flight.record(
                     "orphan_sweep", freed=len(orphans)
                 )
         self.needs_remount = False
@@ -521,7 +531,7 @@ class DeviceCore:
         """
         if self.tree is None:
             raise SessionError("load data before opening sessions")
-        registry = self.obs.registry
+        registry = self.registry
         self._register_session_families()
         if name is None:
             self._session_serial += 1
@@ -557,7 +567,7 @@ class DeviceCore:
             self.profile,
             ram_bytes,
             cache_pages=session_config.cache_pages,
-            flight=self.obs.flight,
+            flight=self.flight,
         )
         ctx = SessionContext(
             core=self, name=name, config=session_config, lease=lease
@@ -567,7 +577,7 @@ class DeviceCore:
         self._peer_caches.append(lease.cache)
         registry.counter("ghostdb_sessions_opened_total").inc()
         registry.gauge("ghostdb_sessions_open").set(len(self.sessions))
-        self.obs.flight.record(
+        self.flight.record(
             "session_open", session=name, ram_bytes=ram_bytes
         )
         return ctx
@@ -581,12 +591,11 @@ class DeviceCore:
         del self.sessions[session.name]
         session.closed = True
         session.obs.report_spans(live=False)
-        if session.lease.cache in self._peer_caches:
-            self._peer_caches.remove(session.lease.cache)
-        registry = self.obs.registry
+        self._peer_caches.remove(session.lease.cache)
+        registry = self.registry
         registry.counter("ghostdb_sessions_closed_total").inc()
         registry.gauge("ghostdb_sessions_open").set(len(self.sessions))
-        self.obs.flight.record(
+        self.flight.record(
             "session_close",
             session=session.name,
             leaked_ram=session.lease.firm_ram_used,
@@ -595,7 +604,7 @@ class DeviceCore:
     def _register_session_families(self) -> None:
         """Multi-session metric families, registered when the first
         lease opens (so single-session expositions are unchanged)."""
-        reg = self.obs.registry
+        reg = self.registry
         reg.gauge(
             "ghostdb_sessions_open", "leased sessions currently open"
         )
@@ -635,20 +644,20 @@ class DeviceCore:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def activated(self, lease: HardwareLease | None):
+    def activated(self, lease: HardwareLease):
         """Run a block with ``lease``'s volatile surfaces swapped into
         the shared device.
 
-        ``None`` (the default session) and re-entry with the already
-        active lease are no-ops.  While active: RAM allocations land in
-        the lease's partition, the buffer pool is the lease's, flash op
-        counters and the USB capture are the lease's, every clock charge
-        is teed into the lease's private clock, and every USB record is
-        mirrored into the device-lifetime log -- the spy's interleaved
-        view.  Cooperative, not concurrent: nesting two different
-        leases is a scheduling bug and raises.
+        Re-entry with the already active lease is a no-op.  While
+        active: RAM allocations land in the lease's partition, the
+        buffer pool is the lease's, flash op counters and the USB
+        capture are the lease's, every clock charge is teed into the
+        lease's private clock, and every USB record is mirrored into the
+        device-lifetime log -- the spy's interleaved view.  Cooperative,
+        not concurrent: nesting two different leases is a scheduling bug
+        and raises.
         """
-        if lease is None or self.active_lease is lease:
+        if self.active_lease is lease:
             yield
             return
         if self.active_lease is not None:
@@ -701,14 +710,11 @@ class DeviceCore:
 class SessionContext:
     """One session's private state and statement surface.
 
-    The default session (``lease=None``, the :class:`GhostDB` subclass)
-    shares the device-wide observability bundle and talks to the real
-    device -- the classic single-caller wiring.  Leased sessions own a
-    tracer and resource ledger (sharing the registry, flight recorder
-    and redactor), talk to the device through a :class:`SessionDevice`
-    view, and must run under :meth:`DeviceCore.activated` -- which the
-    statement surfaces and :meth:`statement` do themselves, and the
-    scheduler does per step.
+    Every session owns a tracer and resource ledger (sharing the
+    registry, flight recorder and redactor), talks to the device through
+    a :class:`SessionDevice` view of its lease, and runs under
+    :meth:`DeviceCore.activated` -- which the statement surfaces and
+    :meth:`statement` do themselves, and the scheduler does per step.
     """
 
     def __init__(
@@ -716,24 +722,20 @@ class SessionContext:
         core: DeviceCore,
         name: str,
         config: SessionConfig,
-        lease: HardwareLease | None = None,
+        lease: HardwareLease,
     ):
         self.core = core
         self.name = name
         self.config = config
         self.lease = lease
         self.closed = False
-        if lease is None:
-            self.obs = core.obs
-            self.device = core.device
-        else:
-            self.obs = Observability(
-                clock=core.device.clock,
-                registry=core.obs.registry,
-                flight=core.obs.flight,
-                redactor=core.obs.redactor,
-            )
-            self.device = SessionDevice(core, lease)
+        self.obs = Observability(
+            clock=core.device.clock,
+            registry=core.registry,
+            flight=core.flight,
+            redactor=core.redactor,
+        )
+        self.device = SessionDevice(core, lease)
         self.link: DeviceLink | None = None
         self.executor: Executor | None = None
         self.optimizer: Optimizer | None = None
@@ -768,13 +770,12 @@ class SessionContext:
     def attach(self) -> None:
         """Wire link/executor/optimizer against the loaded database.
 
-        The link's batch sizes scale with the RAM the session actually
-        has -- the full chip for the default session, the partition for
-        a lease -- so a full-RAM lease behaves exactly like the classic
-        device.  The optimizer prices plans for that RAM and reads the
-        batch sizes off the same link.  ``exec_batch`` is not RAM-scaled:
-        batch windows are host-side lists, invisible to the device's
-        budget.
+        The link's batch sizes scale with the RAM the session's lease
+        holds -- the full chip for the console -- so a full-RAM lease
+        behaves exactly like the classic device.  The optimizer prices
+        plans for that RAM and reads the batch sizes off the same link.
+        ``exec_batch`` is not RAM-scaled: batch windows are host-side
+        lists, invisible to the device's budget.
         """
         core = self.core
         if core.tree is None:
@@ -1097,8 +1098,6 @@ class SessionContext:
     @property
     def usb_log(self):
         """This session's captured trust-boundary traffic."""
-        if self.lease is None:
-            return self.core.device.usb.records()
         return list(self.lease.usb_log)
 
     # ------------------------------------------------------------------
@@ -1151,8 +1150,7 @@ class SessionContext:
         self._last_leak_profile = None
 
     def close(self) -> None:
-        """Release the lease back to the core (leased sessions only)."""
-        if self.lease is None:
-            raise SessionError("the default session cannot be closed")
+        """Release the lease back to the core; the console, never
+        admitted, is refused as not open."""
         if not self.closed:
             self.core.close_session(self)

@@ -7,13 +7,16 @@ results for newcomers."
 
 A :class:`PlanGame` presents every PRE/POST strategy for a query, lets
 the player guess which will be fastest, then measures them all and
-scores the guess (and, for reference, the optimizer's pick).
+scores the guess (and, for reference, the optimizer's pick), through
+the scorecard's candidate loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from repro.bench.scorecard import run_candidates
 from repro.core.ghostdb import GhostDB
 from repro.optimizer.space import Strategy, enumerate_strategies
 
@@ -91,7 +94,10 @@ class PlanGame:
         return list(self.labels)
 
     def play(self, guess_index: int | None = None) -> GameOutcome:
-        """Measure every candidate and score the guess."""
+        """Measure every candidate and score the guess and the plan the
+        optimizer runs.  A candidate that runs out of the session's RAM
+        is measured infinitely slow; its estimate stays the cost
+        model's."""
         if guess_index is not None and not (
             0 <= guess_index < len(self.strategies)
         ):
@@ -99,26 +105,18 @@ class PlanGame:
                 f"guess {guess_index} out of range "
                 f"[0, {len(self.strategies)})"
             )
-        bound = self.db.bind(self.sql)
-        ranked = self.db.optimizer.rank(bound)
-        optimizer_strategy = ranked[0].strategy
-        optimizer_index = self.strategies.index(optimizer_strategy)
-        estimates_by_strategy = {
-            r.strategy: r.estimate.seconds * 1000 for r in ranked
-        }
-        measured: list[float] = []
-        for strategy in self.strategies:
-            self.db.reset_measurements()
-            result = self.db.query_with_strategy(self.sql, strategy)
-            measured.append(result.metrics.elapsed_seconds * 1000)
+        ranked = self.db.rank_plans(self.sql)
+        estimates = {r.strategy: r.estimate.seconds * 1000 for r in ranked}
+        strategies, chosen, runs = run_candidates(self.db, self.sql)
+        measured = [
+            runs[s][0] * 1000 if s in runs else math.inf for s in strategies
+        ]
         winner = min(range(len(measured)), key=measured.__getitem__)
         return GameOutcome(
             labels=list(self.labels),
             measured_ms=measured,
             winner_index=winner,
             guess_index=guess_index,
-            optimizer_index=optimizer_index,
-            estimated_ms=[
-                estimates_by_strategy[s] for s in self.strategies
-            ],
+            optimizer_index=strategies.index(chosen),
+            estimated_ms=[estimates[s] for s in strategies],
         )

@@ -4,7 +4,8 @@ A :class:`SmartUsbDevice` wires together one clock, the RAM budget, the
 NAND flash behind its FTL, the secure chip's CPU model, and the USB channel
 to the untrusted host.  Everything the hidden side of GhostDB does --
 storage, indexing, query execution -- happens through this object, so its
-counters and clock are the single source of truth for all benchmarks.
+clock is the one device timeline.  Each session measures its own share
+through a view of its lease (:class:`~repro.core.session.SessionDevice`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def default_cache_pages(ram_bytes: int, page_size: int) -> int:
 
 @dataclass
 class DeviceCounters:
-    """A consistent snapshot of all device counters at one instant."""
+    """A consistent snapshot of one session's device counters."""
 
     time: TimeBreakdown
     flash: FlashStats
@@ -112,11 +113,7 @@ class SmartUsbDevice:
         (:meth:`~repro.hardware.ftl.FlashTranslationLayer.recover`),
         which rolls back torn writes to the last committed state.
         """
-        self.ram = RamBudget(
-            capacity=self.profile.ram_bytes,
-            metrics=self.metrics,
-            flight=self.flight,
-        )
+        self.ram = self.ram.fresh()
         self.ftl = FlashTranslationLayer.recover(
             self.flash,
             spare_blocks=self.ftl.spare_blocks,
@@ -132,18 +129,6 @@ class SmartUsbDevice:
             self.flight.record(
                 "remount", mapped_pages=self.ftl.mapped_pages
             )
-
-    def counters(self) -> DeviceCounters:
-        """Snapshot every counter (cheap; used to diff around a query)."""
-        return DeviceCounters(
-            time=self.clock.breakdown(),
-            flash=self.flash.stats.snapshot(),
-            ram_high_water=self.ram.high_water,
-            usb_messages=self.usb.message_count,
-            usb_bytes_to_device=self.usb.bytes_to_device,
-            usb_bytes_to_host=self.usb.bytes_to_host,
-            cache=self.page_cache.stats.snapshot(),
-        )
 
     def reset_measurements(self) -> None:
         """Zero the clock, traffic log and high-water mark.

@@ -177,6 +177,10 @@ class RamBudget:
         if self.metrics is not None:
             self.metrics.gauge("ghostdb_device_ram_used_bytes").set(self.used)
 
+    def fresh(self) -> "RamBudget":
+        """An empty budget like this one: RAM contents die with power."""
+        return RamBudget(self.capacity, metrics=self.metrics, flight=self.flight)
+
     def reset_high_water(self) -> None:
         """Restart high-water tracking (e.g. between benchmarked queries)."""
         self.high_water = self.used - self.reclaimable_used

@@ -29,7 +29,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.flight import (
-    DEFAULT_CAPACITY,
     FlightEvent,
     FlightRecorder,
     fingerprint_hex,
@@ -67,6 +66,7 @@ __all__ = [
     "fingerprint_hex",
     "get_logger",
     "plan_fingerprint",
+    "register_query_families",
     "render_tree",
     "span_tree_dicts",
     "to_chrome_trace",
@@ -77,234 +77,220 @@ __all__ = [
 SLO_QUANTILES = (0.5, 0.9, 0.99)
 
 
+def register_query_families(registry: MetricsRegistry) -> None:
+    """Pre-register the query-attributed metric families so the
+    exposition is complete (at zero) before the first query.
+
+    Get-or-create, and the first registration's help text wins: the
+    device core runs it before its hardware registers the families it
+    shares (``ghostdb_flight_events_total``, the fault counters)."""
+    registry.counter(
+        "ghostdb_queries_total",
+        "completed SELECT, UPDATE and DELETE statements",
+    )
+    registry.counter(
+        "ghostdb_result_rows_total",
+        "SELECT result rows plus UPDATE and DELETE matched rows",
+    )
+    registry.counter(
+        "ghostdb_flash_page_reads_total",
+        "flash page reads attributed to queries",
+    )
+    registry.counter(
+        "ghostdb_flash_page_writes_total",
+        "flash page writes attributed to queries",
+    )
+    registry.counter(
+        "ghostdb_flash_block_erases_total",
+        "flash block erases attributed to queries",
+    )
+    registry.counter(
+        "ghostdb_usb_messages_total",
+        "USB messages attributed to queries",
+    )
+    registry.counter(
+        "ghostdb_usb_bytes_total",
+        "USB payload bytes attributed to queries, by direction",
+    )
+    registry.counter(
+        "ghostdb_sim_seconds_total",
+        "simulated device seconds attributed to queries, by category",
+    )
+    registry.gauge(
+        "ghostdb_ram_high_water_bytes",
+        "largest per-query device RAM peak seen this session",
+    )
+    registry.counter(
+        "ghostdb_plans_considered_total",
+        "candidate plans priced by the optimizer",
+    )
+    registry.counter(
+        "ghostdb_bloom_false_positives_total",
+        "tuples that passed a Bloom filter but failed the host recheck",
+    )
+    registry.counter(
+        "ghostdb_operator_sim_seconds_total",
+        "per-operator simulated self time, by operator name",
+    )
+    registry.counter(
+        "ghostdb_trace_redactions_total",
+        "span attribute tokens scrubbed by the redaction gate",
+    )
+    registry.gauge(
+        "ghostdb_trace_spans",
+        "spans currently held by the tracers of all live sessions",
+    )
+    registry.histogram(
+        "ghostdb_optimizer_est_over_meas",
+        "cost-model estimated over measured simulated seconds, "
+        "per executed plan",
+        buckets=(0.25, 0.5, 0.8, 1.25, 2.0, 4.0),
+    )
+    # Fault injection and crash recovery (see docs/ROBUSTNESS.md).
+    registry.counter(
+        "ghostdb_faults_injected_total",
+        "faults manifested by the deterministic injector, "
+        "by site and kind",
+    )
+    registry.counter(
+        "ghostdb_usb_retries_total",
+        "USB frame retransmissions, by reason (corrupt, dropped)",
+    )
+    registry.counter(
+        "ghostdb_flash_remaps_total",
+        "FTL write remaps after torn pages or bad blocks, by reason",
+    )
+    registry.counter(
+        "ghostdb_flash_ecc_corrections_total",
+        "transient flash read bit-flips corrected by the spare-area "
+        "ECC (charged as an extra read)",
+    )
+    registry.counter(
+        "ghostdb_device_flash_bad_blocks_total",
+        "blocks that manifested as bad and were retired",
+    )
+    registry.counter(
+        "ghostdb_recovery_remounts_total",
+        "device remounts after a power cut or unplug",
+    )
+    registry.counter(
+        "ghostdb_recovery_scans_total",
+        "mount-time FTL recovery scans over the spare-area journal",
+    )
+    registry.counter(
+        "ghostdb_recovery_pages_scanned_total",
+        "programmed pages visited by recovery scans",
+    )
+    registry.counter(
+        "ghostdb_recovery_torn_pages_total",
+        "torn or unjournaled pages rolled back by recovery scans",
+    )
+    registry.counter(
+        "ghostdb_recovery_aborted_queries_total",
+        "queries aborted by an injected fault, by reason",
+    )
+    # Adversary-eye leakage metering (see docs/OBSERVABILITY.md).
+    registry.counter(
+        "ghostdb_leak_queries_profiled_total",
+        "queries whose boundary traffic was leak-profiled",
+    )
+    registry.counter(
+        "ghostdb_leak_observable_bytes_total",
+        "bytes a USB observer sees, attributed to queries, "
+        "by direction",
+    )
+    registry.counter(
+        "ghostdb_leak_messages_total",
+        "boundary messages a USB observer sees, by kind",
+    )
+    registry.counter(
+        "ghostdb_leak_ids_observed_total",
+        "row IDs readable off the wire (repeats counted), by kind",
+    )
+    registry.gauge(
+        "ghostdb_leak_distinct_shapes",
+        "distinct (direction, kind, size) message shapes of the "
+        "last profiled query",
+    )
+    registry.gauge(
+        "ghostdb_leak_shape_entropy_bits",
+        "shape-distribution entropy of the last profiled query",
+    )
+    registry.gauge(
+        "ghostdb_leak_request_signature",
+        "request-sequence signature (CRC32) of the last profiled "
+        "query -- fault-profile invariant by construction",
+    )
+    # SLO resource families (see docs/OBSERVABILITY.md): per-query
+    # distributions of the ledger's resource vectors, the percentile
+    # surfaces the multi-session scheduler prices admission against.
+    registry.histogram(
+        "ghostdb_slo_sim_seconds",
+        "per-query simulated device seconds",
+        buckets=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0),
+    )
+    registry.histogram(
+        "ghostdb_slo_flash_page_reads",
+        "per-query flash page reads",
+        buckets=(4, 16, 64, 256, 1024, 4096, 16384),
+    )
+    registry.histogram(
+        "ghostdb_slo_usb_messages",
+        "per-query USB boundary messages",
+        buckets=(4, 16, 64, 256, 1024, 4096),
+    )
+    registry.histogram(
+        "ghostdb_slo_usb_bytes",
+        "per-query USB payload bytes, both directions summed",
+        buckets=(1024, 8192, 65536, 262144, 1048576, 4194304),
+    )
+    registry.histogram(
+        "ghostdb_slo_ram_high_water_bytes",
+        "per-query device RAM high-water mark",
+        buckets=(1024, 4096, 16384, 65536, 262144, 1048576),
+    )
+    registry.histogram(
+        "ghostdb_slo_result_rows",
+        "per-query result rows",
+        buckets=(1, 10, 100, 1000, 10000, 100000),
+    )
+    registry.counter(
+        "ghostdb_flight_events_total",
+        "flight-recorder events journaled since the last reset",
+    )
+    registry.counter(
+        "ghostdb_postmortem_bundles_total",
+        "postmortem bundles written, by reason",
+    )
+
+
 class Observability:
-    """One session's tracer + registry + redactor, wired together."""
+    """One session's tracer and ledger over a registry, flight recorder
+    and redactor that may be shared with other sessions."""
 
     def __init__(
         self,
         clock=None,
-        flight_capacity: int | None = None,
-        flight_enabled: bool = True,
         registry: MetricsRegistry | None = None,
         flight: FlightRecorder | None = None,
         redactor: Redactor | None = None,
     ):
-        """Build a session's observability bundle.
-
-        ``registry``, ``flight`` and ``redactor`` may be injected so
-        several sessions on one device share the device-wide parts (one
-        metrics exposition, one black box) while each keeps a private
-        tracer and ledger.  ``_register_session_metrics`` is a
-        get-or-create pass, so re-running it against a shared registry
-        is a no-op.
-        """
+        """``registry``, ``flight`` and ``redactor`` are injected when
+        several sessions on one device share them (one metrics
+        exposition, one black box)."""
         self.redactor = redactor if redactor is not None else Redactor()
         self.tracer = Tracer(clock=clock, redactor=self.redactor)
         self.registry = registry if registry is not None else MetricsRegistry()
-        # The black box: always-on unless explicitly disabled, host-side
-        # memory, shared clock with the tracer (the session re-points
-        # both at the device clock once the device exists).
-        if flight is not None:
-            self.flight = flight
-        else:
-            self.flight = FlightRecorder(
-                capacity=(
-                    flight_capacity
-                    if flight_capacity is not None
-                    else DEFAULT_CAPACITY
-                ),
-                clock=clock,
-                enabled=flight_enabled,
-            )
+        # The black box: host-side memory, on the tracer's clock.
+        self.flight = (
+            flight if flight is not None else FlightRecorder(clock=clock)
+        )
         self.ledger = ResourceLedger()
         #: This tracer's share of the shared ``ghostdb_trace_spans``
         #: gauge, as of the registry reset numbered ``_spans_epoch``.
         self._spans_reported = 0
         self._spans_epoch = self.registry.resets
-        self._register_session_metrics()
-
-    def _register_session_metrics(self) -> None:
-        """Pre-register the query-attributed metric families so the
-        exposition is complete (at zero) before the first query."""
-        reg = self.registry
-        reg.counter(
-            "ghostdb_queries_total",
-            "completed SELECT, UPDATE and DELETE statements",
-        )
-        reg.counter(
-            "ghostdb_result_rows_total",
-            "SELECT result rows plus UPDATE and DELETE matched rows",
-        )
-        reg.counter(
-            "ghostdb_flash_page_reads_total",
-            "flash page reads attributed to queries",
-        )
-        reg.counter(
-            "ghostdb_flash_page_writes_total",
-            "flash page writes attributed to queries",
-        )
-        reg.counter(
-            "ghostdb_flash_block_erases_total",
-            "flash block erases attributed to queries",
-        )
-        reg.counter(
-            "ghostdb_usb_messages_total",
-            "USB messages attributed to queries",
-        )
-        reg.counter(
-            "ghostdb_usb_bytes_total",
-            "USB payload bytes attributed to queries, by direction",
-        )
-        reg.counter(
-            "ghostdb_sim_seconds_total",
-            "simulated device seconds attributed to queries, by category",
-        )
-        reg.gauge(
-            "ghostdb_ram_high_water_bytes",
-            "largest per-query device RAM peak seen this session",
-        )
-        reg.counter(
-            "ghostdb_plans_considered_total",
-            "candidate plans priced by the optimizer",
-        )
-        reg.counter(
-            "ghostdb_bloom_false_positives_total",
-            "tuples that passed a Bloom filter but failed the host recheck",
-        )
-        reg.counter(
-            "ghostdb_operator_sim_seconds_total",
-            "per-operator simulated self time, by operator name",
-        )
-        reg.counter(
-            "ghostdb_trace_redactions_total",
-            "span attribute tokens scrubbed by the redaction gate",
-        )
-        reg.gauge(
-            "ghostdb_trace_spans",
-            "spans currently held by the tracers of all live sessions",
-        )
-        reg.histogram(
-            "ghostdb_optimizer_est_over_meas",
-            "cost-model estimated over measured simulated seconds, "
-            "per executed plan",
-            buckets=(0.25, 0.5, 0.8, 1.25, 2.0, 4.0),
-        )
-        # Fault injection and crash recovery (see docs/ROBUSTNESS.md).
-        reg.counter(
-            "ghostdb_faults_injected_total",
-            "faults manifested by the deterministic injector, "
-            "by site and kind",
-        )
-        reg.counter(
-            "ghostdb_usb_retries_total",
-            "USB frame retransmissions, by reason (corrupt, dropped)",
-        )
-        reg.counter(
-            "ghostdb_flash_remaps_total",
-            "FTL write remaps after torn pages or bad blocks, by reason",
-        )
-        reg.counter(
-            "ghostdb_flash_ecc_corrections_total",
-            "transient flash read bit-flips corrected by the spare-area "
-            "ECC (charged as an extra read)",
-        )
-        reg.counter(
-            "ghostdb_device_flash_bad_blocks_total",
-            "blocks that manifested as bad and were retired",
-        )
-        reg.counter(
-            "ghostdb_recovery_remounts_total",
-            "device remounts after a power cut or unplug",
-        )
-        reg.counter(
-            "ghostdb_recovery_scans_total",
-            "mount-time FTL recovery scans over the spare-area journal",
-        )
-        reg.counter(
-            "ghostdb_recovery_pages_scanned_total",
-            "programmed pages visited by recovery scans",
-        )
-        reg.counter(
-            "ghostdb_recovery_torn_pages_total",
-            "torn or unjournaled pages rolled back by recovery scans",
-        )
-        reg.counter(
-            "ghostdb_recovery_aborted_queries_total",
-            "queries aborted by an injected fault, by reason",
-        )
-        # Adversary-eye leakage metering (see docs/OBSERVABILITY.md).
-        reg.counter(
-            "ghostdb_leak_queries_profiled_total",
-            "queries whose boundary traffic was leak-profiled",
-        )
-        reg.counter(
-            "ghostdb_leak_observable_bytes_total",
-            "bytes a USB observer sees, attributed to queries, "
-            "by direction",
-        )
-        reg.counter(
-            "ghostdb_leak_messages_total",
-            "boundary messages a USB observer sees, by kind",
-        )
-        reg.counter(
-            "ghostdb_leak_ids_observed_total",
-            "row IDs readable off the wire (repeats counted), by kind",
-        )
-        reg.gauge(
-            "ghostdb_leak_distinct_shapes",
-            "distinct (direction, kind, size) message shapes of the "
-            "last profiled query",
-        )
-        reg.gauge(
-            "ghostdb_leak_shape_entropy_bits",
-            "shape-distribution entropy of the last profiled query",
-        )
-        reg.gauge(
-            "ghostdb_leak_request_signature",
-            "request-sequence signature (CRC32) of the last profiled "
-            "query -- fault-profile invariant by construction",
-        )
-        # SLO resource families (see docs/OBSERVABILITY.md): per-query
-        # distributions of the ledger's resource vectors, the percentile
-        # surfaces the multi-session scheduler prices admission against.
-        reg.histogram(
-            "ghostdb_slo_sim_seconds",
-            "per-query simulated device seconds",
-            buckets=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0),
-        )
-        reg.histogram(
-            "ghostdb_slo_flash_page_reads",
-            "per-query flash page reads",
-            buckets=(4, 16, 64, 256, 1024, 4096, 16384),
-        )
-        reg.histogram(
-            "ghostdb_slo_usb_messages",
-            "per-query USB boundary messages",
-            buckets=(4, 16, 64, 256, 1024, 4096),
-        )
-        reg.histogram(
-            "ghostdb_slo_usb_bytes",
-            "per-query USB payload bytes, both directions summed",
-            buckets=(1024, 8192, 65536, 262144, 1048576, 4194304),
-        )
-        reg.histogram(
-            "ghostdb_slo_ram_high_water_bytes",
-            "per-query device RAM high-water mark",
-            buckets=(1024, 4096, 16384, 65536, 262144, 1048576),
-        )
-        reg.histogram(
-            "ghostdb_slo_result_rows",
-            "per-query result rows",
-            buckets=(1, 10, 100, 1000, 10000, 100000),
-        )
-        reg.counter(
-            "ghostdb_flight_events_total",
-            "flight-recorder events journaled since the last reset",
-        )
-        reg.counter(
-            "ghostdb_postmortem_bundles_total",
-            "postmortem bundles written, by reason",
-        )
+        register_query_families(self.registry)
 
     # ------------------------------------------------------------------
 

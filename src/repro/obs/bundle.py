@@ -55,8 +55,10 @@ def device_state_summary(device) -> dict:
 
     Everything here is a counter, a capacity, or a structural name the
     code base defines -- the same information the metrics exposition
-    carries, grouped the way a postmortem reads it.
+    carries, grouped the way a postmortem reads it.  ``device`` is a
+    session's view: flash, pool and USB counts are that session's.
     """
+    counters = device.counters()
     ram = device.ram
     cache = device.page_cache
     ftl = device.ftl
@@ -70,11 +72,11 @@ def device_state_summary(device) -> dict:
             "reclaimable_used": ram.reclaimable_used,
             "allocation_count": ram.allocation_count,
         },
-        "flash": _numeric_fields(device.flash.stats),
+        "flash": _numeric_fields(counters.flash),
         "cache": {
             "pages": cache.page_count,
             "capacity_pages": cache.capacity_pages,
-            **_numeric_fields(cache.stats),
+            **_numeric_fields(counters.cache),
         },
         "ftl": {
             "mapped_pages": ftl.mapped_pages,
@@ -84,9 +86,9 @@ def device_state_summary(device) -> dict:
             **_numeric_fields(ftl.stats),
         },
         "usb": {
-            "messages": device.usb.message_count,
-            "bytes_to_device": device.usb.bytes_to_device,
-            "bytes_to_host": device.usb.bytes_to_host,
+            "messages": counters.usb_messages,
+            "bytes_to_device": counters.usb_bytes_to_device,
+            "bytes_to_host": counters.usb_bytes_to_host,
         },
         "faults": None,
     }

@@ -298,6 +298,13 @@ def _with_retries(db: GhostDB, fn, tally: dict):
     )
 
 
+def _heap_rows(db: GhostDB, table: str) -> list:
+    """A heap's rows, read in the console's partition and pool like its
+    statements (the audit is no statement: it books no fault)."""
+    with db.core.activated(db.lease):
+        return list(db.hidden.heaps[table].scan())
+
+
 def _audit_epoch(
     db: GhostDB,
     ref: dict,
@@ -318,9 +325,7 @@ def _audit_epoch(
     # Reference: device rows + site counts vs the host-side model.
     reference_ok = True
     for table in ("prescription", "patient", "visit", "medicine"):
-        got = _with_retries(
-            db, lambda t=table: list(db.hidden.heaps[t].scan()), tally
-        )
+        got = _with_retries(db, lambda t=table: _heap_rows(db, t), tally)
         want = expected_device_rows(db.tree, ref, table)
         if got != want:
             reference_ok = False

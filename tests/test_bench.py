@@ -383,7 +383,7 @@ class TestExplainAnalyzeScorecard:
         demo_session.reset_measurements()
         bound = demo_session.bind(demo_query())
         plan = demo_session.optimizer.optimize(bound).plan
-        result = demo_session.executor.execute(plan)
+        result = demo_session.execute_plan(plan)
         assert result.rows is not None
         model = demo_session.optimizer.cost_model
         honest = explain_analyze(result, model)

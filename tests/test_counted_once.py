@@ -46,11 +46,11 @@ def exposed(db) -> dict[str, int]:
 
 
 class HardwareCounts:
-    """Every page read the flash charges and every lookup the device's
-    own buffer pool answers (leased sessions' private pools report no
-    metrics), counted as they happen since the device was built or the
-    registry last reset -- the default session's ``reset_measurements``
-    zeroes the whole registry."""
+    """Every page read the flash charges and every lookup a pool with a
+    metrics sink answers (the device's own and the console's; admitted
+    sessions' pools report none), counted as they happen since the
+    device was built or the registry last reset -- the console's
+    ``reset_measurements`` zeroes the whole registry."""
 
     def __init__(self, monkeypatch):
         self.counts = {"full": 0, "partial": 0, "hits": 0, "misses": 0}
@@ -142,12 +142,13 @@ def test_hot_paths_make_no_registry_call(monkeypatch, demo_session):
     monkeypatch.setattr(BoundCounter, "inc", watched_inc)
     ctx = ExecContext(device=db.device, link=db.link, db=db.hidden)
     scan = SktScanOp(ctx, db.hidden.skts["prescription"])
-    try:
-        assert len(list(scan.rows())) == db.hidden.heaps[
-            "prescription"
-        ].extent.count
-    finally:
-        scan.close()
+    with db.statement():
+        try:
+            assert len(list(scan.rows())) == db.hidden.heaps[
+                "prescription"
+            ].extent.count
+        finally:
+            scan.close()
     after = exposed(db)
     assert callers == []
     assert after["full"] > before["full"]

@@ -1,8 +1,15 @@
 """The three-phase demo scenario and the plan game."""
 
+import math
+
 import pytest
 
-from repro.demo import DemoScenario, figure5_postfilter_plan, prefilter_plan
+from repro.demo import (
+    DemoScenario,
+    PlanGame,
+    figure5_postfilter_plan,
+    prefilter_plan,
+)
 from repro.engine import plan as lp
 from repro.reference import evaluate_reference, same_rows
 
@@ -98,6 +105,29 @@ class TestPhaseThree:
     def test_bad_guess_rejected(self, scenario):
         with pytest.raises(IndexError):
             scenario.phase_game().play(guess_index=99)
+
+    def test_game_scores_the_plan_the_optimizer_runs(self, scenario):
+        """In a quarter-RAM lease the cheapest estimate does not fit the
+        budget: the game marks optimize()'s pick, the plan a query
+        runs, not the cheapest estimate.  The candidate that runs out of
+        the lease's RAM is measured infinitely slow but keeps the cost
+        model's price."""
+        lease = scenario.db.open_session("player", 16384)
+        try:
+            game = PlanGame(lease, scenario.sql)
+            outcome = game.play()
+            bound = lease.bind(scenario.sql)
+            chosen = lease.optimizer.optimize(bound).strategy
+            assert game.strategies[outcome.optimizer_index] == chosen
+            ranked = lease.optimizer.rank(bound)
+            assert chosen != ranked[0].strategy
+            assert math.inf in outcome.measured_ms
+            prices = {r.strategy: r.estimate.seconds * 1000 for r in ranked}
+            assert outcome.estimated_ms == [
+                prices[s] for s in game.strategies
+            ]
+        finally:
+            lease.close()
 
     def test_winner_is_measured_minimum(self, scenario):
         outcome = scenario.phase_game().play()

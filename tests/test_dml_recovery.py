@@ -16,9 +16,7 @@ import pytest
 
 from repro.core.ghostdb import GhostDB
 from repro.faults import PowerCutError
-from repro.sql import ast
-from repro.sql.binder import Binder
-from repro.sql.parser import parse_statement
+from repro.soak import apply_dml_reference, expected_device_rows
 from repro.workload.datagen import DatasetConfig, MedicalDataGenerator
 from repro.workload.queries import DEMO_SCHEMA_DDL
 from tests.test_dml import postings, skt_rows
@@ -49,62 +47,14 @@ def build_session(data) -> GhostDB:
 
 
 # ----------------------------------------------------------------------
-# Host-side reference model
+# Host-side reference model (the soak harness's)
 # ----------------------------------------------------------------------
-
-
-def apply_statement(tree, rows_by_table, sql: str) -> None:
-    """Apply one DML statement to the reference rows, in place.
-
-    Independent of the engine: binds the statement for column
-    resolution, then evaluates predicates/assignments on plain host
-    tuples.
-    """
-    statement = parse_statement(sql)
-    binder = Binder(tree)
-    if isinstance(statement, ast.Update):
-        bound = binder.bind_update(statement)
-        tdef = bound.table_def
-        idx = {c.name.lower(): i for i, c in enumerate(tdef.columns)}
-        rows = rows_by_table[bound.table]
-        out = []
-        for row in rows:
-            if all(p.matches(row[idx[p.column]]) for p in bound.predicates):
-                new = list(row)
-                for a in bound.assignments:
-                    new[idx[a.column.name.lower()]] = a.column.dtype.validate(
-                        a.value
-                    )
-                out.append(tuple(new))
-            else:
-                out.append(row)
-        rows_by_table[bound.table] = out
-    else:
-        bound = binder.bind_delete(statement)
-        tdef = bound.table_def
-        idx = {c.name.lower(): i for i, c in enumerate(tdef.columns)}
-        rows_by_table[bound.table] = [
-            row
-            for row in rows_by_table[bound.table]
-            if not all(
-                p.matches(row[idx[p.column]]) for p in bound.predicates
-            )
-        ]
-
-
-def expected_device_rows(tree, rows_by_table, table: str) -> list[tuple]:
-    tdef = tree.table(table)
-    idx = [tdef.column_index(c.name) for c in tdef.device_columns()]
-    return sorted(
-        (tuple(row[i] for i in idx) for row in rows_by_table[table]),
-        key=lambda r: r[0],
-    )
 
 
 def reference_after(tree, data, n_statements: int) -> dict[str, list]:
     ref = {name: list(rows) for name, rows in data.items()}
     for sql in STATEMENTS[:n_statements]:
-        apply_statement(tree, ref, sql)
+        apply_dml_reference(tree, ref, sql)
     return ref
 
 

@@ -220,8 +220,9 @@ def test_device_scan_producers_charge_identical_costs(demo_data):
         ctx = ExecContext(device=db.device, link=db.link, db=db.hidden)
         op = DeviceScanSelectOp(ctx, "patient", [predicate])
         before = db.device.counters()
-        ids = list(getattr(op, surface)())
-        op.close()
+        with db.statement():
+            ids = list(getattr(op, surface)())
+            op.close()
         drained[surface] = (
             ids,
             ExecutionMetrics.from_counters(

@@ -175,12 +175,12 @@ def test_power_cut_is_booked_on_every_plan_path(statement):
     aborted = db.obs.registry.counter("ghostdb_recovery_aborted_queries_total")
     assert aborted.value(reason="PowerCutError") == 1
     db.clear_faults()
-    reads = db.device.flash.stats.page_reads
+    reads = db.device.counters().flash.page_reads
     with pytest.raises(SessionError, match="remount"):
         statement(db)
     with pytest.raises(SessionError, match="remount"):
         db.query(demo_query())
-    assert db.device.flash.stats.page_reads == reads
+    assert db.device.counters().flash.page_reads == reads
 
 
 def test_duplicate_appended_key_is_refused_before_any_write():
@@ -190,10 +190,10 @@ def test_duplicate_appended_key_is_refused_before_any_write():
     visible_before = db.query(
         "SELECT Pre.PreID, Pre.Frequency FROM Prescription Pre"
     ).rows
-    writes = db.device.flash.stats.page_writes
+    writes = db.device.counters().flash.page_writes
     with pytest.raises(MaintenanceError, match="given twice"):
         db.append("Prescription", [row, row])
-    assert db.device.flash.stats.page_writes == writes
+    assert db.device.counters().flash.page_writes == writes
     assert firm_ram(db) == 0
     assert list(db.hidden.heaps["prescription"].scan()) == device_before
     assert db.query(

@@ -143,13 +143,14 @@ class TestDeterminism:
             session = build_session(demo_data, flight_enabled=enabled)
             session.set_faults("mixed", 3)
             result = session.query(demo_query())
+            counters = session.device.counters()
             outcomes.append(
                 (
                     result.rows,
                     session.device.clock.now,
                     len(session.device.usb.log),
-                    session.device.usb.bytes_to_device,
-                    session.device.usb.bytes_to_host,
+                    counters.usb_bytes_to_device,
+                    counters.usb_bytes_to_host,
                     session.fault_injector.schedule_signature(),
                 )
             )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.ghostdb import GhostDB
 from repro.hardware.chip import CYCLES, SecureChip
 from repro.hardware.clock import SimClock
 from repro.hardware.device import SmartUsbDevice
@@ -66,11 +67,12 @@ def test_reset_measurements_preserves_storage():
 
 
 def test_counters_snapshot_is_independent():
-    device = SmartUsbDevice(DEMO_DEVICE)
-    before = device.counters()
-    page = device.ftl.allocate()
-    device.ftl.write(page, b"y")
-    after = device.counters()
+    db = GhostDB()
+    before = db.device.counters()
+    with db.core.activated(db.lease):
+        page = db.device.ftl.allocate()
+        db.device.ftl.write(page, b"y")
+    after = db.device.counters()
     assert before.flash.page_writes == 0
     assert after.flash.page_writes == 1
     assert after.time.flash_write > before.time.flash_write

@@ -124,12 +124,12 @@ class TestAppendValidation:
         for bad in (short, long):
             heap_rows = session.hidden.row_count("patient")
             visible_rows = session.site.row_count("patient")
-            page_writes = session.device.flash.stats.page_writes
+            page_writes = session.device.counters().flash.page_writes
             with pytest.raises(SchemaError, match="arity"):
                 session.append("patient", [good, bad])
             assert session.hidden.row_count("patient") == heap_rows
             assert session.site.row_count("patient") == visible_rows
-            assert session.device.flash.stats.page_writes == page_writes
+            assert session.device.counters().flash.page_writes == page_writes
 
     def test_dangling_foreign_key_is_refused_before_any_write(
         self, session, demo_data
@@ -193,7 +193,7 @@ class TestMaintenanceCost:
 
     def test_repeated_appends_trigger_gc(self, session, demo_data):
         """Rebuilds strand stale pages; enough of them force erases."""
-        erases_before = session.device.flash.stats.block_erases
+        erases_before = session.device.counters().flash.block_erases
         next_doc = len(demo_data["doctor"]) + 1
         for i in range(30):
             session.append(
@@ -203,7 +203,7 @@ class TestMaintenanceCost:
         # The device is 1 GiB so GC may or may not have been needed, but
         # the FTL must have accumulated stale pages from the rebuilds.
         assert session.device.ftl.stats.logical_writes > 0
-        assert session.device.flash.stats.block_erases >= erases_before
+        assert session.device.counters().flash.block_erases >= erases_before
 
 
 class TestRebuildScopePrecision:

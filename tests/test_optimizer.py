@@ -232,7 +232,7 @@ class TestRamAwareChoice:
         chosen = db.optimizer.optimize(bound)
         assert chosen.estimate.ram_bytes <= 0.8 * TINY_DEVICE.ram_bytes
         db.reset_measurements()
-        result = db.executor.execute(chosen.plan)
+        result = db.execute_plan(chosen.plan)
         assert result.metrics.ram_high_water <= TINY_DEVICE.ram_bytes
 
     @pytest.mark.parametrize(

@@ -369,7 +369,7 @@ def _walk(node):
 def _run_measured(session, sql):
     bound = session.bind(sql)
     ranked = session.optimizer.optimize(bound)
-    result = session.executor.execute(ranked.plan)
+    result = session.execute_plan(ranked.plan)
     return ranked.plan, result
 
 
@@ -419,8 +419,9 @@ def _warm_pool(session, n_pages=3):
     reservations shed the pool), so lifetime tests warm it directly.
     """
     heap = session.hidden.heaps["prescription"]
-    for lpage in heap.extent.pages[:n_pages]:
-        session.device.ftl.read(lpage)
+    with session.statement():
+        for lpage in heap.extent.pages[:n_pages]:
+            session.device.ftl.read(lpage)
     assert session.device.page_cache.page_count > 0
 
 
@@ -449,6 +450,38 @@ def test_power_cut_recovery_invalidates_the_pool(fresh_session):
 
     result = session.query(demo_query())
     assert result.rows == reference.rows
+
+
+def test_power_loss_empties_every_sessions_pool(fresh_session):
+    """A lease's pool is volatile RAM too: after a power cut and a
+    remount it is empty, silently, and its re-run costs what a fresh
+    lease's first run costs."""
+    db = fresh_session
+    sql = QUERY_FAMILIES["hidden-range"]
+    warm = db.open_session("warm", 16384)
+    warm.query(sql)
+    assert warm.device.page_cache.page_count > 0
+
+    db.set_faults("none").schedule_power_cut(at_flash_op=3)
+    with pytest.raises(PowerCutError):
+        warm.query(sql)
+    db.clear_faults()
+    invalidations = warm.device.page_cache.stats.invalidations
+    events = len(db.obs.flight)
+    db.remount()
+    assert warm.device.page_cache.page_count == 0
+    assert warm.lease.ram.used == 0
+    assert warm.device.page_cache.stats.invalidations == invalidations
+    assert all(
+        event.kind != "cache_invalidate"
+        for event in db.obs.flight.events()[events:]
+    )
+
+    rerun = warm.query(sql)
+    first = db.open_session("cold", 16384).query(sql)
+    assert rerun.rows == first.rows
+    assert hardware_counters(rerun.metrics) == hardware_counters(first.metrics)
+    assert rerun.metrics.time == first.metrics.time
 
 
 def test_reset_measurements_starts_cold(fresh_session):

@@ -145,16 +145,17 @@ def test_wrong_version_rejected(tmp_path):
         load_session(str(path))
 
 
-@pytest.mark.parametrize("version", [3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("version", [3, 4, 5, 6, 7, 8, 9, 10])
 def test_v3_file_refused(saved_path, version):
     """A v3 file pickles a tracer without a window or running count, a
     v4 file a facade wrapping a separate default session, a v5 file a
     float-second clock, a v6 file page lists and posting files instead
     of extents, a v7 file a registry with no settler for the flash's
     and the buffer pool's tallies, a v8 file a cost model with a copied
-    Bloom target and a v9 file a cost model with no link to read batch
-    sizes from; all must be refused, not restored into one that fails
-    (or stops counting) on first use."""
+    Bloom target, a v9 file a cost model with no link to read batch
+    sizes from and a v10 file an un-leased console on the raw device;
+    all must be refused, not restored into one that fails (or stops
+    counting) on first use."""
     from repro.core.persistence import MAGIC
 
     _original, path = saved_path

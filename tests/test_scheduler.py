@@ -54,6 +54,16 @@ def test_submit_refuses_sessions_from_another_device():
         sched.submit(stranger, STATEMENTS[0])
 
 
+def test_submit_refuses_a_closed_session():
+    db = build_db()
+    ctx = db.open_session("t")
+    ctx.close()
+    sched = Scheduler(db.core)
+    with pytest.raises(SessionError, match="not open"):
+        sched.submit(ctx, STATEMENTS[0])
+    assert sched.tickets == []
+
+
 def test_unsupported_statement_fails_at_submit():
     db = build_db()
     ctx = db.open_session("client")

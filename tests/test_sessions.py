@@ -356,11 +356,8 @@ def test_nested_foreign_activation_is_a_scheduling_bug():
         with pytest.raises(SessionError):
             with db.core.activated(b.lease):
                 pass  # pragma: no cover
-        # Re-entry with the active lease and the default session are
-        # both no-ops.
+        # Re-entry with the active lease is a no-op.
         with db.core.activated(a.lease):
-            pass
-        with db.core.activated(None):
             pass
 
 
