@@ -11,8 +11,6 @@ a 480 Mb/s link shrinks the visible-transfer term, shifting the
 pre/post crossover.
 """
 
-import datetime
-
 from benchmarks.conftest import BENCH_SCALE, load_session, print_series
 from repro.hardware.profiles import (
     DEMO_DEVICE,

@@ -13,7 +13,6 @@ import datetime
 
 from repro import GhostDB
 from repro.demo.plans import figure5_postfilter_plan, prefilter_plan
-from repro.engine import plan as lp
 from repro.optimizer.explain import explain_plan
 from repro.optimizer.space import PlanBuilder, Strategy
 from repro.workload import DEMO_SCHEMA_DDL, DatasetConfig, MedicalDataGenerator

@@ -161,18 +161,13 @@ class GhostDB(SessionContext):
     # ------------------------------------------------------------------
 
     def open_session(
-        self,
-        name: str | None = None,
-        ram_bytes: int | None = None,
-        config: SessionConfig | None = None,
+        self, name: str | None = None, ram_bytes: int | None = None
     ) -> SessionContext:
         """Admit an additional leased session (its own RAM partition,
-        buffer pool and measurement plane).  Raises
-        :class:`AdmissionError` when the session cap or the secure RAM
-        budget is exhausted."""
-        return self.core.open_session(
-            name=name, ram_bytes=ram_bytes, config=config
-        )
+        buffer pool and measurement plane, the console's config).
+        Raises :class:`AdmissionError` when the session cap or the
+        secure RAM budget is exhausted."""
+        return self.core.open_session(name=name, ram_bytes=ram_bytes)
 
     def close_session(self, session: SessionContext) -> None:
         """Release a leased session's partition and admission slot."""

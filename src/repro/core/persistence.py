@@ -37,13 +37,14 @@ from repro.obs.vetted import write_atomic
 log = get_logger(__name__)
 
 MAGIC = b"GHOSTDB-SESSION"
-#: v11: the console session is a full-RAM lease seen through a
-#: ``SessionDevice``.  v10 (an un-leased console on the raw device), v9
+#: v12: a lease keeps an account of what the device counted while it
+#: was active.  v11 (a lease with a private clock and swapped flash and
+#: USB counters), v10 (an un-leased console on the raw device), v9
 #: (a static fan-in and no link: its cost model cannot price a plan), v8
 #: (a copied Bloom target), v7 (no settlers: those families would stop
 #: moving), v6 (page lists and posting files), v5 (float-second clock)
 #: and earlier layouts are refused.
-VERSION = 11
+VERSION = 12
 
 #: Header after MAGIC: version (2 B) + payload length (8 B) + CRC32 (4 B).
 _LEN_BYTES = 8

@@ -72,8 +72,8 @@ class QueryTicket:
 
     Timestamps are simulated seconds on the *device* clock (the global
     interleaved timeline), so ``latency_s`` is what the client waited,
-    queueing included; the session's private clock holds its pure
-    service time.
+    queueing included; the session's counters hold its pure service
+    time.
     """
 
     index: int

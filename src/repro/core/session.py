@@ -25,13 +25,12 @@ Each runs its statements under its own *activation*
 (:mod:`repro.core.scheduler`) interleaves admitted sessions at
 batch-window boundaries by activating one lease at a time.
 
-Activation swaps the device's volatile per-session surfaces -- RAM
-budget, buffer pool, flash op counters, USB capture log -- for the
-lease's, tees every simulated-clock charge into the lease's private
-clock, and mirrors every USB record into the device-lifetime log.  The
-result is the invariant the whole refactor hangs on: a session's rows,
-:class:`~repro.engine.metrics.ExecutionMetrics` diffs and leak
-signatures are bit-identical whether its statements ran alone or
+Activation swaps only the lease's RAM budget and buffer pool into the
+device: the device's clock, flash op counters and USB link count every
+session's work, and a lease keeps what they counted while it was
+active.  The result is the invariant the whole refactor hangs on: a
+session's rows, :class:`~repro.engine.metrics.ExecutionMetrics` diffs
+and leak signatures are bit-identical whether its statements ran alone or
 interleaved with any number of other sessions, while the device log
 still shows the spy the full interleaved traffic stream.
 """
@@ -41,6 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import sub
 
 from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.tree import SchemaTree
@@ -54,7 +54,7 @@ from repro.faults import (
     GhostDBFaultError,
     PowerCutError,
 )
-from repro.hardware.clock import SimClock
+from repro.hardware.clock import CATEGORIES, TimeBreakdown
 from repro.hardware.device import (
     DeviceCounters,
     SmartUsbDevice,
@@ -128,15 +128,33 @@ class SessionConfig:
             self.exec_config = ExecConfig()
 
 
+def _reading(device: SmartUsbDevice) -> tuple:
+    """The device's counts, in account order: settled clock ticks per
+    category, full and partial page reads, page writes, block erases,
+    USB bytes to the device and to the host."""
+    flash, usb = device.flash.stats, device.usb
+    return (
+        *device.clock.live_ticks().values(),
+        flash.page_reads_full, flash.page_reads_partial,
+        flash.page_writes, flash.block_erases,
+        usb.bytes_to_device, usb.bytes_to_host,
+    )
+
+
+#: An empty account: no ticks in any category and none of the six
+#: counts.
+_NOTHING = (0,) * (len(CATEGORIES) + 6)
+
+
 class HardwareLease:
     """One session's partition of the device's volatile resources.
 
-    A lease owns the four things that make a session's measurements
-    private: a RAM budget carved out of the secure chip's RAM, a buffer
-    pool over that budget, a simulated clock that starts at zero, and a
-    USB capture log plus flash op counters of its own.  Flash contents,
-    the FTL map and the secure chip are *not* leased -- they are the
-    shared database.
+    A lease owns a RAM budget carved out of the secure chip's RAM and a
+    buffer pool over that budget.  Flash contents, the FTL map, the
+    secure chip, the clock and the USB link are *not* leased -- they
+    are the shared device; the lease keeps an account of what they
+    counted while it was active, which starts at zero like a
+    single-session device's, so per-query diffs match a serial run.
     """
 
     def __init__(
@@ -150,17 +168,11 @@ class HardwareLease:
     ):
         self.name = name
         self.capacity = ram_bytes
-        #: Private simulated-time account, fed by the device clock's tee
-        #: while this lease is active.  Starts at zero like a
-        #: single-session device's clock, so per-query time diffs are
-        #: bit-identical to a serial run.
-        self.clock = SimClock()
         #: The session's RAM partition and its pool.  Only the console's
         #: report to ``metrics`` (the ``ghostdb_device_ram_*`` and
         #: ``ghostdb_cache_*`` families); an admitted session's peaks
         #: surface via ``ghostdb_session_ram_high_water_bytes``.
         self.ram = RamBudget(capacity=ram_bytes, metrics=metrics, flight=flight)
-        self.flash_stats = FlashStats()
         if cache_pages is None:
             # The device default over the partition: a full-RAM lease
             # has the device's own pool size.
@@ -172,9 +184,16 @@ class HardwareLease:
             metrics=metrics,
         )
         self.cache.flight = flight
+        #: What the device counted while this lease was active, in
+        #: :func:`_reading` order, and the device log's records made
+        #: meanwhile (the session's capture).
+        self.counted = _NOTHING
         self.usb_log: list = []
-        self.bytes_to_device = 0
-        self.bytes_to_host = 0
+        #: While active: the device, the reading at which the account
+        #: would be empty, and the log length at the last copy.
+        self._device: SmartUsbDevice | None = None
+        self._base = _NOTHING
+        self._log_since = 0
 
     @property
     def firm_ram_used(self) -> int:
@@ -188,6 +207,46 @@ class HardwareLease:
         self.ram = self.ram.fresh()
         self.cache.rewire(self.ram)
 
+    # -- the account ------------------------------------------------------
+    def activate(self, device: SmartUsbDevice) -> None:
+        """Start counting from the device's reading now."""
+        self._device = device
+        self._base = tuple(map(sub, _reading(device), self.counted))
+        self._log_since = len(device.usb.log)
+
+    def deactivate(self) -> None:
+        """Stop counting, keeping what the device counted."""
+        self.catch_up()
+        self._device = None
+
+    def catch_up(self) -> None:
+        """While active, add what the device counted since activation
+        (its reading less the base) and copy the device log's new
+        records into the capture.  An inactive lease reads nothing on
+        the device."""
+        device = self._device
+        if device is not None:
+            self.counted = tuple(map(sub, _reading(device), self._base))
+            self.capture()
+
+    def capture(self) -> list:
+        """The session's capture, the active lease's new records copied
+        in."""
+        device = self._device
+        if device is not None:
+            log = device.usb.log
+            self.usb_log += log[self._log_since:]
+            self._log_since = len(log)
+        return self.usb_log
+
+    def reset(self) -> None:
+        """Empty the account and the capture; an active lease counts on
+        from the device's reading now."""
+        self.counted = _NOTHING
+        self.usb_log.clear()
+        if self._device is not None:
+            self.activate(self._device)
+
 
 class SessionDevice:
     """A session's view of the shared device.
@@ -195,10 +254,10 @@ class SessionDevice:
     Hardware that exists once (clock, flash, FTL, chip, USB channel,
     fault injector, flight recorder) resolves to the real device;
     volatile per-session surfaces (RAM budget, buffer pool) resolve to
-    the lease; and :meth:`counters` is assembled entirely from lease
-    state, so :class:`~repro.engine.metrics.ExecutionMetrics` diffs
-    taken through this view are session-pure no matter what other
-    sessions did in between.
+    the lease; and :meth:`counters` reads the lease's account, so
+    :class:`~repro.engine.metrics.ExecutionMetrics` diffs taken through
+    this view are session-pure no matter what other sessions did in
+    between.
     """
 
     def __init__(self, core: "DeviceCore", lease: HardwareLease):
@@ -233,19 +292,13 @@ class SessionDevice:
     # -- session-pure measurement ---------------------------------------
     def counters(self) -> DeviceCounters:
         lease = self._lease
-        # The chip's unsettled tally reaches the lease clock through
-        # the device clock's tee: settle before reading the lease clock.
-        self.clock.settle()
-        if self._core.active_lease is lease:
-            # The live byte totals sit on the channel while activated;
-            # the lease copies are only synced on deactivation.
-            usb = self.usb
-            to_device, to_host = usb.bytes_to_device, usb.bytes_to_host
-        else:
-            to_device, to_host = lease.bytes_to_device, lease.bytes_to_host
+        lease.catch_up()
+        *ticks, full, partial, writes, erases, to_device, to_host = (
+            lease.counted
+        )
         return DeviceCounters(
-            time=lease.clock.breakdown(),
-            flash=lease.flash_stats.snapshot(),
+            time=TimeBreakdown(dict(zip(CATEGORIES, ticks))),
+            flash=FlashStats(full, partial, writes, erases),
             ram_high_water=lease.ram.high_water,
             usb_messages=len(lease.usb_log),
             usb_bytes_to_device=to_device,
@@ -255,17 +308,7 @@ class SessionDevice:
 
     def reset_measurements(self) -> None:
         lease = self._lease
-        self.clock.settle()
-        lease.clock.reset()
-        lease.usb_log.clear()
-        fresh = FlashStats()
-        lease.flash_stats = fresh
-        lease.bytes_to_device = 0
-        lease.bytes_to_host = 0
-        if self._core.active_lease is lease:
-            self.flash.stats = fresh
-            self.usb.bytes_to_device = 0
-            self.usb.bytes_to_host = 0
+        lease.reset()
         lease.ram.reset_high_water()
         lease.cache.clear()
         lease.cache.stats = CacheStats()
@@ -516,18 +559,17 @@ class DeviceCore:
         return sum(ctx.lease.capacity for ctx in self.sessions.values())
 
     def open_session(
-        self,
-        name: str | None = None,
-        ram_bytes: int | None = None,
-        config: SessionConfig | None = None,
+        self, name: str | None = None, ram_bytes: int | None = None
     ) -> "SessionContext":
         """Admit a new leased session, or raise :class:`AdmissionError`.
 
         ``ram_bytes`` is the session's RAM partition (default: a quarter
-        of the device's secure RAM).  Admission fails when the session
-        cap is reached or the requested partition does not fit in the
-        unleased remainder of the secure budget -- callers queue or
-        surface the rejection.
+        of the device's secure RAM); the session runs with the core's
+        config.  Admission fails when the session cap is reached or the
+        requested partition does not fit in the unleased remainder of
+        the secure budget -- callers queue or surface the rejection.
+        What no close could admit (the console's name, a partition past
+        the secure RAM) raises :class:`SessionError`.
         """
         if self.tree is None:
             raise SessionError("load data before opening sessions")
@@ -536,6 +578,15 @@ class DeviceCore:
         if name is None:
             self._session_serial += 1
             name = f"session-{self._session_serial}"
+        if name == self.console_lease.name:
+            raise SessionError(f"{name!r} is the console session's name")
+        if ram_bytes is None:
+            ram_bytes = self.profile.ram_bytes // 4
+        if not 0 < ram_bytes <= self.profile.ram_bytes:
+            raise SessionError(
+                f"unusable RAM partition: {ram_bytes} B (the secure RAM "
+                f"is {self.profile.ram_bytes} B)"
+            )
         if name in self.sessions:
             registry.counter("ghostdb_session_rejections_total").inc(
                 reason="duplicate_name"
@@ -548,10 +599,6 @@ class DeviceCore:
             raise AdmissionError(
                 f"session cap reached ({self.config.max_sessions} open)"
             )
-        if ram_bytes is None:
-            ram_bytes = self.profile.ram_bytes // 4
-        if ram_bytes <= 0:
-            raise SessionError(f"unusable RAM partition: {ram_bytes} B")
         if self.leased_bytes + ram_bytes > self.profile.ram_bytes:
             registry.counter("ghostdb_session_rejections_total").inc(
                 reason="ram_budget"
@@ -561,16 +608,15 @@ class DeviceCore:
                 f"but only {self.profile.ram_bytes - self.leased_bytes} B "
                 f"of the secure budget remain unleased"
             )
-        session_config = config if config is not None else self.config
         lease = HardwareLease(
             name,
             self.profile,
             ram_bytes,
-            cache_pages=session_config.cache_pages,
+            cache_pages=self.config.cache_pages,
             flight=self.flight,
         )
         ctx = SessionContext(
-            core=self, name=name, config=session_config, lease=lease
+            core=self, name=name, config=self.config, lease=lease
         )
         ctx.attach()
         self.sessions[name] = ctx
@@ -640,22 +686,20 @@ class DeviceCore:
         )
 
     # ------------------------------------------------------------------
-    # Activation: swap one lease's volatile surfaces into the device
+    # Activation: one lease's partition in the device, its account open
     # ------------------------------------------------------------------
 
     @contextmanager
     def activated(self, lease: HardwareLease):
-        """Run a block with ``lease``'s volatile surfaces swapped into
-        the shared device.
+        """Run a block with ``lease``'s RAM partition and buffer pool
+        swapped into the shared device, and the lease's account open.
 
         Re-entry with the already active lease is a no-op.  While
-        active: RAM allocations land in the lease's partition, the
-        buffer pool is the lease's, flash op counters and the USB
-        capture are the lease's, every clock charge is teed into the
-        lease's private clock, and every USB record is mirrored into the
-        device-lifetime log -- the spy's interleaved view.  Cooperative,
-        not concurrent: nesting two different leases is a scheduling bug
-        and raises.
+        active, RAM allocations land in the lease's partition and the
+        buffer pool is the lease's; the clock, flash op counters and
+        USB link stay the device's, and the lease keeps what they count
+        until deactivation.  Cooperative, not concurrent: nesting two
+        different leases is a scheduling bug and raises.
         """
         if self.active_lease is lease:
             yield
@@ -665,45 +709,17 @@ class DeviceCore:
                 "cannot activate a lease while another is active"
             )
         device = self.device
-        usb = device.usb
-        saved = (
-            device.ram,
-            device.page_cache,
-            device.ftl.cache,
-            device.flash.stats,
-            usb.log,
-            usb.bytes_to_device,
-            usb.bytes_to_host,
-        )
+        saved = device.ram, device.page_cache, device.ftl.cache
         device.ram = lease.ram
         device.page_cache = lease.cache
         device.ftl.cache = lease.cache
-        device.flash.stats = lease.flash_stats
-        usb.log = lease.usb_log
-        usb.bytes_to_device = lease.bytes_to_device
-        usb.bytes_to_host = lease.bytes_to_host
-        usb.mirror = saved[4]
-        device.clock.tee_to(lease.clock)
+        lease.activate(device)
         self.active_lease = lease
         try:
             yield
         finally:
-            lease.bytes_to_device = usb.bytes_to_device
-            lease.bytes_to_host = usb.bytes_to_host
-            # The swapped-in stats object may have been replaced by a
-            # mid-step reset; keep whatever is current as the lease's.
-            lease.flash_stats = device.flash.stats
-            (
-                device.ram,
-                device.page_cache,
-                device.ftl.cache,
-                device.flash.stats,
-                usb.log,
-                usb.bytes_to_device,
-                usb.bytes_to_host,
-            ) = saved
-            usb.mirror = None
-            device.clock.tee_to(None)
+            lease.deactivate()
+            device.ram, device.page_cache, device.ftl.cache = saved
             self.active_lease = None
 
 
@@ -917,7 +933,7 @@ class SessionContext:
         """
         self._require_usable()
         select = statement is None or isinstance(statement, ast.Select)
-        mark = len(self.device.usb.log)
+        mark = len(self.lease.capture())
         name = "query" if select else "dml"
         with self.obs.tracer.span(name, category="session") as span:
             # The SQL text passes the redaction gate: constants (which
@@ -1068,13 +1084,13 @@ class SessionContext:
     def _meter_leakage(self, mark: int, span) -> None:
         """Profile the boundary traffic one query generated.
 
-        ``mark`` is the USB log length before the query started.  The
-        profile feeds the ``ghostdb_leak_*`` metric families and -- as
-        numbers only, same bar as every span attribute -- annotates the
-        query span, so traces show what each query *looked like* from
-        the spy's side of the boundary.
+        ``mark`` is the session's capture length before the query
+        started.  The profile feeds the ``ghostdb_leak_*`` metric
+        families and -- as numbers only, same bar as every span
+        attribute -- annotates the query span, so traces show what each
+        query *looked like* from the spy's side of the boundary.
         """
-        records = self.device.usb.log[mark:]
+        records = self.lease.capture()[mark:]
         if not records:
             return
         profile = profile_records(records)
@@ -1098,7 +1114,7 @@ class SessionContext:
     @property
     def usb_log(self):
         """This session's captured trust-boundary traffic."""
-        return list(self.lease.usb_log)
+        return list(self.lease.capture())
 
     # ------------------------------------------------------------------
     # Postmortems

@@ -17,9 +17,9 @@ converted once.
 A component may hold charges back and fold them in later: the secure
 chip tallies its per-tuple primitives as plain integer counts and
 registers a *settler* with the clock.  Every read (:attr:`SimClock.now`,
-:meth:`SimClock.breakdown`, :meth:`SimClock.live_ticks`), every
-:meth:`SimClock.reset` and every change of :attr:`SimClock.tee` runs the
-settlers first, so no reader ever sees a total with a charge missing.
+:meth:`SimClock.breakdown`, :meth:`SimClock.live_ticks`) and every
+:meth:`SimClock.reset` runs the settlers first, so no reader ever sees a
+total with a charge missing.
 """
 
 from __future__ import annotations
@@ -120,14 +120,6 @@ class SimClock:
     """Accumulates simulated ticks, broken down by charge category."""
 
     _ticks: dict[str, int] = field(default_factory=_zero_ticks)
-    #: Optional secondary clock that receives a copy of every charge.
-    #: Session multiplexing points this at the active session's private
-    #: clock (through :meth:`tee_to`), so a leased session accumulates
-    #: exactly the charges it would see running alone (starting from
-    #: zero) while the device clock keeps the global interleaved
-    #: timeline.  Tees do not chain: the teed clock's own ``tee`` is
-    #: ignored here.
-    tee: "SimClock | None" = None
     #: Callables that fold charges held elsewhere into this clock (see
     #: the module docstring); run before every read.
     _settlers: list = field(default_factory=list, repr=False)
@@ -147,26 +139,15 @@ class SimClock:
         if category not in totals:
             raise ValueError(f"unknown clock category: {category!r}")
         totals[category] += ticks
-        if self.tee is not None:
-            self.tee._ticks[category] += ticks
 
     def add_settler(self, settle) -> None:
         """Run ``settle()`` before every read of this clock."""
         self._settlers.append(settle)
 
     def settle(self) -> None:
-        """Fold every held-back charge into the totals (and the tee)."""
+        """Fold every held-back charge into the totals."""
         for settle in self._settlers:
             settle()
-
-    def tee_to(self, clock: "SimClock | None") -> None:
-        """Point :attr:`tee` at ``clock`` (or nowhere).
-
-        Held-back charges settle first, so each lands on the tee that
-        was in place when it was made.
-        """
-        self.settle()
-        self.tee = clock
 
     @property
     def now(self) -> float:

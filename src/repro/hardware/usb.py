@@ -80,11 +80,6 @@ class UsbChannel:
     faults: FaultInjector | None = None
     #: Optional device-lifetime metrics sink (monotonic; includes load).
     metrics: MetricsRegistry | None = None
-    #: Optional second log that every record is appended to as well.
-    #: Session multiplexing swaps ``log`` to the active session's
-    #: private capture and mirrors into the device-lifetime log, which
-    #: is what a bus spy sees: the full interleaved traffic stream.
-    mirror: list[TrafficRecord] | None = None
 
     def transfer(
         self,
@@ -151,8 +146,6 @@ class UsbChannel:
             faults=fault_tags,
         )
         self.log.append(record)
-        if self.mirror is not None:
-            self.mirror.append(record)
         if decision is not None:
             if decision.kind == "drop":
                 raise UsbDroppedError(

@@ -26,10 +26,13 @@ Wire protocol (one JSON object per line, UTF-8)::
 Errors come back as ``{"ok": false, "error": "...", "kind": "..."}``;
 the connection survives statement errors and malformed fields
 (``hello``'s ``name`` must be a string and ``ram`` a positive integer,
-``sql``'s ``sql`` a string), and dies on framing errors: a line that is
-not a JSON object, or one longer than :data:`MAX_FRAME_BYTES`.
+``sql``'s ``sql`` a string, and a connection holds one session, so a
+second ``hello`` is refused), and dies on framing errors: a line that
+is not a JSON object, or one longer than :data:`MAX_FRAME_BYTES`.
 ``hello`` blocks while the device's session cap or RAM budget is
-exhausted and is admitted when a slot frees (queued admission).
+exhausted and is admitted when a slot frees (queued admission); one
+that no close could admit -- a ``ram`` past the device's secure RAM,
+or the console's name ``default`` -- is refused at once (``session``).
 
 Concurrency model: socket handler threads only do I/O and enqueue
 commands; a single pump thread owns the device, drains the queue,
@@ -298,7 +301,11 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 op = message.get("op")
                 if op == "hello":
-                    problem = _hello_problem(message)
+                    problem = (
+                        "this connection already holds a session"
+                        if session_name is not None
+                        else _hello_problem(message)
+                    )
                     if problem is not None:
                         self._send(_error(problem, "protocol"))
                         continue

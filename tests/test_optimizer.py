@@ -7,7 +7,6 @@ import pytest
 from repro.engine import plan as lp
 from repro.optimizer.cost import StatsProvider
 from repro.optimizer.space import (
-    PRE,
     PlanBuilder,
     Strategy,
     enumerate_strategies,

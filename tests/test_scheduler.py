@@ -126,10 +126,8 @@ WINDOWED = SessionConfig(exec_config=ExecConfig(exec_batch=1))
 
 
 def test_uniform_load_is_scheduled_fairly():
-    db = build_db()
-    sessions = [
-        db.open_session(f"tenant-{i}", config=WINDOWED) for i in range(4)
-    ]
+    db = build_db(WINDOWED)
+    sessions = [db.open_session(f"tenant-{i}") for i in range(4)]
     sched = Scheduler(db.core)
     tickets = [sched.submit(ctx, SCAN) for ctx in sessions]
     sched.run()
@@ -137,8 +135,8 @@ def test_uniform_load_is_scheduled_fairly():
     # must land within a quantum or two of the others.
     latencies = [t.latency_s for t in tickets]
     assert jain_index(latencies) >= 0.99, latencies
-    # Pure service time (each session's private clock) is even too.
-    service = [ctx.lease.clock.now for ctx in sessions]
+    # Pure service time (each session's own counters) is even too.
+    service = [ctx.device.counters().time.total for ctx in sessions]
     assert jain_index(service) >= 0.99, service
     # Each query was preempted many times, so this was interleaving,
     # not accidental serial execution.
@@ -166,10 +164,10 @@ def test_dml_is_one_atomic_step():
 def _scan_then_write(sql: str, operator: str, write_sql: str):
     """A windowed scan, then another session's write, submitted before
     one ``run()``: the rows before, the two tickets, the rows after."""
-    db = build_db()
+    db = build_db(WINDOWED)
     assert operator in db.explain(sql)
     before = sorted(db.query(sql).rows)
-    reader = db.open_session("reader", config=WINDOWED)
+    reader = db.open_session("reader")
     writer = db.open_session("writer")
     # A quantum shorter than any step: the sessions would alternate per
     # window if the write did not wait.
@@ -242,11 +240,10 @@ def test_scan_under_committed_update_returns_the_rows_it_started_on(
 def test_statements_after_a_write_wait_for_it():
     """A read submitted after a pending write starts only once the write
     has run; a read submitted before it keeps its turn."""
-    db = build_db()
+    db = build_db(WINDOWED)
     sql = "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre"
     first, writer, last = (
-        db.open_session(name, config=WINDOWED)
-        for name in ("first", "writer", "last")
+        db.open_session(name) for name in ("first", "writer", "last")
     )
     sched = Scheduler(db.core, quantum_s=1e-9)
     early = sched.submit(first, sql)
@@ -267,10 +264,8 @@ def test_statements_after_a_write_wait_for_it():
 
 
 def test_power_cut_aborts_every_inflight_ticket_and_recovers():
-    db = build_db()
-    sessions = [
-        db.open_session(f"victim-{i}", config=WINDOWED) for i in range(2)
-    ]
+    db = build_db(WINDOWED)
+    sessions = [db.open_session(f"victim-{i}") for i in range(2)]
     injector = db.set_faults("none", seed=0)
     injector.schedule_power_cut(at_flash_op=3)
     sched = Scheduler(db.core)

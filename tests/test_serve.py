@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.ghostdb import AdmissionError, SessionError
 from repro.core.scheduler import Scheduler
 from repro.privacy.leakcheck import LeakChecker
 from repro.serve import (
@@ -186,19 +187,73 @@ def test_token_gate(db):
     assert not db.core.sessions
 
 
+def wait_for_implicit_bye(db):
+    """The handler's teardown runs asynchronously; wait for the pump to
+    process the implicit bye of a vanished client."""
+    for _ in range(200):
+        if not db.core.sessions:
+            break
+        threading.Event().wait(0.01)
+
+
 def test_disconnect_without_bye_releases_the_lease(db):
     with serving(db) as (host, port):
         client = ServeClient(host, port)
         assert client.hello(name="rude")["ok"]
         client.close()  # vanish without bye
-        # The handler's teardown runs asynchronously; wait for the pump
-        # to process the implicit bye.
-        for _ in range(200):
-            if not db.core.sessions:
-                break
-            threading.Event().wait(0.01)
+        wait_for_implicit_bye(db)
     assert not db.core.sessions
     assert db.core.leased_bytes == 0
+
+
+def test_second_hello_on_a_connection_is_a_protocol_error(db):
+    """A connection holds one session: a second hello would orphan the
+    first lease, its partition and admission slot, past the
+    connection's end."""
+    want = expected_rows(db, STATEMENTS[1])
+    with serving(db) as (host, port):
+        client = client_with_timeout(host, port)
+        assert client.hello(name="first")["ok"]
+        reply = client.hello(name="second")
+        assert not reply["ok"] and reply["kind"] == "protocol"
+        # The first session still answers.
+        reply = client.sql(STATEMENTS[1])
+        assert reply["ok"] and sorted(reply["rows"]) == want
+        client.close()  # vanish without bye
+        wait_for_implicit_bye(db)
+    assert not db.core.sessions
+    assert db.core.leased_bytes == 0
+
+
+def test_hello_past_the_secure_ram_is_refused_at_once(db):
+    """No close can ever free more than the whole secure RAM, so such a
+    hello is a session error, not a parked admission."""
+    budget = db.profile.ram_bytes
+    with serving(db) as (host, port):
+        client = client_with_timeout(host, port)
+        reply = client.hello(name="greedy", ram=2 * budget)
+        assert not reply["ok"] and reply["kind"] == "session"
+        assert client.hello(name="modest", ram=budget)["ok"]
+        assert client.bye()["ok"]
+    assert not db.core.sessions
+    with pytest.raises(SessionError) as refused:
+        db.open_session("greedy", ram_bytes=budget + 1)
+    assert not isinstance(refused.value, AdmissionError)
+
+
+def test_hello_with_the_console_name_is_refused_at_once(db):
+    """``default`` is the console's name: refused as a session error,
+    never admitted next to the console and never parked."""
+    with serving(db) as (host, port):
+        client = client_with_timeout(host, port)
+        reply = client.hello(name="default")
+        assert not reply["ok"] and reply["kind"] == "session"
+        assert client.hello(name="guest")["ok"]
+        assert client.bye()["ok"]
+    assert not db.core.sessions
+    with pytest.raises(SessionError) as refused:
+        db.open_session("default")
+    assert not isinstance(refused.value, AdmissionError)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ sessions run serially.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from functools import lru_cache
 
 import pytest
@@ -73,6 +74,37 @@ def build_db(config: SessionConfig | None = None) -> GhostDB:
 
 def metric_values(metrics) -> tuple:
     return tuple(getattr(metrics, name) for name in METRIC_FIELDS)
+
+
+def account(time, flash, usb_messages, to_device, to_host) -> dict:
+    """One flat account of device work: clock ticks by category, flash
+    reads (full and partial), writes and erases, USB bytes each way and
+    USB messages."""
+    return {
+        **time.ticks,
+        **asdict(flash),
+        "usb_messages": usb_messages,
+        "usb_bytes_to_device": to_device,
+        "usb_bytes_to_host": to_host,
+    }
+
+
+def device_account(device) -> dict:
+    """What the raw device's own counters read."""
+    usb = device.usb
+    return account(
+        device.clock.breakdown(), device.flash.stats, usb.message_count,
+        usb.bytes_to_device, usb.bytes_to_host,
+    )
+
+
+def session_account(ctx) -> dict:
+    """What a session's counters read."""
+    c = ctx.device.counters()
+    return account(
+        c.time, c.flash, c.usb_messages,
+        c.usb_bytes_to_device, c.usb_bytes_to_host,
+    )
 
 
 def session_fingerprint(ctx) -> tuple:
@@ -177,10 +209,10 @@ def test_interleaved_sessions_bit_identical_to_serial(n, batch):
 
     # Serial reference: each session runs its statements to completion
     # before the next session starts.
-    serial_db = build_db()
+    serial_db = build_db(config)
     serial = {}
     for name in names:
-        ctx = serial_db.open_session(name, ram_bytes=partition, config=config)
+        ctx = serial_db.open_session(name, ram_bytes=partition)
         runs = [ctx.query(sql) for sql in STATEMENTS]
         serial[name] = (
             [(r.rows, metric_values(r.metrics)) for r in runs],
@@ -201,11 +233,12 @@ def test_interleaved_sessions_bit_identical_to_serial(n, batch):
 
 def _check_interleaved(names, partition, config, serial, one_wave):
     """Run the sessions interleaved and hold each to its serial run."""
-    db = build_db()
+    db = build_db(config)
     sessions = {
-        name: db.open_session(name, ram_bytes=partition, config=config)
+        name: db.open_session(name, ram_bytes=partition)
         for name in names
     }
+    raw_before = device_account(db.core.device)
     sched = Scheduler(db.core)
     tickets = []
     for sql in STATEMENTS:
@@ -229,10 +262,20 @@ def _check_interleaved(names, partition, config, serial, one_wave):
         assert session_fingerprint(sessions[name]) == ref_fingerprint
 
     # The spy's interleaved capture is exactly the union of the
-    # per-session captures -- mirroring loses and invents nothing.
+    # per-session captures -- the catch-up loses and invents nothing.
     assert len(db.usb_log) == sum(
         len(ctx.usb_log) for ctx in sessions.values()
     )
+    # One accounting path: the device's own counters moved by exactly
+    # what the sessions' accounts hold between them.
+    raw_after = device_account(db.core.device)
+    summed = dict.fromkeys(raw_after, 0)
+    for ctx in sessions.values():
+        for field, value in session_account(ctx).items():
+            summed[field] += value
+    assert {
+        field: raw_after[field] - raw_before[field] for field in raw_after
+    } == summed
     # Partitions never collude past the secure budget.
     assert (
         sum(ctx.lease.ram.high_water for ctx in sessions.values())
@@ -251,11 +294,8 @@ def _check_interleaved(names, partition, config, serial, one_wave):
 
 
 def test_aborted_query_releases_full_partition():
-    db = build_db()
-    ctx = db.open_session(
-        "doomed",
-        config=SessionConfig(exec_config=ExecConfig(exec_batch=1)),
-    )
+    db = build_db(SessionConfig(exec_config=ExecConfig(exec_batch=1)))
+    ctx = db.open_session("doomed")
     # A full projection scan: hundreds of one-tuple windows, so the
     # generator is guaranteed to still be mid-flight after a few steps.
     gen, write = ctx.statement_steps(
